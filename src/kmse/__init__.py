@@ -82,7 +82,6 @@ from .selection import (
     gcv_select_tsvd,
     loocv_select_iterations,
     loocv_select_lambda,
-    loocv_select_lambda_tikhonov,
 )
 from .synthetic import (
     MixtureParams,

@@ -16,10 +16,10 @@ import sys
 
 import numpy as np
 
-from . import density, risk, selection, theory
+from . import density, risk, theory
 from .data import load_csv, split_train_test, standardize, standardize_like
-from .errors import InputError, KmseError
-from .estimators import empirical_kme_weights, skmse_weights, spectral_weights
+from .errors import InputError, KmseError, ReplicationError
+from .estimators import ESTIMATORS
 from .filters import (
     FilterSpec,
     IteratedTikhonov,
@@ -29,7 +29,6 @@ from .filters import (
     TSVD,
     Tikhonov,
     check_admissibility,
-    default_lambda_grid,
 )
 from .kernels import (
     GaussianRBF,
@@ -39,8 +38,6 @@ from .kernels import (
     normalize_gram,
 )
 from .synthetic import RngStream
-
-FILTER_CHOICES = ("kme", "skmse", "tikhonov", "landweber", "nu", "itik", "tsvd")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,57 +79,42 @@ def _build_filter(args, kappa_sq: float) -> FilterSpec:
     raise InputError(f"unknown filter {name!r}")
 
 
+def _parse_bandwidth(text: str) -> float | None:
+    """The squared bandwidth given on the command line; None for 'median'."""
+    if text == "median":
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(f"--bandwidth must be 'median' or a number, got {text!r}") from None
+    if value <= 0:
+        raise InputError("bandwidth must be positive")
+    return value
+
+
 def _resolve_kernel(args, rows):
     if args.kernel == "linear":
         return linear_spec_for(rows), None
-    if args.bandwidth == "median":
+    sigma_sq = _parse_bandwidth(args.bandwidth)
+    if sigma_sq is None:
         sigma_sq = median_heuristic_bandwidth(rows)
-    else:
-        try:
-            sigma_sq = float(args.bandwidth)
-        except ValueError:
-            raise InputError(
-                f"--bandwidth must be 'median' or a number, got {args.bandwidth!r}"
-            ) from None
-        if sigma_sq <= 0:
-            raise InputError("bandwidth must be positive")
     return GaussianRBF(sigma_sq), sigma_sq
 
 
 def _cmd_estimate(args) -> int:
-    dataset = load_csv(args.input)
-    rows = dataset.rows
+    config = risk.EstimatorConfig(
+        name=args.filter,
+        selection=args.select,
+        lam=args.lam,
+        iters=args.iters,
+        itik_iters=args.iters,
+        t_max=args.iters,
+        nu=args.nu,
+        threshold=args.lam,
+    )
+    rows = load_csv(args.input).rows
     kspec, sigma_sq = _resolve_kernel(args, rows)
-    kbar = normalize_gram(gram_matrix(rows, kspec))
-    selection_used = args.select
-    if args.filter == "kme":
-        wv = empirical_kme_weights(rows.shape[0])
-    elif args.select == "none":
-        if args.filter == "skmse":
-            wv = skmse_weights(rows.shape[0], args.lam)
-        else:
-            wv = spectral_weights(kbar, _build_filter(args, kspec.kappa_sq))
-    elif args.select == "gcv":
-        if args.filter != "tsvd":
-            raise InputError("GCV selection only applies to tsvd")
-        wv = spectral_weights(kbar, selection.gcv_select_tsvd(kbar).chosen)
-    else:  # loocv
-        grid = default_lambda_grid()
-        if args.filter in ("tikhonov", "skmse", "itik"):
-            family = args.filter
-            chosen = selection.loocv_select_lambda(
-                rows, kspec, grid, family=family, itik_iters=args.iters
-            ).chosen
-        elif args.filter in ("landweber", "nu"):
-            chosen = selection.loocv_select_iterations(
-                rows, kspec, args.filter, args.iters, nu=args.nu
-            ).chosen
-        else:
-            raise InputError(f"LOOCV selection not available for {args.filter!r}")
-        if args.filter == "skmse":
-            wv = skmse_weights(rows.shape[0], chosen.lam)
-        else:
-            wv = spectral_weights(kbar, chosen)
+    wv = risk.fit_weights(config, rows, kspec)
     payload = {
         "estimator_id": wv.estimator_id,
         "weights": [float(w) for w in wv.weights],
@@ -142,7 +124,7 @@ def _cmd_estimate(args) -> int:
             "kernel": args.kernel,
             "bandwidth_sq": sigma_sq,
             "filter": args.filter,
-            "select": selection_used,
+            "select": args.select,
             "n": rows.shape[0],
             "d": rows.shape[1],
         },
@@ -152,35 +134,21 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    names = FILTER_CHOICES if args.filters == "all" else tuple(args.filters.split(","))
-    for name in names:
-        if name not in FILTER_CHOICES:
-            raise InputError(f"unknown estimator {name!r}")
-    if args.bandwidth == "median":
-        bandwidth = None
-    else:
-        try:
-            bandwidth = float(args.bandwidth)
-        except ValueError:
-            raise InputError(
-                f"--bandwidth must be 'median' or a number, got {args.bandwidth!r}"
-            ) from None
-        if bandwidth <= 0:
-            raise InputError("bandwidth must be positive")
-    reports = []
-    for name in names:
-        config = risk.EstimatorConfig(name=name, selection=args.select)
-        reports.append(
-            risk.risk_estimate(
-                config,
-                n=args.n,
-                d=args.d,
-                m=args.reps,
-                seed=args.seed,
-                redraw_params=args.redraw_params,
-                bandwidth=bandwidth,
-            )
+    names = tuple(ESTIMATORS) if args.filters == "all" else tuple(args.filters.split(","))
+    configs = [risk.EstimatorConfig(name=name, selection=args.select) for name in names]
+    bandwidth = _parse_bandwidth(args.bandwidth)
+    reports = [
+        risk.risk_estimate(
+            config,
+            n=args.n,
+            d=args.d,
+            m=args.reps,
+            seed=args.seed,
+            redraw_params=args.redraw_params,
+            bandwidth=bandwidth,
         )
+        for config in configs
+    ]
     base = next((r for r in reports if r.estimator_id == "kme"), None)
     rows = []
     for report in reports:
@@ -283,34 +251,14 @@ def _cmd_admissibility(args) -> int:
 
 
 def _cmd_density_fit(args) -> int:
+    config = risk.EstimatorConfig(name=args.target, t_max=args.iters, nu=args.nu)
     dataset = load_csv(args.input)
     rng = RngStream(args.seed, 0).generator()
     train_raw, test_raw = split_train_test(dataset, args.test_frac, rng)
     train = standardize(train_raw)
     test = standardize_like(test_raw, train)
     sigma_sq = median_heuristic_bandwidth(train.rows)
-    kspec = GaussianRBF(sigma_sq)
-    n = train.n
-    if args.target == "kme":
-        wv = empirical_kme_weights(n)
-    else:
-        kbar = normalize_gram(gram_matrix(train.rows, kspec))
-        if args.target == "tsvd":
-            chosen = selection.gcv_select_tsvd(kbar).chosen
-        elif args.target in ("tikhonov", "skmse", "itik"):
-            chosen = selection.loocv_select_lambda(
-                train.rows, kspec, default_lambda_grid(), family=args.target
-            ).chosen
-        elif args.target in ("landweber", "nu"):
-            chosen = selection.loocv_select_iterations(
-                train.rows, kspec, args.target, args.iters, nu=args.nu
-            ).chosen
-        else:
-            raise InputError(f"unknown target estimator {args.target!r}")
-        if args.target == "skmse":
-            wv = skmse_weights(n, chosen.lam)
-        else:
-            wv = spectral_weights(kbar, chosen)
+    wv = risk.fit_weights(config, train.rows, GaussianRBF(sigma_sq))
     model = density.kmm_fit(
         train.rows,
         wv,
@@ -407,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--output", default=None)
     est.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
     est.add_argument("--bandwidth", default="median")
-    est.add_argument("--filter", choices=FILTER_CHOICES, default="tikhonov")
+    est.add_argument("--filter", choices=tuple(ESTIMATORS), default="tikhonov")
     est.add_argument("--lambda", dest="lam", type=float, default=0.1)
     est.add_argument("--iters", type=int, default=10)
     est.add_argument("--nu", type=float, default=1.0)
@@ -441,7 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     rates.set_defaults(func=_cmd_rates)
 
     adm = sub.add_parser("admissibility", help="numeric filter admissibility report")
-    adm.add_argument("--filter", choices=FILTER_CHOICES[1:], default="tikhonov")
+    adm.add_argument(
+        "--filter",
+        choices=[name for name, kind in ESTIMATORS.items() if kind.spec_type],
+        default="tikhonov",
+    )
     adm.add_argument("--lambda", dest="lam", type=float, default=0.1)
     adm.add_argument("--iters", type=int, default=10)
     adm.add_argument("--nu", type=float, default=1.0)
@@ -451,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dens = sub.add_parser("density-fit", help="kernel-mean-matching mixture fit")
     dens.add_argument("--input", required=True)
-    dens.add_argument("--target", choices=FILTER_CHOICES, default="tikhonov")
+    dens.add_argument("--target", choices=tuple(ESTIMATORS), default="tikhonov")
     dens.add_argument("--components", type=int, default=5)
     dens.add_argument("--test-frac", type=float, default=0.25)
     dens.add_argument("--iters", type=int, default=50)
@@ -476,10 +428,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except KmseError as exc:
+        # a replication that failed on bad input is still a usage error
+        cause = exc.cause if isinstance(exc, ReplicationError) else exc
+        if isinstance(cause, InputError):
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
         sys.stderr.write(f"internal error: {exc}\n")
         return 2
 

@@ -40,3 +40,4 @@ class ReplicationError(KmseError):
     def __init__(self, index: int, cause: Exception):
         super().__init__(f"replication {index} failed: {cause}")
         self.index = index
+        self.cause = cause

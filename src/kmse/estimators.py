@@ -15,6 +15,7 @@ beta = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,15 +62,27 @@ class WeightVector:
         return self.weights.shape[0]
 
 
-def _filter_id(spec: FilterSpec) -> str:
-    return {
-        Tikhonov: "tikhonov",
-        Landweber: "landweber",
-        NuMethod: "nu",
-        IteratedTikhonov: "itik",
-        TSVD: "tsvd",
-        SKMSE: "skmse",
-    }[type(spec)]
+class EstimatorKind(NamedTuple):
+    """The filter family an estimator fits (None for the empirical mean) and
+    the selection rules it accepts; the first rule is its default."""
+
+    spec_type: type | None
+    selections: tuple[str, ...]
+
+
+_LAMBDA_RULES = ("loocv", "none", "oracle")
+
+#: Every estimator by name, in report order.
+ESTIMATORS: dict[str, EstimatorKind] = {
+    "kme": EstimatorKind(None, ("none",)),
+    "skmse": EstimatorKind(SKMSE, _LAMBDA_RULES),
+    "tikhonov": EstimatorKind(Tikhonov, _LAMBDA_RULES),
+    "landweber": EstimatorKind(Landweber, _LAMBDA_RULES),
+    "nu": EstimatorKind(NuMethod, _LAMBDA_RULES),
+    "itik": EstimatorKind(IteratedTikhonov, _LAMBDA_RULES),
+    "tsvd": EstimatorKind(TSVD, ("gcv", "none", "oracle")),
+}
+_FILTER_IDS = {kind.spec_type: name for name, kind in ESTIMATORS.items()}
 
 
 def empirical_kme_weights(n: int) -> WeightVector:
@@ -111,7 +124,7 @@ def spectral_weights(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     kept = retention_values(spec, gammas)
     ones = np.full(kbar.n, 1.0 / kbar.n)
     beta = eig.eigenvectors @ (kept * (eig.eigenvectors.T @ ones))
-    return WeightVector(beta, _filter_id(spec), spec)
+    return WeightVector(beta, _FILTER_IDS[type(spec)], spec)
 
 
 def _target(kbar_values: np.ndarray) -> np.ndarray:
@@ -178,9 +191,9 @@ def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVe
     """Accelerated gradient iteration; the step is scaled by 1/kappa^2."""
     if t < 1:
         raise InputError("iteration count must be at least 1")
-    eta_bar = 1.0 / kbar.kappa_sq
-    path = nu_method_path(kbar.matrix.values, t, nu, eta_bar)
-    return WeightVector(path[-1], "nu", NuMethod(iters=t, nu=nu, eta_bar=eta_bar))
+    spec = NuMethod(iters=t, nu=nu, eta_bar=1.0 / kbar.kappa_sq)
+    path = nu_method_path(kbar.matrix.values, t, nu, spec.eta_bar)
+    return WeightVector(path[-1], "nu", spec)
 
 
 def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> WeightVector:

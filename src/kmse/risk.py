@@ -31,26 +31,26 @@ import numpy as np
 from .data import as_rows
 from .errors import InputError, KmseError, ReplicationError
 from .estimators import (
+    ESTIMATORS,
     WeightVector,
     empirical_kme_weights,
     iterated_tikhonov_weights,
     landweber_path,
+    landweber_weights,
     nu_method_path,
+    nu_method_weights,
     skmse_weights,
     spectral_weights,
 )
 from .filters import (
-    IteratedTikhonov,
     Landweber,
     NuMethod,
-    SKMSE,
     TSVD,
     Tikhonov,
     default_lambda_grid,
 )
 from .kernels import (
     GaussianRBF,
-    GramMatrix,
     KernelSpec,
     NormalizedGram,
     gram_matrix,
@@ -70,10 +70,8 @@ from .synthetic import (
     sample_mixture,
 )
 
-ESTIMATOR_NAMES = ("kme", "skmse", "tikhonov", "landweber", "nu", "itik", "tsvd")
 
-
-def _component_terms(theta: np.ndarray, sigma: np.ndarray, sigma_sq: float):
+def _component_terms(sigma: np.ndarray, sigma_sq: float):
     """Eigendecomposition pieces for one Gaussian integral."""
     sym = (sigma + sigma.T) / 2.0
     evals, evecs = np.linalg.eigh(sym)
@@ -91,7 +89,7 @@ def component_mean_inners(
     """E_{y ~ N(theta, Sigma)} k(x_i, y) for every row x_i, vectorized."""
     if not sigma_sq > 0:
         raise InputError("sigma_sq must be positive")
-    evecs, denom, log_pref = _component_terms(theta, np.asarray(sigma, float), sigma_sq)
+    evecs, denom, log_pref = _component_terms(np.asarray(sigma, float), sigma_sq)
     Y = (np.atleast_2d(X) - theta) @ evecs
     quad = (Y**2 / denom).sum(axis=1)
     return np.exp(log_pref - 0.5 * quad)
@@ -130,9 +128,7 @@ def mixture_mean_sq_norm(params: MixtureParams, sigma_sq: float) -> float:
     for j in range(k):
         for l in range(j, k):
             evecs, denom, log_pref = _component_terms(
-                np.zeros(params.d),
-                params.covariances[j] + params.covariances[l],
-                sigma_sq,
+                params.covariances[j] + params.covariances[l], sigma_sq
             )
             delta = (params.means[j] - params.means[l]) @ evecs
             quad = float((delta**2 / denom).sum())
@@ -172,8 +168,9 @@ class EstimatorConfig:
 
     ``selection``: "none" (use the fixed parameters below), "loocv", "gcv",
     "oracle" (grid-minimize the true analytic loss; only available inside the
-    synthetic harness), or "default" (loocv for lambda/iteration methods, gcv
-    for tsvd, none for kme).
+    synthetic harness), or "default". ``estimators.ESTIMATORS`` lists the
+    rules each estimator accepts, its default first (loocv for lambda and
+    iteration methods, gcv for tsvd, none for kme); any other pair raises.
     """
 
     name: str
@@ -189,19 +186,19 @@ class EstimatorConfig:
     )
 
     def __post_init__(self):
-        if self.name not in ESTIMATOR_NAMES:
+        if self.name not in ESTIMATORS:
             raise InputError(f"unknown estimator {self.name!r}")
-        if self.selection not in ("none", "loocv", "gcv", "oracle", "default"):
-            raise InputError(f"unknown selection method {self.selection!r}")
+        rules = ESTIMATORS[self.name].selections
+        if self.selection not in rules + ("default",):
+            raise InputError(
+                f"selection {self.selection!r} is not available for {self.name}; "
+                f"choose one of {', '.join(rules)}"
+            )
 
     def resolved_selection(self) -> str:
-        if self.selection != "default":
-            return self.selection
-        if self.name == "kme":
-            return "none"
-        if self.name == "tsvd":
-            return "gcv"
-        return "loocv"
+        if self.selection == "default":
+            return ESTIMATORS[self.name].selections[0]
+        return self.selection
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +221,15 @@ def fit_weights(
     config: EstimatorConfig,
     X: np.ndarray,
     kspec: KernelSpec,
-    kbar: NormalizedGram,
+    kbar: NormalizedGram | None = None,
     oracle_loss=None,
 ) -> WeightVector:
-    """Fit one estimator on a sample, running its parameter selection."""
+    """Fit one estimator on a sample, running its parameter selection.
+
+    ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given.
+    """
+    if kbar is None:
+        kbar = normalize_gram(gram_matrix(X, kspec))
     n = kbar.n
     name = config.name
     selection = config.resolved_selection()
@@ -237,44 +239,28 @@ def fit_weights(
         if oracle_loss is None:
             raise InputError("oracle selection needs a loss callback")
         return _fit_oracle(config, kbar, oracle_loss)
-    if name == "skmse":
+    if name in ("skmse", "tikhonov", "itik"):
         if selection == "none":
-            return skmse_weights(n, config.lam)
-        chosen = loocv_select_lambda(
-            X, kspec, config.lambda_grid, family="skmse"
-        ).chosen
-        return skmse_weights(n, chosen.lam)
-    if name == "tikhonov":
-        if selection == "none":
-            return spectral_weights(kbar, Tikhonov(config.lam))
-        chosen = loocv_select_lambda(
-            X, kspec, config.lambda_grid, family="tikhonov"
-        ).chosen
-        return spectral_weights(kbar, chosen)
-    if name == "itik":
-        if selection == "none":
-            return iterated_tikhonov_weights(kbar, config.itik_iters, config.lam)
-        chosen = loocv_select_lambda(
-            X, kspec, config.lambda_grid, family="itik", itik_iters=config.itik_iters
-        ).chosen
-        return iterated_tikhonov_weights(kbar, chosen.iters, chosen.lam)
-    if name == "landweber":
-        if selection == "none":
-            t = config.iters
+            lam = config.lam
         else:
-            t = loocv_select_iterations(X, kspec, "landweber", config.t_max).chosen.iters
-        path = landweber_path(kbar.matrix.values, t, 1.0 / kbar.kappa_sq)
-        return WeightVector(path[-1], "landweber", Landweber(t, 1.0 / kbar.kappa_sq))
-    if name == "nu":
+            lam = loocv_select_lambda(
+                X, kspec, config.lambda_grid, family=name, itik_iters=config.itik_iters
+            ).chosen.lam
+        if name == "skmse":
+            return skmse_weights(n, lam)
+        if name == "tikhonov":
+            return spectral_weights(kbar, Tikhonov(lam))
+        return iterated_tikhonov_weights(kbar, config.itik_iters, lam)
+    if name in ("landweber", "nu"):
         if selection == "none":
             t = config.iters
         else:
             t = loocv_select_iterations(
-                X, kspec, "nu", config.t_max, nu=config.nu
+                X, kspec, name, config.t_max, nu=config.nu
             ).chosen.iters
-        eta_bar = 1.0 / kbar.kappa_sq
-        path = nu_method_path(kbar.matrix.values, t, config.nu, eta_bar)
-        return WeightVector(path[-1], "nu", NuMethod(t, config.nu, eta_bar))
+        if name == "landweber":
+            return landweber_weights(kbar, t)
+        return nu_method_weights(kbar, t, config.nu)
     # tsvd
     if selection == "none":
         return spectral_weights(kbar, TSVD(config.threshold))
@@ -306,14 +292,12 @@ def _fit_oracle(config, kbar: NormalizedGram, oracle_loss) -> WeightVector:
         candidates = [
             WeightVector(row, name, spec) for row, spec in zip(path, specs)
         ]
-    elif name == "tsvd":
+    else:  # tsvd
         gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
         thresholds = [float(g) for g in gammas if g > 0]
         candidates = [
             spectral_weights(kbar, TSVD(thr)) for thr in dict.fromkeys(thresholds)
         ]
-    else:
-        raise InputError(f"oracle selection is not defined for {name!r}")
     losses = [oracle_loss(c.weights) for c in candidates]
     return candidates[int(np.argmin(losses))]
 

@@ -30,7 +30,7 @@ from .filters import (
     retention_values,
 )
 from .kernels import KernelSpec, NormalizedGram, gram_matrix
-from .estimators import landweber_path, nu_method_path
+from .estimators import _target, landweber_path, nu_method_path
 from .linalg import sym_eigendecompose
 
 
@@ -154,13 +154,6 @@ def loocv_select_lambda(
     return SelectionResult(chosen=chosen, score_path=path, score_kind="LOOCV")
 
 
-def loocv_select_lambda_tikhonov(
-    points: Dataset | np.ndarray, spec: KernelSpec, lambda_grid
-) -> SelectionResult:
-    """LOOCV-selected Tikhonov shrinkage parameter."""
-    return loocv_select_lambda(points, spec, lambda_grid, family="tikhonov")
-
-
 def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
     """Pick the TSVD truncation level by generalized cross-validation.
 
@@ -174,7 +167,7 @@ def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
         raise InputError("GCV needs at least two points")
     eig = kbar.spectrum
     gammas = np.clip(eig.eigenvalues, 0.0, None)
-    coeff = eig.eigenvectors.T @ _kbar_ones(kbar)
+    coeff = eig.eigenvectors.T @ _target(kbar.matrix.values)
     sq = coeff**2
     # residual^2 after keeping the top m components, for m = 1..n
     tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])  # tail[m] = sum_{i>m} sq
@@ -193,7 +186,3 @@ def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
     chosen = TSVD(threshold=float(gammas[m_star - 1]))
     path = [(float(m), float(s)) for m, s in zip(levels, scores_arr)]
     return SelectionResult(chosen=chosen, score_path=path, score_kind="GCV")
-
-
-def _kbar_ones(kbar: NormalizedGram) -> np.ndarray:
-    return kbar.matrix.values.mean(axis=1)

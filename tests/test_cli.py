@@ -62,6 +62,23 @@ class TestEstimateCommand:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["estimate", "--bogus", "x"]) == 1
 
+    @pytest.mark.parametrize("name,rule", [("tsvd", "loocv"), ("kme", "loocv"), ("tikhonov", "gcv")])
+    def test_invalid_pair_exits_one_before_reading_input(self, tmp_path, capsys, name, rule):
+        missing = tmp_path / "nope.csv"
+        code = main(["estimate", "--input", str(missing), "--filter", name, "--select", rule])
+        assert code == 1
+        assert f"selection {rule!r} is not available for {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--filter", "nu", "--nu", "-0.25"], ["--filter", "landweber", "--iters", "0"],
+         ["--filter", "itik", "--iters", "0"], ["--filter", "tsvd", "--lambda", "0"]],
+    )
+    def test_bad_fixed_parameter_exits_one(self, tmp_path, flags):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data)
+        assert main(["estimate", "--input", str(data), *flags]) == 1
+
 
 class TestBenchmarkCommand:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -94,6 +111,25 @@ class TestBenchmarkCommand:
              "--d", "2", "--json", str(tmp_path / "x.json")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("filters,rule", [("tikhonov", "gcv"), ("all", "loocv")])
+    def test_invalid_pair_rejected(self, tmp_path, filters, rule):
+        code = main(
+            ["benchmark", "--filters", filters, "--select", rule, "--reps", "2",
+             "--n", "10", "--d", "2", "--json", str(tmp_path / "x.json")]
+        )
+        assert code == 1
+        assert not (tmp_path / "x.json").exists()
+
+    def test_usage_error_inside_replication_exits_one(self, tmp_path, capsys):
+        # n = 2 passes the harness but LOOCV needs three points
+        code = main(
+            ["benchmark", "--n", "2", "--d", "2", "--reps", "2", "--filters", "tikhonov",
+             "--json", str(tmp_path / "x.json")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: replication 1 failed:")
 
 
 class TestRatesCommand:
@@ -157,6 +193,21 @@ class TestDensityFitCommand:
         assert payload["config"]["n_test"] == 10
         assert np.isfinite(payload["nll_test"])
         assert len(payload["model"]["weights"]) == 2
+
+    @pytest.mark.parametrize("target", ["tikhonov", "landweber", "tsvd"])
+    def test_selected_targets(self, tmp_path, target):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "fit.json"
+        write_sample_csv(data, seed=4, n=40, d=2)
+        code = main(
+            ["density-fit", "--input", str(data), "--target", target, "--components", "2",
+             "--iters", "20", "--seed", "1", "--output", str(out)]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["target_estimator"] == target
+        assert payload["config"]["target"] == target
+        assert np.isfinite(payload["nll_train"]) and np.isfinite(payload["nll_test"])
 
 
 class TestVerifyCommand:

@@ -252,3 +252,28 @@ class TestRiskHarness:
         fixed = replication_losses(EstimatorConfig("kme"), 15, 2, 4, seed=31)
         redrawn = replication_losses(EstimatorConfig("kme"), 15, 2, 4, seed=31, redraw_params=True)
         assert not np.allclose(fixed, redrawn)
+
+
+LAMBDA_AND_ITERATION = ("skmse", "tikhonov", "landweber", "nu", "itik")
+VALID_PAIRS = {("kme", "none"), ("tsvd", "none"), ("tsvd", "gcv"), ("tsvd", "oracle")} | {
+    (name, rule) for name in LAMBDA_AND_ITERATION for rule in ("none", "loocv", "oracle")
+}
+DEFAULT_RULE = {"kme": "none", "tsvd": "gcv", **{n: "loocv" for n in LAMBDA_AND_ITERATION}}
+
+
+class TestEstimatorConfig:
+    @pytest.mark.parametrize("rule", ["default", "none", "loocv", "gcv", "oracle", "bogus"])
+    @pytest.mark.parametrize("name", ["kme", *LAMBDA_AND_ITERATION, "tsvd"])
+    def test_only_valid_pairs_construct(self, name, rule):
+        if rule == "default":
+            assert EstimatorConfig(name).resolved_selection() == DEFAULT_RULE[name]
+        elif (name, rule) in VALID_PAIRS:
+            assert EstimatorConfig(name, selection=rule).resolved_selection() == rule
+        else:
+            with pytest.raises(InputError, match=name):
+                EstimatorConfig(name, selection=rule)
+
+    def test_unknown_estimator(self):
+        with pytest.raises(InputError, match="unknown estimator"):
+            EstimatorConfig("ridge")
+

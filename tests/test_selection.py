@@ -16,7 +16,6 @@ from kmse.selection import (
     gcv_select_tsvd,
     loocv_select_iterations,
     loocv_select_lambda,
-    loocv_select_lambda_tikhonov,
 )
 
 
@@ -76,7 +75,7 @@ class TestLoocvIterations:
 class TestLoocvLambda:
     def test_single_value_grid(self):
         rows = sample_rows(4)
-        result = loocv_select_lambda_tikhonov(rows, rbf_spec(rows), [0.3])
+        result = loocv_select_lambda(rows, rbf_spec(rows), [0.3], family="tikhonov")
         assert result.chosen == Tikhonov(0.3)
 
     def test_interior_minimizer_common(self):
@@ -84,7 +83,7 @@ class TestLoocvLambda:
         hits = 0
         for seed in range(10):
             rows = sample_rows(seed, n=25, d=6)
-            result = loocv_select_lambda_tikhonov(rows, rbf_spec(rows), grid)
+            result = loocv_select_lambda(rows, rbf_spec(rows), grid, family="tikhonov")
             lam = result.chosen.lam
             hits += grid[0] < lam < grid[-1]
         assert hits >= 8
@@ -92,7 +91,7 @@ class TestLoocvLambda:
     def test_duplicate_rows_tolerated(self):
         rows = sample_rows(5, n=10)
         rows = np.vstack([rows, rows[:3]])
-        result = loocv_select_lambda_tikhonov(rows, rbf_spec(rows), [0.1, 1.0])
+        result = loocv_select_lambda(rows, rbf_spec(rows), [0.1, 1.0], family="tikhonov")
         assert result.chosen.lam in (0.1, 1.0)
 
     def test_skmse_family_selects(self):
