@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,11 @@ def split_train_test(
 
 
 def load_csv(path: str) -> Dataset:
-    """Load a CSV of numeric rows; a non-numeric first line is treated as a header."""
+    """Load a CSV of numeric rows; a non-numeric first line is treated as a header.
+
+    Every cell must be a finite number; NaN and infinite cells are rejected
+    with their line number.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read().splitlines()
@@ -126,19 +131,19 @@ def load_csv(path: str) -> Dataset:
 
     first_number, first_line = numbered[0]
     try:
-        rows = [parse(first_line, first_number)]
-        remaining = numbered[1:]
+        parse(first_line, first_number)
     except CsvParseError:
         if len(numbered) == 1:
             raise CsvParseError("no data rows after header", first_number) from None
-        remaining = numbered[1:]
-        rows = [parse(remaining[0][1], remaining[0][0])]
-        remaining = remaining[1:]
+        numbered = numbered[1:]
 
-    width = len(rows[0])
-    for number, line in remaining:
+    rows: list[list[float]] = []
+    for number, line in numbered:
         values = parse(line, number)
-        if len(values) != width:
-            raise CsvParseError(f"expected {width} columns, got {len(values)}", number)
+        if rows and len(values) != len(rows[0]):
+            raise CsvParseError(f"expected {len(rows[0])} columns, got {len(values)}", number)
+        bad = [v for v in values if not math.isfinite(v)]
+        if bad:
+            raise CsvParseError(f"non-finite cell {bad[0]!r}", number)
         rows.append(values)
     return Dataset(np.asarray(rows, dtype=float))

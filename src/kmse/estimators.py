@@ -133,7 +133,8 @@ def _target(kbar_values: np.ndarray) -> np.ndarray:
 
 
 def _guard(beta: np.ndarray, n: int) -> None:
-    if np.linalg.norm(beta) > DIVERGENCE_FACTOR / np.sqrt(n):
+    # beta is one length-n weight vector, or one per column
+    if np.max(np.linalg.norm(beta, axis=0)) > DIVERGENCE_FACTOR / np.sqrt(n):
         raise ConfigurationError(
             "iteration diverged (weights exceeded guard); step size too large"
         )

@@ -244,7 +244,12 @@ def fit_weights(
             lam = config.lam
         else:
             lam = loocv_select_lambda(
-                X, kspec, config.lambda_grid, family=name, itik_iters=config.itik_iters
+                X,
+                kspec,
+                config.lambda_grid,
+                family=name,
+                itik_iters=config.itik_iters,
+                kbar=kbar,
             ).chosen.lam
         if name == "skmse":
             return skmse_weights(n, lam)
@@ -256,7 +261,7 @@ def fit_weights(
             t = config.iters
         else:
             t = loocv_select_iterations(
-                X, kspec, name, config.t_max, nu=config.nu
+                X, kspec, name, config.t_max, nu=config.nu, kbar=kbar
             ).chosen.iters
         if name == "landweber":
             return landweber_weights(kbar, t)

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +64,19 @@ class TestEstimateCommand:
         code = main(["estimate", "--input", str(tmp_path / "nope.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_input_exits_one_naming_the_line(self, tmp_path, capsys, cell):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, n=6)
+        lines = data.read_text().splitlines()
+        lines[3] = f"{cell},0.5"
+        data.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--input", str(data), "--output", str(tmp_path / "w.json")])
+        assert code == 1
+        assert "line 4: non-finite cell" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["estimate", "--bogus", "x"]) == 1
 
@@ -81,6 +99,26 @@ class TestEstimateCommand:
 
 
 class TestBenchmarkCommand:
+    def test_csv_independent_of_thread_counts(self, tmp_path):
+        # BLAS threads and harness workers must not change a single byte
+        src = Path(__file__).resolve().parent.parent / "src"
+        digests = {}
+        for blas in ("1", "2"):
+            for workers in ("1", "4"):
+                out = tmp_path / f"risk_{blas}_{workers}.csv"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, KMSE_THREADS=workers)
+                env["PYTHONPATH"] = os.pathsep.join(
+                    [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+                )
+                subprocess.run(
+                    [sys.executable, "-m", "kmse.cli", "benchmark", "--n", "30",
+                     "--d", "3", "--reps", "6", "--seed", "5", "--filters", "all",
+                     "--out", str(out)],
+                    env=env, check=True, capture_output=True,
+                )
+                digests[blas, workers] = out.read_bytes()
+        assert len(set(digests.values())) == 1
+
     def test_csv_schema_and_determinism(self, tmp_path):
         out_a = tmp_path / "risk_a.csv"
         out_b = tmp_path / "risk_b.csv"

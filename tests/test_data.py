@@ -91,6 +91,29 @@ class TestLoadCsv:
             load_csv(str(path))
         assert info.value.line_number == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n5,6\n")
+        with pytest.raises(CsvParseError, match="non-finite") as info:
+            load_csv(str(path))
+        assert info.value.line_number == 3
+
+    def test_non_finite_first_row_is_not_a_header(self, tmp_path):
+        # "nan" parses as a number, so the row is data and is rejected
+        path = tmp_path / "nanfirst.csv"
+        path.write_text("nan,2\n3,4\n")
+        with pytest.raises(CsvParseError, match="non-finite") as info:
+            load_csv(str(path))
+        assert info.value.line_number == 1
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(CsvParseError, match="no data rows") as info:
+            load_csv(str(path))
+        assert info.value.line_number == 1
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

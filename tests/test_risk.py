@@ -243,10 +243,15 @@ class TestRiskHarness:
         assert info.value.index == 1
 
     def test_thread_workers_deterministic(self, monkeypatch):
-        serial = replication_losses(EstimatorConfig("tikhonov", selection="none"), 20, 3, 6, seed=29)
+        configs = [EstimatorConfig("tikhonov", selection="none")] + [
+            EstimatorConfig(name, selection="loocv", t_max=20)
+            for name in ("skmse", "tikhonov", "landweber", "nu", "itik")
+        ]
+        serial = [replication_losses(c, 20, 3, 6, seed=29) for c in configs]
         monkeypatch.setenv("KMSE_THREADS", "4")
-        threaded = replication_losses(EstimatorConfig("tikhonov", selection="none"), 20, 3, 6, seed=29)
-        np.testing.assert_array_equal(serial, threaded)
+        threaded = [replication_losses(c, 20, 3, 6, seed=29) for c in configs]
+        for config, one, many in zip(configs, serial, threaded):
+            np.testing.assert_array_equal(one, many, err_msg=config.name)
 
     def test_redraw_params_changes_mixtures(self):
         fixed = replication_losses(EstimatorConfig("kme"), 15, 2, 4, seed=31)

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kmse.errors import InputError
-from kmse.estimators import spectral_weights
-from kmse.filters import TSVD, Tikhonov
+from kmse import kernels
+from kmse.errors import ConfigurationError, InputError
+from kmse.estimators import landweber_path, nu_method_path, spectral_weights
+from kmse.filters import TSVD, IteratedTikhonov, Tikhonov, retention_values
 from kmse.kernels import (
     GaussianRBF,
     NormalizedGram,
     gram_matrix,
+    linear_spec_for,
     median_heuristic_bandwidth,
     normalize_gram,
 )
-from kmse.linalg import SymMatrix
+from kmse.linalg import SymMatrix, sym_eigendecompose
 from kmse.selection import (
     gcv_select_tsvd,
     loocv_select_iterations,
@@ -108,6 +112,163 @@ class TestLoocvLambda:
             rows, rbf_spec(rows), [0.01, 0.1], family="itik", itik_iters=3
         )
         assert result.chosen.iters == 3
+
+
+def brute_force_iteration_scores(K, algo, t_max, eta, nu=1.0):
+    """LOOCV path by running the iteration on each held-out fold."""
+    n = K.shape[0]
+    scores = np.zeros(t_max)
+    index = np.arange(n)
+    for i in range(n):
+        keep = index != i
+        Ksub = K[np.ix_(keep, keep)]
+        kcol = K[keep, i]
+        if algo == "landweber":
+            path = landweber_path(Ksub / (n - 1), t_max, eta)
+        else:
+            path = nu_method_path(Ksub / (n - 1), t_max, nu, eta)
+        quad = np.einsum("ti,ti->t", path @ Ksub, path)
+        cross = path @ kcol
+        scores += quad - 2.0 * cross + K[i, i]
+    return scores / n
+
+
+def brute_force_lambda_scores(K, grid, family, itik_iters=3):
+    """LOOCV scores by refitting on each held-out fold (one eigh per fold)."""
+    n = K.shape[0]
+    m = n - 1
+    scores = np.zeros(len(grid))
+    index = np.arange(n)
+    for i in range(n):
+        keep = index != i
+        Ksub = K[np.ix_(keep, keep)]
+        kcol = K[keep, i]
+        if family == "skmse":
+            # refit is the uniform vector scaled by 1/(1+lambda)
+            s_quad = Ksub.sum() / m**2
+            s_cross = kcol.mean()
+            for j, lam in enumerate(grid):
+                shrink = 1.0 / (1.0 + lam)
+                scores[j] += shrink**2 * s_quad - 2.0 * shrink * s_cross + K[i, i]
+            continue
+        eig = sym_eigendecompose(Ksub / m)
+        gammas = np.clip(eig.eigenvalues, 0.0, None)
+        coeff = eig.eigenvectors.T @ np.full(m, 1.0 / m)
+        for j, lam in enumerate(grid):
+            if family == "tikhonov":
+                spec = Tikhonov(float(lam))
+            else:
+                spec = IteratedTikhonov(iters=itik_iters, lam=float(lam))
+            beta = eig.eigenvectors @ (retention_values(spec, gammas) * coeff)
+            scores[j] += beta @ Ksub @ beta - 2.0 * (kcol @ beta) + K[i, i]
+    return scores / n
+
+
+def path_scores(result):
+    return np.array([s for _, s in result.score_path])
+
+
+def assert_scores_match(fast, brute, K):
+    # relative to the score, or to the kernel scale where the score is tiny
+    scale = np.maximum(np.abs(brute), np.mean(np.diag(K)))
+    assert np.all(np.abs(fast - brute) <= 1e-12 * scale), np.max(
+        np.abs(fast - brute) / scale
+    )
+
+
+FAMILIES = ("skmse", "tikhonov", "itik", "landweber", "nu")
+
+
+def loocv_scores(rows, spec, family, grid, itik_iters, t_max, kbar=None):
+    if family in ("landweber", "nu"):
+        result = loocv_select_iterations(rows, spec, family, t_max, kbar=kbar)
+    else:
+        result = loocv_select_lambda(
+            rows, spec, grid, family=family, itik_iters=itik_iters, kbar=kbar
+        )
+    return path_scores(result)
+
+
+def brute_force_scores(rows, spec, family, grid, itik_iters, t_max):
+    K = gram_matrix(rows, spec).raw.values
+    if family in ("landweber", "nu"):
+        return brute_force_iteration_scores(K, family, t_max, 1.0 / spec.kappa_sq)
+    return brute_force_lambda_scores(K, grid, family, itik_iters)
+
+
+class TestLoocvMatchesPerFoldRefit:
+    """The shared-eigenbasis scores equal a refit on every held-out fold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        family=st.sampled_from(FAMILIES),
+        itik_iters=st.sampled_from((1, 3, 50)),
+        log_grid=st.lists(st.floats(-6.0, 2.0), min_size=1, max_size=6),
+        t_max=st.integers(1, 30),
+        duplicates=st.integers(0, 3),
+        linear=st.booleans(),
+    )
+    def test_random_sizes_and_grids(
+        self, n, d, seed, family, itik_iters, log_grid, t_max, duplicates, linear
+    ):
+        rows = np.random.default_rng(seed).standard_normal((n, d))
+        # repeated rows make K rank-deficient
+        repeats = min(duplicates, n - 1)
+        rows[n - repeats:] = rows[:repeats]
+        spec = linear_spec_for(rows) if linear else GaussianRBF(1.0 + d)
+        grid = 10.0 ** np.asarray(log_grid)
+        fast = loocv_scores(rows, spec, family, grid, itik_iters, t_max)
+        brute = brute_force_scores(rows, spec, family, grid, itik_iters, t_max)
+        assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
+
+    @pytest.mark.parametrize(
+        "family,itik_iters",
+        [(f, 3) for f in FAMILIES if f != "itik"] + [("itik", t) for t in (1, 3, 50)],
+    )
+    def test_every_family_on_the_default_grid(self, family, itik_iters):
+        rows = sample_rows(11, n=30, d=4)
+        rows[-4:] = rows[:4]
+        grid = np.geomspace(1e-6, 1e2, 30)
+        for spec in (rbf_spec(rows), linear_spec_for(rows)):
+            fast = loocv_scores(rows, spec, family, grid, itik_iters, 40)
+            brute = brute_force_scores(rows, spec, family, grid, itik_iters, 40)
+            assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
+            assert np.argmin(fast) == np.argmin(brute)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_given_kbar_equals_built_kbar(self, family):
+        rows = sample_rows(12, n=18)
+        spec = rbf_spec(rows)
+        kbar = normalize_gram(gram_matrix(rows, spec))
+        grid = np.geomspace(1e-4, 10.0, 7)
+        built = loocv_scores(rows, spec, family, grid, 3, 20)
+        given_kbar = loocv_scores(rows, spec, family, grid, 3, 20, kbar=kbar)
+        np.testing.assert_array_equal(built, given_kbar)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_eigendecomposition_for_all_folds(self, family, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return sym_eigendecompose(matrix)
+
+        monkeypatch.setattr(kernels, "sym_eigendecompose", counting)
+        rows = sample_rows(13, n=15)
+        loocv_scores(rows, rbf_spec(rows), family, [0.01, 0.1, 1.0], 3, 10)
+        assert len(calls) == (0 if family == "skmse" else 1)
+
+    @pytest.mark.parametrize("algo", ["landweber", "nu"])
+    def test_step_above_inverse_kappa_sq_trips_the_guard(self, algo):
+        # kbar claims kappa^2 = 0.05, so eta = 20 far exceeds 2 / gamma_max
+        rows = sample_rows(14, n=12)
+        K = gram_matrix(rows, rbf_spec(rows)).raw.values
+        kbar = NormalizedGram(SymMatrix(K / 12), kappa_sq=0.05)
+        with pytest.raises(ConfigurationError, match="diverged"):
+            loocv_select_iterations(rows, rbf_spec(rows), algo, 50, kbar=kbar)
 
 
 class TestGcvTsvd:
