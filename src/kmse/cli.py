@@ -137,18 +137,15 @@ def _cmd_benchmark(args) -> int:
     names = tuple(ESTIMATORS) if args.filters == "all" else tuple(args.filters.split(","))
     configs = [risk.EstimatorConfig(name=name, selection=args.select) for name in names]
     bandwidth = _parse_bandwidth(args.bandwidth)
-    reports = [
-        risk.risk_estimate(
-            config,
-            n=args.n,
-            d=args.d,
-            m=args.reps,
-            seed=args.seed,
-            redraw_params=args.redraw_params,
-            bandwidth=bandwidth,
-        )
-        for config in configs
-    ]
+    reports = risk.risk_estimate(
+        configs,
+        n=args.n,
+        d=args.d,
+        m=args.reps,
+        seed=args.seed,
+        redraw_params=args.redraw_params,
+        bandwidth=bandwidth,
+    )
     base = next((r for r in reports if r.estimator_id == "kme"), None)
     rows = []
     for report in reports:

@@ -35,9 +35,13 @@ class CsvParseError(InputError):
 
 
 class ReplicationError(KmseError):
-    """A Monte-Carlo replication failed; carries the replication index."""
+    """A Monte-Carlo replication failed; carries the replication index and
+    the estimator whose fit failed (None when a step shared by every
+    estimator failed: the draw, the sample, the Gram matrix or the truth)."""
 
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"replication {index} failed: {cause}")
+    def __init__(self, index: int, cause: Exception, estimator: str | None = None):
+        where = "" if estimator is None else f" ({estimator})"
+        super().__init__(f"replication {index} failed{where}: {cause}")
         self.index = index
         self.cause = cause
+        self.estimator = estimator

@@ -23,6 +23,7 @@ rank-deficient covariances are handled symmetrically.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -226,15 +227,16 @@ def fit_weights(
 ) -> WeightVector:
     """Fit one estimator on a sample, running its parameter selection.
 
-    ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given.
+    ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given
+    (kme's uniform weights need neither).
     """
+    name = config.name
+    if name == "kme":
+        return empirical_kme_weights(as_rows(X).shape[0])
     if kbar is None:
         kbar = normalize_gram(gram_matrix(X, kspec))
     n = kbar.n
-    name = config.name
     selection = config.resolved_selection()
-    if name == "kme":
-        return empirical_kme_weights(n)
     if selection == "oracle":
         if oracle_loss is None:
             raise InputError("oracle selection needs a loss callback")
@@ -310,13 +312,16 @@ def _fit_oracle(config, kbar: NormalizedGram, oracle_loss) -> WeightVector:
 def _worker_count() -> int:
     raw = os.environ.get("KMSE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise InputError(f"KMSE_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def replication_losses(
-    config: EstimatorConfig,
+    configs: Sequence[EstimatorConfig],
     n: int,
     d: int,
     m: int,
@@ -324,86 +329,96 @@ def replication_losses(
     redraw_params: bool = False,
     bandwidth: float | None = None,
 ) -> np.ndarray:
-    """True analytic loss of the fitted estimator for replications 1..m.
+    """True analytic loss of every fitted estimator for replications 1..m.
 
+    Returns an (m, len(configs)) array; column j belongs to ``configs[j]``.
     Replication r draws its sample from stream (seed, r); mixture parameters
     come from stream (seed, 0) once, or are redrawn per replication when
-    ``redraw_params`` is set. Results are independent of execution order.
+    ``redraw_params`` is set. Within a replication every estimator is fitted
+    on the same sample, Gram matrix and K/n (so on one cached spectrum) and
+    scored against the same ground truth, each built once. Results are
+    independent of execution order and of which other configs are fitted.
     """
+    configs = tuple(configs)
     if m < 1:
         raise InputError("need at least one replication")
+    workers = _worker_count()
     base_params = None
     if not redraw_params:
         base_params = draw_mixture_params(d, RngStream(seed, 0))
 
-    def one(r: int) -> float:
-        gen = RngStream(seed, r).generator()
-        params = draw_mixture_params(d, gen) if redraw_params else base_params
-        X = sample_mixture(params, n, gen).rows
-        sigma_sq = bandwidth if bandwidth is not None else median_heuristic_bandwidth(X)
-        kspec = GaussianRBF(sigma_sq)
-        gram = gram_matrix(X, kspec)
-        kbar = normalize_gram(gram)
-        folded = effective_components(params)
-        K = gram.raw.values
-        z = mixture_mean_inners(X, folded, sigma_sq)
-        msn = mixture_mean_sq_norm(folded, sigma_sq)
-
-        def loss_of(w: np.ndarray) -> float:
-            return float(w @ K @ w - 2.0 * (w @ z) + msn)
-
-        wv = fit_weights(
-            config,
-            X,
-            kspec,
-            kbar,
-            oracle_loss=loss_of if config.resolved_selection() == "oracle" else None,
-        )
-        return loss_of(wv.weights)
-
-    def one_guarded(r: int) -> float:
+    def one(r: int) -> list[float]:
+        estimator = None  # names the fit that fails; None in the shared steps
         try:
-            return one(r)
-        except KmseError as exc:
-            raise ReplicationError(r, exc) from exc
+            gen = RngStream(seed, r).generator()
+            params = draw_mixture_params(d, gen) if redraw_params else base_params
+            X = sample_mixture(params, n, gen).rows
+            sigma_sq = bandwidth if bandwidth is not None else median_heuristic_bandwidth(X)
+            kspec = GaussianRBF(sigma_sq)
+            gram = gram_matrix(X, kspec)
+            kbar = normalize_gram(gram)
+            folded = effective_components(params)
+            K = gram.raw.values
+            z = mixture_mean_inners(X, folded, sigma_sq)
+            msn = mixture_mean_sq_norm(folded, sigma_sq)
 
-    workers = _worker_count()
+            def loss_of(w: np.ndarray) -> float:
+                return float(w @ K @ w - 2.0 * (w @ z) + msn)
+
+            losses = []
+            for config in configs:
+                estimator = config.name
+                wv = fit_weights(config, X, kspec, kbar, oracle_loss=loss_of)
+                losses.append(loss_of(wv.weights))
+            return losses
+        except KmseError as exc:
+            raise ReplicationError(r, exc, estimator) from exc
+
     if workers == 1:
-        return np.asarray([one_guarded(r) for r in range(1, m + 1)])
+        return np.asarray([one(r) for r in range(1, m + 1)])
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.asarray(list(pool.map(one_guarded, range(1, m + 1))))
+        return np.asarray(list(pool.map(one, range(1, m + 1))))
 
 
 def risk_estimate(
-    config: EstimatorConfig,
+    configs: Sequence[EstimatorConfig],
     n: int,
     d: int,
     m: int,
     seed: int,
     redraw_params: bool = False,
     bandwidth: float | None = None,
-) -> RiskReport:
-    """Approximate the estimator's risk by averaging over m replications."""
+) -> list[RiskReport]:
+    """Approximate each estimator's risk by averaging over m shared replications.
+
+    Returns one report per config, in order.
+    """
     if m < 2:
         raise InputError("risk estimation needs at least two replications")
+    configs = tuple(configs)
     losses = replication_losses(
-        config, n, d, m, seed, redraw_params=redraw_params, bandwidth=bandwidth
+        configs, n, d, m, seed, redraw_params=redraw_params, bandwidth=bandwidth
     )
-    echo = {
-        "estimator": config.name,
-        "selection": config.resolved_selection(),
-        "n": n,
-        "d": d,
-        "m": m,
-        "seed": seed,
-        "kernel": "rbf",
-        "bandwidth": "median" if bandwidth is None else bandwidth,
-        "redraw_params": redraw_params,
-    }
-    return RiskReport(
-        estimator_id=config.name,
-        mean_loss=float(losses.mean()),
-        stderr=float(losses.std(ddof=1) / np.sqrt(m)),
-        replications=m,
-        config=echo,
-    )
+    reports = []
+    for config, column in zip(configs, losses.T):
+        echo = {
+            "estimator": config.name,
+            "selection": config.resolved_selection(),
+            "n": n,
+            "d": d,
+            "m": m,
+            "seed": seed,
+            "kernel": "rbf",
+            "bandwidth": "median" if bandwidth is None else bandwidth,
+            "redraw_params": redraw_params,
+        }
+        reports.append(
+            RiskReport(
+                estimator_id=config.name,
+                mean_loss=float(column.mean()),
+                stderr=float(column.std(ddof=1) / np.sqrt(m)),
+                replications=m,
+                config=echo,
+            )
+        )
+    return reports

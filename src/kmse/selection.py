@@ -238,10 +238,9 @@ def loocv_select_lambda(
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise InputError("lambda grid is empty")
-    if family != "skmse":
-        # every grid value must make a valid filter, checked before any work
-        for lam in grid:
-            _lambda_family_spec(family, float(lam), itik_iters)
+    # every grid value must make a valid filter, checked before any work
+    for lam in grid:
+        _lambda_family_spec(family, float(lam), itik_iters)
     if kbar is None:
         kbar = normalize_gram(gram_matrix(points, spec))
     if family == "skmse":

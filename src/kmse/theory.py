@@ -274,15 +274,8 @@ def rate_experiment(
     else:
         for n in config.n_grid:
             lam = c * float(n) ** (-b)
-            report = risk_estimate(
-                EstimatorConfig("skmse", selection="none", lam=lam),
-                n=n,
-                d=config.d,
-                m=config.replications,
-                seed=config.seed,
-            )
-            kme = risk_estimate(
-                EstimatorConfig("kme"),
+            report, kme = risk_estimate(
+                [EstimatorConfig("skmse", selection="none", lam=lam), EstimatorConfig("kme")],
                 n=n,
                 d=config.d,
                 m=config.replications,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,25 @@ class TestEstimateCommand:
         assert code == 1
         assert f"selection {rule!r} is not available for {name}" in capsys.readouterr().err
 
+    def test_kme_builds_no_gram_matrix(self, tmp_path, monkeypatch):
+        from kmse import kernels, risk, selection
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernels.gram_matrix(*args, **kwargs)
+
+        for module in (risk, selection):
+            monkeypatch.setattr(module, "gram_matrix", counting)
+        data = tmp_path / "data.csv"
+        out = tmp_path / "weights.json"
+        write_sample_csv(data)
+        assert main(["estimate", "--input", str(data), "--filter", "kme",
+                     "--output", str(out)]) == 0
+        assert calls == []
+        assert json.loads(out.read_text())["weights"] == [1.0 / 25] * 25
+
     @pytest.mark.parametrize(
         "flags",
         [["--filter", "nu", "--nu", "-0.25"], ["--filter", "landweber", "--iters", "0"],
@@ -167,7 +187,41 @@ class TestBenchmarkCommand:
         )
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: replication 1 failed:")
+        assert err.startswith("error: replication 1 failed (tikhonov):")
+
+    def test_failing_estimator_named_after_others_fit(self, tmp_path, capsys):
+        # kme fits on two points; nu is the first estimator that cannot
+        code = main(
+            ["benchmark", "--n", "2", "--d", "2", "--reps", "2", "--filters", "kme,nu,tikhonov",
+             "--json", str(tmp_path / "x.json")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: replication 1 failed (nu):")
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("KMSE_THREADS", raw)
+        code = main(
+            ["benchmark", "--n", "10", "--d", "2", "--reps", "2", "--filters", "kme",
+             "--json", str(tmp_path / "x.json")]
+        )
+        assert code == 1
+        assert f"KMSE_THREADS must be a positive integer, got {raw!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_readme_command_matches_recorded_digest(self, tmp_path):
+        # the README's benchmark command, checked against the digest the
+        # benchmark suite recorded for it (the file is only read)
+        reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+        expected = json.loads(reference.read_text(encoding="utf-8"))["readme_shape"]
+        out = tmp_path / "risk.csv"
+        code = main(
+            ["benchmark", "--n", "50", "--d", "20", "--reps", "200",
+             "--seed", str(expected["seed"]), "--filters", "all",
+             "--out", str(out), "--json", str(tmp_path / "risk.json")]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected["sha256"]
 
 
 class TestRatesCommand:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kmse.errors import InputError
-from kmse.estimators import empirical_kme_weights
+from kmse.estimators import ESTIMATORS, empirical_kme_weights
 from kmse.kernels import GaussianRBF
 from kmse.risk import (
     EstimatorConfig,
@@ -199,8 +199,8 @@ class TestLoss:
 
 class TestRiskHarness:
     def test_reproducible_losses(self):
-        a = replication_losses(EstimatorConfig("kme"), 20, 3, 4, seed=11)
-        b = replication_losses(EstimatorConfig("kme"), 20, 3, 4, seed=11)
+        a = replication_losses([EstimatorConfig("kme")], 20, 3, 4, seed=11)
+        b = replication_losses([EstimatorConfig("kme")], 20, 3, 4, seed=11)
         np.testing.assert_array_equal(a, b)
 
     def test_kme_risk_matches_exact_delta(self):
@@ -211,23 +211,33 @@ class TestRiskHarness:
         d, n, m, seed, bw = 3, 40, 300, 17, 8.0
         params = effective_components(draw_mixture_params(d, RngStream(seed, 0)))
         delta = (1.0 - mixture_mean_sq_norm(params, bw)) / n
-        losses = replication_losses(EstimatorConfig("kme"), n, d, m, seed, bandwidth=bw)
+        losses = replication_losses([EstimatorConfig("kme")], n, d, m, seed, bandwidth=bw)[:, 0]
         stderr = losses.std(ddof=1) / np.sqrt(m)
         assert abs(losses.mean() - delta) <= 3 * stderr
 
     def test_kme_risk_halves_with_double_n(self):
         d, m, seed, bw = 3, 400, 19, 8.0
-        small = replication_losses(EstimatorConfig("kme"), 25, d, m, seed, bandwidth=bw)
-        large = replication_losses(EstimatorConfig("kme"), 50, d, m, seed, bandwidth=bw)
+        kme = [EstimatorConfig("kme")]
+        small = replication_losses(kme, 25, d, m, seed, bandwidth=bw)[:, 0]
+        large = replication_losses(kme, 50, d, m, seed, bandwidth=bw)[:, 0]
         ratio = large.mean() / small.mean()
         spread = 3 * (large.std(ddof=1) / np.sqrt(m)) / small.mean()
         assert abs(ratio - 0.5) <= spread + 0.02
 
     def test_risk_report_echoes_config(self):
-        report = risk_estimate(EstimatorConfig("kme"), 15, 2, 3, seed=23)
+        (report,) = risk_estimate([EstimatorConfig("kme")], 15, 2, 3, seed=23)
         assert report.config["n"] == 15
         assert report.config["estimator"] == "kme"
         assert report.stderr >= 0.0
+
+    def test_one_report_per_config_in_order(self):
+        configs = [EstimatorConfig("tsvd"), EstimatorConfig("kme"), EstimatorConfig("skmse")]
+        reports = risk_estimate(configs, 15, 2, 3, seed=23)
+        assert [r.estimator_id for r in reports] == ["tsvd", "kme", "skmse"]
+        losses = replication_losses(configs, 15, 2, 3, seed=23)
+        assert losses.shape == (3, 3)
+        for report, column in zip(reports, losses.T):
+            assert report.mean_loss == float(column.mean())
 
     def test_improvement_percent(self):
         assert improvement_percent(2.0, 1.0) == 50.0
@@ -236,27 +246,99 @@ class TestRiskHarness:
         from kmse.errors import ReplicationError
 
         with pytest.raises(InputError):
-            risk_estimate(EstimatorConfig("kme"), 10, 2, 1, seed=0)  # m < 2
+            risk_estimate([EstimatorConfig("kme")], 10, 2, 1, seed=0)  # m < 2
         with pytest.raises(ReplicationError) as info:
             # n = 1 makes the median heuristic fail inside replication 1
-            replication_losses(EstimatorConfig("kme"), 1, 2, 2, seed=0)
+            replication_losses([EstimatorConfig("kme")], 1, 2, 2, seed=0)
         assert info.value.index == 1
+        # a shared step failed, so no estimator is named
+        assert info.value.estimator is None
+        assert str(info.value).startswith("replication 1 failed: ")
+
+    def test_replication_failure_names_the_estimator(self):
+        from kmse.errors import ReplicationError
+
+        # n = 2: kme fits, tikhonov's LOOCV needs three points
+        configs = [EstimatorConfig("kme"), EstimatorConfig("tikhonov")]
+        with pytest.raises(ReplicationError) as info:
+            replication_losses(configs, 2, 2, 2, seed=0)
+        assert info.value.index == 1
+        assert info.value.estimator == "tikhonov"
+        assert isinstance(info.value.cause, InputError)
+        assert str(info.value).startswith("replication 1 failed (tikhonov): ")
 
     def test_thread_workers_deterministic(self, monkeypatch):
         configs = [EstimatorConfig("tikhonov", selection="none")] + [
             EstimatorConfig(name, selection="loocv", t_max=20)
             for name in ("skmse", "tikhonov", "landweber", "nu", "itik")
         ]
-        serial = [replication_losses(c, 20, 3, 6, seed=29) for c in configs]
+        serial = replication_losses(configs, 20, 3, 6, seed=29)
         monkeypatch.setenv("KMSE_THREADS", "4")
-        threaded = [replication_losses(c, 20, 3, 6, seed=29) for c in configs]
-        for config, one, many in zip(configs, serial, threaded):
+        threaded = replication_losses(configs, 20, 3, 6, seed=29)
+        for config, one, many in zip(configs, serial.T, threaded.T):
             np.testing.assert_array_equal(one, many, err_msg=config.name)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_count_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("KMSE_THREADS", raw)
+        with pytest.raises(InputError, match="KMSE_THREADS"):
+            replication_losses([EstimatorConfig("kme")], 10, 2, 2, seed=0)
+
     def test_redraw_params_changes_mixtures(self):
-        fixed = replication_losses(EstimatorConfig("kme"), 15, 2, 4, seed=31)
-        redrawn = replication_losses(EstimatorConfig("kme"), 15, 2, 4, seed=31, redraw_params=True)
+        kme = [EstimatorConfig("kme")]
+        fixed = replication_losses(kme, 15, 2, 4, seed=31)
+        redrawn = replication_losses(kme, 15, 2, 4, seed=31, redraw_params=True)
         assert not np.allclose(fixed, redrawn)
+
+
+# every valid (estimator, selection) pair, oracle included
+ALL_PAIRS = [
+    EstimatorConfig(name, selection=rule, t_max=20)
+    for name, kind in ESTIMATORS.items()
+    for rule in kind.selections
+]
+
+
+class TestSharedReplication:
+    """Fitting several estimators per replication changes no estimator's loss."""
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    @pytest.mark.parametrize(
+        "bandwidth,redraw", [(None, False), (6.0, False), (None, True)]
+    )
+    def test_each_column_equals_a_lone_run(self, monkeypatch, workers, bandwidth, redraw):
+        monkeypatch.setenv("KMSE_THREADS", workers)
+        args = (15, 3, 3)
+        kwargs = dict(seed=37, redraw_params=redraw, bandwidth=bandwidth)
+        shared = replication_losses(ALL_PAIRS, *args, **kwargs)
+        assert shared.shape == (3, len(ALL_PAIRS))
+        for j, config in enumerate(ALL_PAIRS):
+            alone = replication_losses([config], *args, **kwargs)[:, 0]
+            np.testing.assert_array_equal(
+                shared[:, j], alone, err_msg=f"{config.name}/{config.selection}"
+            )
+
+    def test_one_gram_and_one_eigendecomposition_per_replication(self, monkeypatch):
+        from kmse import kernels, risk, selection
+
+        calls = {"gram": 0, "eigh": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        gram = counted("gram", kernels.gram_matrix)
+        for module in (risk, selection):
+            monkeypatch.setattr(module, "gram_matrix", gram)
+        monkeypatch.setattr(
+            kernels, "sym_eigendecompose", counted("eigh", kernels.sym_eigendecompose)
+        )
+        m = 3
+        replication_losses(ALL_PAIRS, 15, 3, m, seed=41)
+        assert calls == {"gram": m, "eigh": m}
 
 
 LAMBDA_AND_ITERATION = ("skmse", "tikhonov", "landweber", "nu", "itik")

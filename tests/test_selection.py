@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmse import kernels
+from kmse import kernels, selection
 from kmse.errors import ConfigurationError, InputError
 from kmse.estimators import landweber_path, nu_method_path, spectral_weights
 from kmse.filters import TSVD, IteratedTikhonov, Tikhonov, retention_values
@@ -97,6 +97,17 @@ class TestLoocvLambda:
         rows = np.vstack([rows, rows[:3]])
         result = loocv_select_lambda(rows, rbf_spec(rows), [0.1, 1.0], family="tikhonov")
         assert result.chosen.lam in (0.1, 1.0)
+
+    @pytest.mark.parametrize("family", ["skmse", "tikhonov", "itik"])
+    def test_invalid_grid_value_rejected_before_any_work(self, family, monkeypatch):
+        # -0.5 scores worse than 0.5 here; it must be rejected all the same
+        def no_gram(*args, **kwargs):
+            raise AssertionError("Gram matrix built before the grid was checked")
+
+        monkeypatch.setattr(selection, "gram_matrix", no_gram)
+        rows = sample_rows(8, n=10)
+        with pytest.raises(InputError, match="lambda must be"):
+            loocv_select_lambda(rows, rbf_spec(rows), [-0.5, 0.5, 2.0], family=family)
 
     def test_skmse_family_selects(self):
         rows = sample_rows(6)
