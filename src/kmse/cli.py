@@ -20,16 +20,7 @@ from . import density, risk, theory
 from .data import load_csv, split_train_test, standardize, standardize_like
 from .errors import InputError, KmseError, ReplicationError
 from .estimators import ESTIMATORS
-from .filters import (
-    FilterSpec,
-    IteratedTikhonov,
-    Landweber,
-    NuMethod,
-    SKMSE,
-    TSVD,
-    Tikhonov,
-    check_admissibility,
-)
+from .filters import FilterSpec, check_admissibility
 from .kernels import (
     GaussianRBF,
     gram_matrix,
@@ -62,21 +53,17 @@ def _spec_payload(spec: FilterSpec) -> dict:
     return out
 
 
-def _build_filter(args, kappa_sq: float) -> FilterSpec:
-    name = args.filter
-    if name == "tikhonov":
-        return Tikhonov(args.lam)
-    if name == "skmse":
-        return SKMSE(args.lam)
-    if name == "itik":
-        return IteratedTikhonov(iters=args.iters, lam=args.lam)
-    if name == "landweber":
-        return Landweber(iters=args.iters, eta=1.0 / kappa_sq)
-    if name == "nu":
-        return NuMethod(iters=args.iters, nu=args.nu, eta_bar=1.0 / kappa_sq)
-    if name == "tsvd":
-        return TSVD(threshold=args.lam)
-    raise InputError(f"unknown filter {name!r}")
+def _estimator_config(args, selection: str) -> risk.EstimatorConfig:
+    """The config of ``--filter`` with ``--lambda``, ``--iters`` and ``--nu``."""
+    return risk.EstimatorConfig(
+        name=args.filter,
+        selection=selection,
+        lam=args.lam,
+        iters=args.iters,
+        itik_iters=args.iters,
+        t_max=args.iters,
+        nu=args.nu,
+    )
 
 
 def _parse_bandwidth(text: str) -> float | None:
@@ -102,16 +89,7 @@ def _resolve_kernel(args, rows):
 
 
 def _cmd_estimate(args) -> int:
-    config = risk.EstimatorConfig(
-        name=args.filter,
-        selection=args.select,
-        lam=args.lam,
-        iters=args.iters,
-        itik_iters=args.iters,
-        t_max=args.iters,
-        nu=args.nu,
-        threshold=args.lam,
-    )
+    config = _estimator_config(args, args.select)
     rows = load_csv(args.input).rows
     kspec, sigma_sq = _resolve_kernel(args, rows)
     wv = risk.fit_weights(config, rows, kspec)
@@ -230,7 +208,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_admissibility(args) -> int:
-    spec = _build_filter(args, 1.0)
+    spec = ESTIMATORS[args.filter].fixed(_estimator_config(args, "none"), 1.0)
     report = check_admissibility(
         spec, args.grid_size, [1.0, 2.0, 4.0], kappa_sq=1.0
     )

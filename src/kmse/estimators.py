@@ -10,10 +10,14 @@ iterative updates the filters correspond to. Iterative and spectral paths
 agree to machine precision and are tested against each other. The shrinkage
 target is the zero function throughout, i.e. all iterations start at
 beta = 0.
+
+``ESTIMATORS`` registers every estimator with its selection rules, its fixed
+spec and its candidate ladder; ``fit_spec`` turns any spec into weights.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,11 +67,52 @@ class WeightVector:
 
 
 class EstimatorKind(NamedTuple):
-    """The filter family an estimator fits (None for the empirical mean) and
-    the selection rules it accepts; the first rule is its default."""
+    """The filter family an estimator fits (None for the empirical mean), the
+    selection rules it accepts (the first is its default), the spec it fits
+    under selection "none", ``fixed(config, kappa_sq)``, and the ordered
+    candidates the other rules choose from, ``ladder(config, kbar)``, where
+    ``config`` is a ``risk.EstimatorConfig``."""
 
     spec_type: type | None
     selections: tuple[str, ...]
+    fixed: Callable | None = None
+    ladder: Callable | None = None
+
+
+def lambda_ladder(family: str, lambda_grid, itik_iters: int) -> tuple[FilterSpec, ...]:
+    """Candidates of a lambda method: one spec per grid value, in grid order."""
+    if len(lambda_grid) == 0:
+        raise InputError("lambda grid is empty")
+    if family == "skmse":
+        return tuple(SKMSE(float(lam)) for lam in lambda_grid)
+    if family == "tikhonov":
+        return tuple(Tikhonov(float(lam)) for lam in lambda_grid)
+    if family == "itik":
+        return tuple(IteratedTikhonov(itik_iters, float(lam)) for lam in lambda_grid)
+    raise InputError(f"unknown lambda-selection family {family!r}")
+
+
+def iteration_ladder(
+    family: str, t_max: int, nu: float, kappa_sq: float
+) -> tuple[FilterSpec, ...]:
+    """Candidates of a gradient method: t = 1..t_max with step 1/kappa^2."""
+    if t_max < 1:
+        raise InputError("t_max must be at least 1")
+    eta = 1.0 / kappa_sq
+    if family == "landweber":
+        return tuple(Landweber(t, eta) for t in range(1, t_max + 1))
+    if family == "nu":
+        return tuple(NuMethod(t, nu, eta) for t in range(1, t_max + 1))
+    raise InputError(f"unknown iterative algorithm {family!r}")
+
+
+def tsvd_ladder(kbar: NormalizedGram) -> tuple[TSVD, ...]:
+    """Candidates of TSVD: the distinct positive eigenvalues of K/n, descending."""
+    gammas = kbar.spectrum.eigenvalues
+    ladder = tuple(TSVD(g) for g in dict.fromkeys(float(g) for g in gammas if g > 0))
+    if not ladder:
+        raise InputError("normalized Gram matrix has no positive eigenvalues")
+    return ladder
 
 
 _LAMBDA_RULES = ("loocv", "none", "oracle")
@@ -75,12 +120,24 @@ _LAMBDA_RULES = ("loocv", "none", "oracle")
 #: Every estimator by name, in report order.
 ESTIMATORS: dict[str, EstimatorKind] = {
     "kme": EstimatorKind(None, ("none",)),
-    "skmse": EstimatorKind(SKMSE, _LAMBDA_RULES),
-    "tikhonov": EstimatorKind(Tikhonov, _LAMBDA_RULES),
-    "landweber": EstimatorKind(Landweber, _LAMBDA_RULES),
-    "nu": EstimatorKind(NuMethod, _LAMBDA_RULES),
-    "itik": EstimatorKind(IteratedTikhonov, _LAMBDA_RULES),
-    "tsvd": EstimatorKind(TSVD, ("gcv", "none", "oracle")),
+    "skmse": EstimatorKind(
+        SKMSE, _LAMBDA_RULES, lambda c, kappa_sq: SKMSE(c.lam),
+        lambda c, kbar: lambda_ladder("skmse", c.lambda_grid, c.itik_iters)),
+    "tikhonov": EstimatorKind(
+        Tikhonov, _LAMBDA_RULES, lambda c, kappa_sq: Tikhonov(c.lam),
+        lambda c, kbar: lambda_ladder("tikhonov", c.lambda_grid, c.itik_iters)),
+    "landweber": EstimatorKind(
+        Landweber, _LAMBDA_RULES, lambda c, kappa_sq: Landweber(c.iters, 1.0 / kappa_sq),
+        lambda c, kbar: iteration_ladder("landweber", c.t_max, c.nu, kbar.kappa_sq)),
+    "nu": EstimatorKind(
+        NuMethod, _LAMBDA_RULES, lambda c, kappa_sq: NuMethod(c.iters, c.nu, 1.0 / kappa_sq),
+        lambda c, kbar: iteration_ladder("nu", c.t_max, c.nu, kbar.kappa_sq)),
+    "itik": EstimatorKind(
+        IteratedTikhonov, _LAMBDA_RULES, lambda c, kappa_sq: IteratedTikhonov(c.itik_iters, c.lam),
+        lambda c, kbar: lambda_ladder("itik", c.lambda_grid, c.itik_iters)),
+    "tsvd": EstimatorKind(
+        TSVD, ("gcv", "none", "oracle"), lambda c, kappa_sq: TSVD(c.lam),
+        lambda c, kbar: tsvd_ladder(kbar)),
 }
 _FILTER_IDS = {kind.spec_type: name for name, kind in ESTIMATORS.items()}
 
@@ -215,6 +272,23 @@ def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> Weigh
 def tsvd_weights(kbar: NormalizedGram, threshold: float) -> WeightVector:
     """Keep spectral components with gamma >= threshold, invert them exactly."""
     return spectral_weights(kbar, TSVD(threshold))
+
+
+def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
+    """Weights of one filter spec on K/n, each family by its own arithmetic.
+
+    Landweber runs at the step its spec carries; the nu-method always runs at
+    eta_bar = 1/kappa^2 of ``kbar``, the step every ladder and ``fixed`` give it.
+    """
+    if isinstance(spec, SKMSE):
+        return skmse_weights(kbar.n, spec.lam)
+    if isinstance(spec, Landweber):
+        return landweber_weights(kbar, spec.iters, spec.eta)
+    if isinstance(spec, NuMethod):
+        return nu_method_weights(kbar, spec.iters, spec.nu)
+    if isinstance(spec, IteratedTikhonov):
+        return iterated_tikhonov_weights(kbar, spec.iters, spec.lam)
+    return spectral_weights(kbar, spec)
 
 
 def evaluate_estimate(

@@ -35,21 +35,11 @@ from .estimators import (
     ESTIMATORS,
     WeightVector,
     empirical_kme_weights,
-    iterated_tikhonov_weights,
+    fit_spec,
     landweber_path,
-    landweber_weights,
     nu_method_path,
-    nu_method_weights,
-    skmse_weights,
-    spectral_weights,
 )
-from .filters import (
-    Landweber,
-    NuMethod,
-    TSVD,
-    Tikhonov,
-    default_lambda_grid,
-)
+from .filters import FilterSpec, Landweber, NuMethod, default_lambda_grid
 from .kernels import (
     GaussianRBF,
     KernelSpec,
@@ -167,11 +157,18 @@ def loss(
 class EstimatorConfig:
     """One estimator plus how its shrinkage parameter is chosen.
 
-    ``selection``: "none" (use the fixed parameters below), "loocv", "gcv",
-    "oracle" (grid-minimize the true analytic loss; only available inside the
-    synthetic harness), or "default". ``estimators.ESTIMATORS`` lists the
-    rules each estimator accepts, its default first (loocv for lambda and
-    iteration methods, gcv for tsvd, none for kme); any other pair raises.
+    ``selection``: "none" (fit the fixed parameters below), "loocv", "gcv",
+    "oracle" (minimize the true analytic loss over the candidates; only
+    available inside the synthetic harness), or "default".
+    ``estimators.ESTIMATORS`` lists the rules each estimator accepts, its
+    default first (loocv for lambda and iteration methods, gcv for tsvd, none
+    for kme); any other pair raises.
+
+    Under "none", ``lam`` is the lambda of skmse, tikhonov and itik and the
+    threshold of tsvd, and ``iters`` is the iteration count of landweber and
+    nu. The other rules choose lambda from ``lambda_grid`` and the iteration
+    count from 1..``t_max``. Every rule fits itik with ``itik_iters`` solves
+    and the nu-method with qualification ``nu``.
     """
 
     name: str
@@ -180,7 +177,6 @@ class EstimatorConfig:
     iters: int = 10
     nu: float = 1.0
     itik_iters: int = 3
-    threshold: float = 0.1
     t_max: int = 50
     lambda_grid: tuple[float, ...] = field(
         default_factory=lambda: tuple(default_lambda_grid())
@@ -227,86 +223,52 @@ def fit_weights(
 ) -> WeightVector:
     """Fit one estimator on a sample, running its parameter selection.
 
-    ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given
-    (kme's uniform weights need neither).
+    The rule picks a spec, the estimator's ``fixed`` one or an entry of its
+    ``ladder``, and ``estimators.fit_spec`` turns it into weights. ``kbar`` is
+    K/n of ``X`` under ``kspec``; it is built when not given (kme's uniform
+    weights need neither).
     """
-    name = config.name
-    if name == "kme":
+    kind = ESTIMATORS[config.name]
+    if kind.spec_type is None:
         return empirical_kme_weights(as_rows(X).shape[0])
     if kbar is None:
         kbar = normalize_gram(gram_matrix(X, kspec))
-    n = kbar.n
     selection = config.resolved_selection()
-    if selection == "oracle":
+    if selection == "none":
+        spec = kind.fixed(config, kbar.kappa_sq)
+    elif selection == "oracle":
         if oracle_loss is None:
             raise InputError("oracle selection needs a loss callback")
-        return _fit_oracle(config, kbar, oracle_loss)
-    if name in ("skmse", "tikhonov", "itik"):
-        if selection == "none":
-            lam = config.lam
-        else:
-            lam = loocv_select_lambda(
-                X,
-                kspec,
-                config.lambda_grid,
-                family=name,
-                itik_iters=config.itik_iters,
-                kbar=kbar,
-            ).chosen.lam
-        if name == "skmse":
-            return skmse_weights(n, lam)
-        if name == "tikhonov":
-            return spectral_weights(kbar, Tikhonov(lam))
-        return iterated_tikhonov_weights(kbar, config.itik_iters, lam)
-    if name in ("landweber", "nu"):
-        if selection == "none":
-            t = config.iters
-        else:
-            t = loocv_select_iterations(
-                X, kspec, name, config.t_max, nu=config.nu, kbar=kbar
-            ).chosen.iters
-        if name == "landweber":
-            return landweber_weights(kbar, t)
-        return nu_method_weights(kbar, t, config.nu)
-    # tsvd
-    if selection == "none":
-        return spectral_weights(kbar, TSVD(config.threshold))
-    return spectral_weights(kbar, gcv_select_tsvd(kbar).chosen)
+        ladder = kind.ladder(config, kbar)
+        spec = ladder[_oracle_index(kbar, ladder, oracle_loss)]
+    elif selection == "gcv":
+        spec = gcv_select_tsvd(kbar).chosen
+    elif kind.spec_type in (Landweber, NuMethod):
+        spec = loocv_select_iterations(
+            X, kspec, config.name, config.t_max, nu=config.nu, kbar=kbar
+        ).chosen
+    else:
+        spec = loocv_select_lambda(
+            X,
+            kspec,
+            config.lambda_grid,
+            family=config.name,
+            itik_iters=config.itik_iters,
+            kbar=kbar,
+        ).chosen
+    return fit_spec(kbar, spec)
 
 
-def _fit_oracle(config, kbar: NormalizedGram, oracle_loss) -> WeightVector:
-    """Grid-minimize the true loss over the estimator's parameter family."""
-    name = config.name
-    candidates: list[WeightVector] = []
-    if name in ("skmse", "tikhonov", "itik"):
-        for lam in config.lambda_grid:
-            if name == "skmse":
-                candidates.append(skmse_weights(kbar.n, float(lam)))
-            elif name == "tikhonov":
-                candidates.append(spectral_weights(kbar, Tikhonov(float(lam))))
-            else:
-                candidates.append(
-                    iterated_tikhonov_weights(kbar, config.itik_iters, float(lam))
-                )
-    elif name in ("landweber", "nu"):
-        eta_bar = 1.0 / kbar.kappa_sq
-        if name == "landweber":
-            path = landweber_path(kbar.matrix.values, config.t_max, eta_bar)
-            specs = [Landweber(t + 1, eta_bar) for t in range(config.t_max)]
-        else:
-            path = nu_method_path(kbar.matrix.values, config.t_max, config.nu, eta_bar)
-            specs = [NuMethod(t + 1, config.nu, eta_bar) for t in range(config.t_max)]
-        candidates = [
-            WeightVector(row, name, spec) for row, spec in zip(path, specs)
-        ]
-    else:  # tsvd
-        gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
-        thresholds = [float(g) for g in gammas if g > 0]
-        candidates = [
-            spectral_weights(kbar, TSVD(thr)) for thr in dict.fromkeys(thresholds)
-        ]
-    losses = [oracle_loss(c.weights) for c in candidates]
-    return candidates[int(np.argmin(losses))]
+def _oracle_index(kbar: NormalizedGram, ladder: tuple[FilterSpec, ...], oracle_loss) -> int:
+    """Index of the ladder spec whose weights have the smallest true loss."""
+    first = ladder[0]
+    if isinstance(first, Landweber):  # one path holds every iteration count
+        candidates = landweber_path(kbar.matrix.values, len(ladder), first.eta)
+    elif isinstance(first, NuMethod):
+        candidates = nu_method_path(kbar.matrix.values, len(ladder), first.nu, first.eta_bar)
+    else:
+        candidates = (fit_spec(kbar, spec).weights for spec in ladder)
+    return int(np.argmin([oracle_loss(w) for w in candidates]))
 
 
 def _worker_count() -> int:

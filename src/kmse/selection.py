@@ -36,7 +36,9 @@ The work is one eigendecomposition plus O(n^2) per iteration or grid point.
 Iterative methods are scored along their whole iteration path (the path
 comes for free); lambda methods are scored on a grid. TSVD truncation levels
 are picked by GCV on the projection residual. Ties always break toward the
-smaller parameter.
+smaller parameter. Every selector scores, and chooses from, the estimator's
+candidate ladder (``estimators.lambda_ladder``, ``iteration_ladder``,
+``tsvd_ladder``), the same list the fit and the oracle rule use.
 """
 
 from __future__ import annotations
@@ -47,18 +49,15 @@ import numpy as np
 
 from .data import Dataset, as_rows
 from .errors import InputError
-from .filters import (
-    FilterSpec,
-    IteratedTikhonov,
-    Landweber,
-    NuMethod,
-    SKMSE,
-    TSVD,
-    Tikhonov,
-    nu_method_coefficients,
+from .estimators import (
+    _guard,
+    _target,
+    iteration_ladder,
+    lambda_ladder,
+    tsvd_ladder,
 )
+from .filters import FilterSpec, IteratedTikhonov, Landweber, nu_method_coefficients
 from .kernels import KernelSpec, NormalizedGram, gram_matrix, normalize_gram
-from .estimators import _guard, _target
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,23 +116,24 @@ class _FoldBasis:
         return gx - self.ut * held_out, float(score)
 
 
-def _iteration_scores(
-    kbar: NormalizedGram, algo: str, t_max: int, eta: float, nu: float
-) -> np.ndarray:
-    """Mean held-out squared RKHS distance after each iteration count."""
+def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
+    """Mean held-out squared RKHS distance after each iteration count of a
+    Landweber or nu-method ladder, which holds t = 1, 2, ... in order."""
     basis = _FoldBasis.of(kbar)
     n = kbar.n
-    scores = np.empty(t_max)
+    scores = np.empty(len(ladder))
     prev = curr = applied = np.zeros((n, n))
-    for t in range(1, t_max + 1):
-        if algo == "landweber":
-            omega, kappa = 0.0, eta
+    for j, candidate in enumerate(ladder):
+        if isinstance(candidate, Landweber):
+            omega, kappa = 0.0, candidate.eta
         else:
-            omega, kappa = nu_method_coefficients(t, nu, eta)
+            omega, kappa = nu_method_coefficients(
+                candidate.iters, candidate.nu, candidate.eta_bar
+            )
         nxt = curr + omega * (curr - prev) + kappa * (basis.targets - applied)
         _guard(nxt, basis.m)
         prev, curr = curr, nxt
-        applied, scores[t - 1] = basis.apply(curr)
+        applied, scores[j] = basis.apply(curr)
     return scores / n
 
 
@@ -153,34 +153,17 @@ def loocv_select_iterations(
     n = _sample_size(points, kbar)
     if n < 3:
         raise InputError("LOOCV needs at least three points")
-    if t_max < 1:
-        raise InputError("t_max must be at least 1")
-    if algo not in ("landweber", "nu"):
-        raise InputError(f"unknown iterative algorithm {algo!r}")
     if kbar is None:
         kbar = normalize_gram(gram_matrix(points, spec))
-    eta = 1.0 / kbar.kappa_sq
-    scores = _iteration_scores(kbar, algo, t_max, eta, nu)
-    best = _argmin_first(scores)
-    if algo == "landweber":
-        chosen: FilterSpec = Landweber(iters=best + 1, eta=eta)
-    else:
-        chosen = NuMethod(iters=best + 1, nu=nu, eta_bar=eta)
+    ladder = iteration_ladder(algo, t_max, nu, kbar.kappa_sq)
+    scores = _iteration_scores(kbar, ladder)
     path = [(float(t + 1), float(s)) for t, s in enumerate(scores)]
-    return SelectionResult(chosen=chosen, score_path=path, score_kind="LOOCV")
+    return SelectionResult(
+        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind="LOOCV"
+    )
 
 
-def _lambda_family_spec(family: str, lam: float, itik_iters: int) -> FilterSpec:
-    if family == "tikhonov":
-        return Tikhonov(lam)
-    if family == "skmse":
-        return SKMSE(lam)
-    if family == "itik":
-        return IteratedTikhonov(iters=itik_iters, lam=lam)
-    raise InputError(f"unknown lambda-selection family {family!r}")
-
-
-def _skmse_scores(kbar: NormalizedGram, grid: np.ndarray) -> np.ndarray:
+def _skmse_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     """Fold i refits (1/(1+lam)) 1_{n-1}/(n-1); its score needs K's sums."""
     n = kbar.n
     m = n - 1
@@ -189,20 +172,20 @@ def _skmse_scores(kbar: NormalizedGram, grid: np.ndarray) -> np.ndarray:
     # sum over folds of 1^T K_i 1 / m^2 and of mean(k_i)
     quad = ((n - 2) * total + trace) / m**2
     cross = (total - trace) / m
-    shrink = 1.0 / (1.0 + grid)
+    shrink = 1.0 / (1.0 + np.array([candidate.lam for candidate in ladder]))
     return (shrink**2 * quad - 2.0 * shrink * cross + trace) / n
 
 
-def _resolvent_scores(
-    kbar: NormalizedGram, grid: np.ndarray, solves: int
-) -> np.ndarray:
-    """Scores of ``solves`` Tikhonov solves from beta = 0 per lambda: one
-    solve is Tikhonov, several are iterated Tikhonov."""
+def _resolvent_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
+    """Scores of t Tikhonov solves from beta = 0 per candidate: one solve is
+    Tikhonov, t solves are iterated Tikhonov."""
     basis = _FoldBasis.of(kbar)
     ut = basis.ut
     ut_sq = ut * ut
-    scores = np.empty(grid.size)
-    for j, lam in enumerate(grid):
+    scores = np.empty(len(ladder))
+    for j, candidate in enumerate(ladder):
+        lam = candidate.lam
+        solves = candidate.iters if isinstance(candidate, IteratedTikhonov) else 1
         inv = 1.0 / (basis.gammas + lam)
         c_diag = inv @ ut_sq  # C_ii
         inv_ut = inv[:, None] * ut  # column i: U^T c_i
@@ -236,21 +219,15 @@ def loocv_select_lambda(
     if n < 3:
         raise InputError("LOOCV needs at least three points")
     grid = np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise InputError("lambda grid is empty")
     # every grid value must make a valid filter, checked before any work
-    for lam in grid:
-        _lambda_family_spec(family, float(lam), itik_iters)
+    ladder = lambda_ladder(family, grid, itik_iters)
     if kbar is None:
         kbar = normalize_gram(gram_matrix(points, spec))
-    if family == "skmse":
-        scores = _skmse_scores(kbar, grid)
-    else:
-        scores = _resolvent_scores(kbar, grid, 1 if family == "tikhonov" else itik_iters)
-    best = _argmin_first(scores)
-    chosen = _lambda_family_spec(family, float(grid[best]), itik_iters)
+    scores = (_skmse_scores if family == "skmse" else _resolvent_scores)(kbar, ladder)
     path = [(float(lam), float(s)) for lam, s in zip(grid, scores)]
-    return SelectionResult(chosen=chosen, score_path=path, score_kind="LOOCV")
+    return SelectionResult(
+        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind="LOOCV"
+    )
 
 
 def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
@@ -264,6 +241,7 @@ def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
     n = kbar.n
     if n < 2:
         raise InputError("GCV needs at least two points")
+    ladder = tsvd_ladder(kbar)
     eig = kbar.spectrum
     gammas = np.clip(eig.eigenvalues, 0.0, None)
     coeff = eig.eigenvectors.T @ _target(kbar.matrix.values)
@@ -277,11 +255,10 @@ def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
             break  # beyond the numerical rank: no valid threshold
         scores.append(tail[m] / (1.0 - m / n) ** 2)
         levels.append(m)
-    if not levels:
-        raise InputError("normalized Gram matrix has no positive eigenvalues")
     scores_arr = np.asarray(scores)
-    best = _argmin_first(scores_arr)
-    m_star = levels[best]
-    chosen = TSVD(threshold=float(gammas[m_star - 1]))
+    m_star = levels[_argmin_first(scores_arr)]
+    # tied eigenvalues share one threshold, so a level's ladder index can be lower
+    thresholds = [candidate.threshold for candidate in ladder]
+    chosen = ladder[thresholds.index(float(gammas[m_star - 1]))]
     path = [(float(m), float(s)) for m, s in zip(levels, scores_arr)]
     return SelectionResult(chosen=chosen, score_path=path, score_kind="GCV")

@@ -117,6 +117,15 @@ class TestEstimateCommand:
         write_sample_csv(data)
         assert main(["estimate", "--input", str(data), *flags]) == 1
 
+    @pytest.mark.parametrize("nu", ["-0.25", "-1"])
+    def test_bad_nu_under_loocv_exits_one(self, tmp_path, capsys, nu):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data)
+        argv = ["estimate", "--input", str(data), "--filter", "nu", "--select", "loocv",
+                "--nu", nu]
+        assert main(argv) == 1
+        assert "nu must be positive" in capsys.readouterr().err
+
 
 class TestBenchmarkCommand:
     def test_csv_independent_of_thread_counts(self, tmp_path):
@@ -261,6 +270,26 @@ class TestAdmissibilityCommand:
         assert payload["sup_residual"] <= 1.0
         assert len(payload["residual_eta_bounds"]) == 3
 
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("skmse", {"kind": "SKMSE", "lam": 0.3}),
+            ("tikhonov", {"kind": "Tikhonov", "lam": 0.3}),
+            ("landweber", {"kind": "Landweber", "iters": 7, "eta": 1.0}),
+            ("nu", {"kind": "NuMethod", "iters": 7, "nu": 2.5, "eta_bar": 1.0}),
+            ("itik", {"kind": "IteratedTikhonov", "iters": 7, "lam": 0.3}),
+            ("tsvd", {"kind": "TSVD", "threshold": 0.3}),
+        ],
+    )
+    def test_filter_payload_of_every_filter(self, tmp_path, name, expected):
+        out = tmp_path / "adm.json"
+        code = main(
+            ["admissibility", "--filter", name, "--lambda", "0.3", "--iters", "7",
+             "--nu", "2.5", "--grid-size", "200", "--output", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["filter"] == expected
+
 
 class TestDensityFitCommand:
     def test_full_workflow(self, tmp_path):
@@ -300,6 +329,16 @@ class TestDensityFitCommand:
         assert payload["target_estimator"] == target
         assert payload["config"]["target"] == target
         assert np.isfinite(payload["nll_train"]) and np.isfinite(payload["nll_test"])
+
+
+    @pytest.mark.parametrize("nu", ["-0.25", "-1"])
+    def test_bad_nu_target_exits_one(self, tmp_path, capsys, nu):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, seed=4, n=40, d=2)
+        argv = ["density-fit", "--input", str(data), "--target", "nu", "--nu", nu,
+                "--iters", "5", "--output", str(tmp_path / "fit.json")]
+        assert main(argv) == 1
+        assert "nu must be positive" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

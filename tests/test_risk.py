@@ -2,10 +2,30 @@ import numpy as np
 import pytest
 
 from kmse.errors import InputError
-from kmse.estimators import ESTIMATORS, empirical_kme_weights
-from kmse.kernels import GaussianRBF
+from kmse.estimators import (
+    ESTIMATORS,
+    WeightVector,
+    empirical_kme_weights,
+    iterated_tikhonov_weights,
+    landweber_path,
+    landweber_weights,
+    nu_method_path,
+    nu_method_weights,
+    skmse_weights,
+    spectral_weights,
+)
+from kmse.filters import SKMSE, TSVD, IteratedTikhonov, Landweber, NuMethod, Tikhonov
+from kmse.kernels import (
+    GaussianRBF,
+    NormalizedGram,
+    gram_matrix,
+    median_heuristic_bandwidth,
+    normalize_gram,
+)
+from kmse.linalg import SymMatrix
 from kmse.risk import (
     EstimatorConfig,
+    fit_weights,
     improvement_percent,
     kernel_mean_inner,
     loss,
@@ -14,7 +34,14 @@ from kmse.risk import (
     replication_losses,
     risk_estimate,
 )
-from kmse.synthetic import MixtureParams, RngStream, effective_components
+from kmse.selection import gcv_select_tsvd, loocv_select_iterations, loocv_select_lambda
+from kmse.synthetic import (
+    MixtureParams,
+    RngStream,
+    draw_mixture_params,
+    effective_components,
+    sample_mixture,
+)
 
 
 def point_mass(theta, d):
@@ -364,3 +391,134 @@ class TestEstimatorConfig:
         with pytest.raises(InputError, match="unknown estimator"):
             EstimatorConfig("ridge")
 
+
+def _oracle_argmin(candidates, oracle_loss):
+    return candidates[int(np.argmin([oracle_loss(c.weights) for c in candidates]))]
+
+
+def reference_fit(config, X, kspec, kbar, oracle_loss):
+    """fit_weights written out from the public primitives, rule by rule."""
+    name, rule, n = config.name, config.resolved_selection(), kbar.n
+    lambda_fit = {
+        "skmse": lambda lam: skmse_weights(n, lam),
+        "tikhonov": lambda lam: spectral_weights(kbar, Tikhonov(lam)),
+        "itik": lambda lam: iterated_tikhonov_weights(kbar, config.itik_iters, lam),
+    }
+    eta = 1.0 / kbar.kappa_sq
+    if name == "kme":
+        return empirical_kme_weights(n)
+    if name in lambda_fit:
+        if rule == "none":
+            return lambda_fit[name](config.lam)
+        if rule == "loocv":
+            chosen = loocv_select_lambda(
+                X, kspec, config.lambda_grid, family=name,
+                itik_iters=config.itik_iters, kbar=kbar,
+            ).chosen
+            return lambda_fit[name](chosen.lam)
+        return _oracle_argmin([lambda_fit[name](float(lam)) for lam in config.lambda_grid],
+                              oracle_loss)
+    if name in ("landweber", "nu"):
+        if rule == "none":
+            t = config.iters
+        elif rule == "loocv":
+            t = loocv_select_iterations(
+                X, kspec, name, config.t_max, nu=config.nu, kbar=kbar
+            ).chosen.iters
+        else:
+            values = kbar.matrix.values
+            if name == "landweber":
+                path = landweber_path(values, config.t_max, eta)
+                specs = [Landweber(t, eta) for t in range(1, config.t_max + 1)]
+            else:
+                path = nu_method_path(values, config.t_max, config.nu, eta)
+                specs = [NuMethod(t, config.nu, eta) for t in range(1, config.t_max + 1)]
+            return _oracle_argmin(
+                [WeightVector(row, name, spec) for row, spec in zip(path, specs)],
+                oracle_loss,
+            )
+        if name == "landweber":
+            return landweber_weights(kbar, t)
+        return nu_method_weights(kbar, t, config.nu)
+    # tsvd
+    if rule == "none":
+        return spectral_weights(kbar, TSVD(config.lam))
+    if rule == "gcv":
+        return spectral_weights(kbar, gcv_select_tsvd(kbar).chosen)
+    gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
+    thresholds = dict.fromkeys(float(g) for g in gammas if g > 0)
+    return _oracle_argmin([spectral_weights(kbar, TSVD(g)) for g in thresholds], oracle_loss)
+
+
+class TestFitWeights:
+    """Every (estimator, selection) pair fits exactly the reference weights."""
+
+    @staticmethod
+    def sample(seed):
+        gen = RngStream(seed, 1).generator()
+        params = draw_mixture_params(3, RngStream(seed, 0))
+        X = sample_mixture(params, 18, gen).rows
+        kspec = GaussianRBF(median_heuristic_bandwidth(X))
+        folded = effective_components(params)
+        return X, kspec, normalize_gram(gram_matrix(X, kspec)), (
+            lambda w: loss(w, X, folded, kspec)
+        )
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    @pytest.mark.parametrize(
+        "config", ALL_PAIRS, ids=lambda c: f"{c.name}-{c.selection}"
+    )
+    def test_bit_identical_to_reference(self, config, seed):
+        X, kspec, kbar, oracle_loss = self.sample(seed)
+        got = fit_weights(config, X, kspec, kbar, oracle_loss=oracle_loss)
+        want = reference_fit(config, X, kspec, kbar, oracle_loss)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.estimator_id == want.estimator_id == config.name
+        assert got.shrinkage == want.shrinkage
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    def test_ladders_list_candidates_in_order(self, seed):
+        _, _, kbar, _ = self.sample(seed)
+        config = {name: EstimatorConfig(name, t_max=6, nu=2.0, itik_iters=4)
+                  for name in ESTIMATORS}
+        grid = config["skmse"].lambda_grid
+        eta = 1.0 / kbar.kappa_sq
+        gammas = kbar.spectrum.eigenvalues
+        expected = {
+            "skmse": [SKMSE(lam) for lam in grid],
+            "tikhonov": [Tikhonov(lam) for lam in grid],
+            "itik": [IteratedTikhonov(4, lam) for lam in grid],
+            "landweber": [Landweber(t, eta) for t in range(1, 7)],
+            "nu": [NuMethod(t, 2.0, eta) for t in range(1, 7)],
+            "tsvd": [TSVD(float(g)) for g in np.unique(gammas[gammas > 0])[::-1]],
+        }
+        for name, specs in expected.items():
+            assert list(ESTIMATORS[name].ladder(config[name], kbar)) == specs, name
+        assert ESTIMATORS["kme"].ladder is None
+
+    @pytest.mark.parametrize("name", [n for n in ESTIMATORS if n != "kme"])
+    def test_fixed_rule_builds_no_ladder(self, name, monkeypatch):
+        def no_ladder(*args):
+            raise AssertionError("ladder built under selection 'none'")
+
+        monkeypatch.setitem(ESTIMATORS, name, ESTIMATORS[name]._replace(ladder=no_ladder))
+        X, kspec, kbar, _ = self.sample(5)
+        fit_weights(EstimatorConfig(name, selection="none"), X, kspec, kbar)
+
+    @pytest.mark.parametrize(
+        "config,zero_gram,message",
+        [
+            (EstimatorConfig("tikhonov", selection="oracle", lambda_grid=()), False,
+             "lambda grid is empty"),
+            (EstimatorConfig("landweber", selection="oracle", t_max=0), False,
+             "t_max must be at least 1"),
+            (EstimatorConfig("tsvd", selection="oracle"), True, "no positive eigenvalues"),
+        ],
+        ids=["empty-grid", "t-max-0", "zero-spectrum"],
+    )
+    def test_empty_ladder_rejected_under_oracle(self, config, zero_gram, message):
+        X, kspec, kbar, oracle_loss = self.sample(5)
+        if zero_gram:
+            kbar = NormalizedGram(SymMatrix(np.zeros((kbar.n, kbar.n))), kappa_sq=1.0)
+        with pytest.raises(InputError, match=message):
+            fit_weights(config, X, kspec, kbar, oracle_loss=oracle_loss)

@@ -75,6 +75,12 @@ class TestLoocvIterations:
         with pytest.raises(InputError):
             loocv_select_iterations(sample_rows(), GaussianRBF(1.0), "ridge", 5)
 
+    @pytest.mark.parametrize("nu", [-0.25, -1.0, 0.0])
+    def test_non_positive_nu_rejected(self, nu):
+        rows = sample_rows()
+        with pytest.raises(InputError, match="nu must be positive"):
+            loocv_select_iterations(rows, rbf_spec(rows), "nu", 5, nu=nu)
+
 
 class TestLoocvLambda:
     def test_single_value_grid(self):
