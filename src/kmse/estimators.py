@@ -190,8 +190,13 @@ def _target(kbar_values: np.ndarray) -> np.ndarray:
 
 
 def _guard(beta: np.ndarray, n: int) -> None:
-    # beta is one length-n weight vector, or one per column
-    if np.max(np.linalg.norm(beta, axis=0)) > DIVERGENCE_FACTOR / np.sqrt(n):
+    # beta is one length-n weight vector, or one per column; no column may
+    # have a norm above DIVERGENCE_FACTOR / sqrt(n), compared squared
+    if beta.ndim == 1:
+        sq_norms = beta @ beta
+    else:
+        sq_norms = np.einsum("ij,ij->j", beta, beta)
+    if np.max(sq_norms) > DIVERGENCE_FACTOR**2 / n:
         raise ConfigurationError(
             "iteration diverged (weights exceeded guard); step size too large"
         )

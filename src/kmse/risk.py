@@ -305,21 +305,25 @@ def replication_losses(
     if m < 1:
         raise InputError("need at least one replication")
     workers = _worker_count()
-    base_params = None
+    base_params = base_folded = None
     if not redraw_params:
         base_params = draw_mixture_params(d, RngStream(seed, 0))
+        base_folded = effective_components(base_params)
 
     def one(r: int) -> list[float]:
         estimator = None  # names the fit that fails; None in the shared steps
         try:
             gen = RngStream(seed, r).generator()
-            params = draw_mixture_params(d, gen) if redraw_params else base_params
+            if redraw_params:
+                params = draw_mixture_params(d, gen)
+                folded = effective_components(params)
+            else:
+                params, folded = base_params, base_folded
             X = sample_mixture(params, n, gen).rows
             sigma_sq = bandwidth if bandwidth is not None else median_heuristic_bandwidth(X)
             kspec = GaussianRBF(sigma_sq)
             gram = gram_matrix(X, kspec)
             kbar = normalize_gram(gram)
-            folded = effective_components(params)
             K = gram.raw.values
             z = mixture_mean_inners(X, folded, sigma_sq)
             msn = mixture_mean_sq_norm(folded, sigma_sq)

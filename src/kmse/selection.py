@@ -24,6 +24,10 @@ folds together costs O(n^2):
   resolvent. By the Schur complement, (A_i + lam)^{-1} embedded is
   C - c_i c_i^T / C_ii with C = (A + lam)^{-1} = U diag(1/(gamma + lam)) U^T
   and c_i = C e_i, again a diagonal plus a rank-one term in the eigenbasis.
+  The t solves are unrolled: the rank-one multipliers of all solves follow
+  from two matrix products and a lower-triangular Toeplitz recursion per
+  fold, and a third product assembles the fit, so no grid point loops over
+  solves (O(n^2 t + n t^2) per grid point).
 * S-KMSE's fold fit is the uniform vector scaled by 1/(1+lam), so its score
   needs only the column sums of K.
 
@@ -32,7 +36,8 @@ With m = n - 1 and beta_i = 0, fold i's score is
     beta^T K_i beta - 2 k_i^T beta + K_ii
         = m sum_k gamma_k x_k^2 - 2 m (U Gamma x)_i + K_ii.
 
-The work is one eigendecomposition plus O(n^2) per iteration or grid point.
+The work is one eigendecomposition plus O(n^2) per iteration or grid point
+(times t for iterated Tikhonov, in matrix products).
 Iterative methods are scored along their whole iteration path (the path
 comes for free); lambda methods are scored on a grid. TSVD truncation levels
 are picked by GCV on the projection residual. Ties always break toward the
@@ -58,6 +63,10 @@ from .estimators import (
 )
 from .filters import FilterSpec, IteratedTikhonov, Landweber, nu_method_coefficients
 from .kernels import KernelSpec, NormalizedGram, gram_matrix, normalize_gram
+
+#: Doubles the resolvent scorer stacks per chunk of grid points, g n (n + t):
+#: stacking the whole grid raised peak memory and ran slower at n = 50.
+_CHUNK_DOUBLES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,14 +115,22 @@ class _FoldBasis:
         targets = (spread - ut * (a_rows - a_diag)) / m
         return cls(m, gammas, ut, targets, m * a_diag)
 
+    def _score_parts(self, X: np.ndarray):
+        gx = self.gammas[:, None] * X
+        held_out = np.einsum("ki,...ki->...i", self.ut, gx)  # (A beta_i)_i
+        quad = np.einsum("...ki,...ki->...i", gx, X)  # beta_i^T A beta_i
+        score = np.sum(self.m * (quad - 2.0 * held_out) + self.k_diag, axis=-1)
+        return gx, held_out, score
+
     def apply(self, X: np.ndarray) -> tuple[np.ndarray, float]:
         """Every fold's operator applied to its column of X, and the summed
         fold scores of X: (U^T P_i A beta_i for each i, sum_i score_i)."""
-        gx = self.gammas[:, None] * X
-        held_out = np.einsum("ki,ki->i", self.ut, gx)  # (A beta_i)_i
-        quad = np.einsum("ki,ki->i", gx, X)  # beta_i^T A beta_i
-        score = np.sum(self.m * (quad - 2.0 * held_out) + self.k_diag)
+        gx, held_out, score = self._score_parts(X)
         return gx - self.ut * held_out, float(score)
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """The summed fold scores of X, or of each matrix in a stack of them."""
+        return self._score_parts(X)[2]
 
 
 def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
@@ -153,9 +170,11 @@ def loocv_select_iterations(
     n = _sample_size(points, kbar)
     if n < 3:
         raise InputError("LOOCV needs at least three points")
+    # every candidate must be valid, checked before any work
+    kappa_sq = spec.kappa_sq if kbar is None else kbar.kappa_sq
+    ladder = iteration_ladder(algo, t_max, nu, kappa_sq)
     if kbar is None:
         kbar = normalize_gram(gram_matrix(points, spec))
-    ladder = iteration_ladder(algo, t_max, nu, kbar.kappa_sq)
     scores = _iteration_scores(kbar, ladder)
     path = [(float(t + 1), float(s)) for t, s in enumerate(scores)]
     return SelectionResult(
@@ -178,29 +197,55 @@ def _skmse_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
 
 def _resolvent_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     """Scores of t Tikhonov solves from beta = 0 per candidate: one solve is
-    Tikhonov, t solves are iterated Tikhonov."""
+    Tikhonov, t solves are iterated Tikhonov.
+
+    With d = 1/(gamma + lam) and W = lam d, solve s of fold i is
+    X_s = W X_{s-1} + d T_i - alpha_s d u_i, where alpha_s makes
+    (U X_s)_i = 0 (the Schur correction). Unrolled from X_0 = 0,
+
+        X_t = d G_t T_i - d u_i sum_s alpha_s W^(t-s),   G_s = sum_{j<s} W^j,
+        alpha_s Q_0 = M_s - sum_{r<s} alpha_r Q_{s-r},
+
+    with M_s = sum_k u_k T_k d_k G_{s,k} and Q_j = sum_k u_k^2 d_k W_k^j. M and
+    Q are two matrix products for all folds, alpha is a lower-triangular
+    Toeplitz solve per fold, and the sum over s is a third product. Grid
+    points are stacked in chunks of at most about ``_CHUNK_DOUBLES``.
+    """
     basis = _FoldBasis.of(kbar)
-    ut = basis.ut
-    ut_sq = ut * ut
+    n = kbar.n
+    first = ladder[0]
+    solves = first.iters if isinstance(first, IteratedTikhonov) else 1
+    u_targets = basis.ut * basis.targets
+    u_sq = basis.ut * basis.ut
+    lams = np.array([candidate.lam for candidate in ladder])
+    chunk = max(1, _CHUNK_DOUBLES // (n * (n + solves)))
     scores = np.empty(len(ladder))
-    for j, candidate in enumerate(ladder):
-        lam = candidate.lam
-        solves = candidate.iters if isinstance(candidate, IteratedTikhonov) else 1
-        inv = 1.0 / (basis.gammas + lam)
-        c_diag = inv @ ut_sq  # C_ii
-        inv_ut = inv[:, None] * ut  # column i: U^T c_i
-        inv_targets = inv[:, None] * basis.targets
-        # X <- U^T (C y_i - c_i (C y_i)_i / C_ii) with y_i = b_i + lam beta_i
-        X = inv_targets.copy()
-        correction = np.empty_like(X)
-        for solve in range(solves):
-            if solve:
-                X *= (lam * inv)[:, None]
-                X += inv_targets
-            np.multiply(inv_ut, np.einsum("ki,ki->i", ut, X) / c_diag, out=correction)
-            X -= correction
-        scores[j] = basis.apply(X)[1]
-    return scores / kbar.n
+    for start in range(0, len(ladder), chunk):
+        lam = lams[start:start + chunk, None]
+        inv = 1.0 / (basis.gammas + lam)  # d, one row per grid point
+        powers = np.empty((len(lam), n, solves))  # W^j, j = 0..t-1
+        powers[..., 0] = 1.0
+        np.cumprod(
+            np.broadcast_to((lam * inv)[..., None], powers[..., 1:].shape),
+            axis=-1,
+            out=powers[..., 1:],
+        )
+        geometric = np.cumsum(powers, axis=-1)  # G_s, s = 1..t
+        powers *= inv[..., None]  # d W^j
+        # (grid, step, fold) stacks of M_s and Q_j
+        M = np.matmul((inv[..., None] * geometric).transpose(0, 2, 1), u_targets)
+        Q = np.matmul(powers.transpose(0, 2, 1), u_sq)
+        lags = Q[:, :0:-1] / Q[:, :1]  # lags[:, t-1-j] = Q_j / Q_0, j >= 1
+        alpha = M / Q[:, :1]
+        for s in range(1, solves):
+            alpha[:, s] -= np.einsum("gri,gri->gi", alpha[:, :s], lags[:, solves - 1 - s:])
+        # column i of P[g] is d sum_s alpha_s W^(t-s); contiguous for BLAS
+        P = np.matmul(powers, np.ascontiguousarray(alpha[:, ::-1]))
+        P *= basis.ut
+        X = (inv * geometric[..., -1])[..., None] * basis.targets
+        X -= P
+        scores[start:start + chunk] = basis.scores(X)
+    return scores / n
 
 
 def loocv_select_lambda(

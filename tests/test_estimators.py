@@ -3,6 +3,8 @@ import pytest
 
 from kmse.errors import ConfigurationError, InputError
 from kmse.estimators import (
+    DIVERGENCE_FACTOR,
+    _guard,
     empirical_kme_weights,
     evaluate_estimate,
     iterated_tikhonov_weights,
@@ -170,6 +172,30 @@ class TestIterativePaths:
             iterative = iterated_tikhonov_weights(kbar, 3, lam).weights
             spectral = spectral_weights(kbar, IteratedTikhonov(3, lam)).weights
             assert np.abs(iterative - spectral).max() <= 1e-10
+
+
+class TestDivergenceGuard:
+    """No column of the iterate may have a norm above DIVERGENCE_FACTOR/sqrt(n)."""
+
+    N = 4
+    BOUND = DIVERGENCE_FACTOR / np.sqrt(N)
+
+    def column(self, scale):
+        # norm BOUND * scale, spread over every entry so the sum of squares counts
+        return np.full(self.N, self.BOUND * scale / np.sqrt(self.N))
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.inf])
+    def test_over_the_bound_raises(self, scale):
+        col = self.column(scale)
+        matrix = np.column_stack([np.zeros(self.N), col, np.ones(self.N)])
+        for beta in (col, matrix):
+            with pytest.raises(ConfigurationError, match="diverged"):
+                _guard(beta, self.N)
+
+    def test_just_under_the_bound_passes(self):
+        col = self.column(1.0 - 1e-9)
+        _guard(col, self.N)
+        _guard(np.column_stack([col, -col, np.zeros(self.N)]), self.N)
 
 
 class TestTsvdWeights:

@@ -345,6 +345,21 @@ class TestSharedReplication:
                 shared[:, j], alone, err_msg=f"{config.name}/{config.selection}"
             )
 
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_noise_folded_once_per_parameter_set(self, monkeypatch, redraw):
+        from kmse import risk
+
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return effective_components(params)
+
+        monkeypatch.setattr(risk, "effective_components", counting)
+        m = 3
+        replication_losses(ALL_PAIRS[:2], 15, 3, m, seed=43, redraw_params=redraw)
+        assert len(calls) == (m if redraw else 1)
+
     def test_one_gram_and_one_eigendecomposition_per_replication(self, monkeypatch):
         from kmse import kernels, risk, selection
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from kmse import kernels, selection
 from kmse.errors import ConfigurationError, InputError
 from kmse.estimators import landweber_path, nu_method_path, spectral_weights
-from kmse.filters import TSVD, IteratedTikhonov, Tikhonov, retention_values
+from kmse.filters import TSVD, IteratedTikhonov, Tikhonov, default_lambda_grid, retention_values
 from kmse.kernels import (
     GaussianRBF,
     NormalizedGram,
@@ -74,6 +76,16 @@ class TestLoocvIterations:
     def test_unknown_algo(self):
         with pytest.raises(InputError):
             loocv_select_iterations(sample_rows(), GaussianRBF(1.0), "ridge", 5)
+
+    @pytest.mark.parametrize("algo,t_max", [("ridge", 5), ("landweber", 0), ("nu", 0)])
+    def test_invalid_ladder_rejected_before_any_work(self, algo, t_max, monkeypatch):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("Gram matrix built before the ladder was checked")
+
+        monkeypatch.setattr(selection, "gram_matrix", no_gram)
+        rows = sample_rows()
+        with pytest.raises(InputError):
+            loocv_select_iterations(rows, rbf_spec(rows), algo, t_max)
 
     @pytest.mark.parametrize("nu", [-0.25, -1.0, 0.0])
     def test_non_positive_nu_rejected(self, nu):
@@ -243,7 +255,7 @@ class TestLoocvMatchesPerFoldRefit:
 
     @pytest.mark.parametrize(
         "family,itik_iters",
-        [(f, 3) for f in FAMILIES if f != "itik"] + [("itik", t) for t in (1, 3, 50)],
+        [(f, 3) for f in FAMILIES if f != "itik"] + [("itik", t) for t in (1, 2, 3, 50)],
     )
     def test_every_family_on_the_default_grid(self, family, itik_iters):
         rows = sample_rows(11, n=30, d=4)
@@ -254,6 +266,35 @@ class TestLoocvMatchesPerFoldRefit:
             brute = brute_force_scores(rows, spec, family, grid, itik_iters, 40)
             assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
             assert np.argmin(fast) == np.argmin(brute)
+
+    def test_itik_with_more_solves_than_points(self):
+        # the solve recursion runs past the dimension of the folds
+        rows = sample_rows(15, n=8, d=3)
+        rows[-2:] = rows[:2]
+        grid = default_lambda_grid()[[0, -1]]
+        for spec in (rbf_spec(rows), linear_spec_for(rows)):
+            fast = loocv_scores(rows, spec, "itik", grid, 64, 1)
+            brute = brute_force_scores(rows, spec, "itik", grid, 64, 1)
+            assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
+
+    def test_itik_working_memory_is_a_few_gram_matrices(self):
+        # the scorer keeps four n x n arrays (the fold basis and its products
+        # with u) and a grid chunk three more (P, X and Gamma X); stacking every
+        # grid point or every solve would need 30 or 50
+        n = 200
+        rows = sample_rows(16, n=n, d=5)
+        spec = rbf_spec(rows)
+        kbar = normalize_gram(gram_matrix(rows, spec))
+        kbar.spectrum  # cached before tracing, as every caller has it
+        tracemalloc.start()
+        try:
+            loocv_select_lambda(
+                rows, spec, default_lambda_grid(), family="itik", itik_iters=50, kbar=kbar
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n * n * 8, peak / (n * n * 8)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_given_kbar_equals_built_kbar(self, family):
