@@ -35,6 +35,7 @@ from .filters import (
     Tikhonov,
     nu_method_coefficients,
     retention_values,
+    two_term_iterates,
 )
 from .kernels import KernelSpec, NormalizedGram, cross_kernel
 from .linalg import spd_factor
@@ -151,11 +152,10 @@ def empirical_kme_weights(n: int) -> WeightVector:
 
 def skmse_weights(n: int, lam: float) -> WeightVector:
     """Uniform shrinkage toward zero: constant weights 1 / (n (1 + lambda))."""
+    spec = SKMSE(lam)
     if n < 1:
         raise InputError("n must be at least 1")
-    if lam < 0:
-        raise InputError("lambda must be non-negative")
-    return WeightVector(np.full(n, 1.0 / (n * (1.0 + lam))), "skmse", SKMSE(lam))
+    return WeightVector(np.full(n, 1.0 / (n * (1.0 + lam))), "skmse", spec)
 
 
 def _validate_step(spec: FilterSpec, kappa_sq: float) -> None:
@@ -202,58 +202,46 @@ def _guard(beta: np.ndarray, n: int) -> None:
         )
 
 
+def two_term_path(kbar_values: np.ndarray, coefficients) -> np.ndarray:
+    """Iterates beta^1..beta^T of the two-term recursion on K/n toward
+    Kbar 1_n, one per (omega, kappa) pair, shape (T, n); every iterate must
+    pass the divergence guard."""
+    n = kbar_values.shape[0]
+    path = np.empty((len(coefficients), n))
+    iterates = two_term_iterates(coefficients, _target(kbar_values), kbar_values.__matmul__)
+    for step, beta in enumerate(iterates):
+        _guard(beta, n)
+        path[step] = beta
+    return path
+
+
 def landweber_path(
     kbar_values: np.ndarray, t_max: int, eta: float
 ) -> np.ndarray:
     """Gradient-descent iterates beta^1..beta^t_max, shape (t_max, n)."""
-    n = kbar_values.shape[0]
-    target = _target(kbar_values)
-    beta = np.zeros(n)
-    path = np.empty((t_max, n))
-    for step in range(t_max):
-        beta = beta + eta * (target - kbar_values @ beta)
-        _guard(beta, n)
-        path[step] = beta
-    return path
+    return two_term_path(kbar_values, [(0.0, eta)] * t_max)
 
 
 def nu_method_path(
     kbar_values: np.ndarray, t_max: int, nu: float, eta_bar: float
 ) -> np.ndarray:
     """Accelerated two-term iterates beta^1..beta^t_max, shape (t_max, n)."""
-    n = kbar_values.shape[0]
-    target = _target(kbar_values)
-    prev = np.zeros(n)
-    _, kappa1 = nu_method_coefficients(1, nu, eta_bar)
-    curr = kappa1 * target
-    path = np.empty((t_max, n))
-    path[0] = curr
-    for t in range(2, t_max + 1):
-        omega, kappa = nu_method_coefficients(t, nu, eta_bar)
-        nxt = curr + omega * (curr - prev) + kappa * (target - kbar_values @ curr)
-        _guard(nxt, n)
-        prev, curr = curr, nxt
-        path[t - 1] = curr
-    return path
+    steps = [nu_method_coefficients(t, nu, eta_bar) for t in range(1, t_max + 1)]
+    return two_term_path(kbar_values, steps)
 
 
 def landweber_weights(
     kbar: NormalizedGram, t: int, eta: float | None = None
 ) -> WeightVector:
     """Run t gradient steps from beta = 0; eta defaults to 1/kappa^2."""
-    if t < 1:
-        raise InputError("iteration count must be at least 1")
-    step = 1.0 / kbar.kappa_sq if eta is None else eta
-    spec = Landweber(iters=t, eta=step)
+    spec = Landweber(iters=t, eta=1.0 / kbar.kappa_sq if eta is None else eta)
     _validate_step(spec, kbar.kappa_sq)
-    path = landweber_path(kbar.matrix.values, t, step)
+    path = landweber_path(kbar.matrix.values, t, spec.eta)
     return WeightVector(path[-1], "landweber", spec)
 
 
 def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVector:
     """Accelerated gradient iteration; the step is scaled by 1/kappa^2."""
-    if t < 1:
-        raise InputError("iteration count must be at least 1")
     spec = NuMethod(iters=t, nu=nu, eta_bar=1.0 / kbar.kappa_sq)
     path = nu_method_path(kbar.matrix.values, t, nu, spec.eta_bar)
     return WeightVector(path[-1], "nu", spec)
@@ -261,17 +249,14 @@ def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVe
 
 def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> WeightVector:
     """Solve (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from beta_0 = 0."""
-    if t < 1:
-        raise InputError("iteration count must be at least 1")
-    if not lam > 0:
-        raise InputError("lambda must be positive")
+    spec = IteratedTikhonov(iters=t, lam=lam)
     values = kbar.matrix.values
     target = _target(values)
     factor = spd_factor(values + lam * np.eye(kbar.n))
     beta = np.zeros(kbar.n)
     for _ in range(t):
         beta = factor.solve(target + lam * beta)
-    return WeightVector(beta, "itik", IteratedTikhonov(iters=t, lam=lam))
+    return WeightVector(beta, "itik", spec)
 
 
 def tsvd_weights(kbar: NormalizedGram, threshold: float) -> WeightVector:

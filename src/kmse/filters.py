@@ -13,7 +13,7 @@ component fully shrunk to the target). Implemented families:
 * ``Landweber``           g(gamma) = eta * sum_{i=0}^{t-1} (1 - eta*gamma)^i,
                           i.e. (1 - (1 - eta*gamma)^t) / gamma, with g(0) = eta*t
 * ``NuMethod``            g = p_t(gamma), the degree-(t-1) polynomial of the
-                          accelerated two-term gradient recursion
+                          two-term recursion ``two_term_iterates`` run on gamma
 * ``IteratedTikhonov``    g(gamma) = ((gamma+lam)^t - lam^t) / (gamma * (gamma+lam)^t)
 * ``TSVD``                g(gamma) = 1/gamma if gamma >= lam else 0
 * ``SKMSE``               g(gamma) = 1 / ((1+lam) * gamma) for gamma > 0, the
@@ -161,25 +161,45 @@ def nu_method_coefficients(t: int, nu: float, eta_bar: float) -> tuple[float, fl
     return omega, kappa
 
 
+def ladder_coefficients(ladder) -> list[tuple[float, float]]:
+    """(omega_t, kappa_t) of every step of a Landweber or nu-method ladder,
+    which holds t = 1, 2, ... in order; Landweber steps have omega = 0 and
+    kappa = eta."""
+    return [
+        (0.0, spec.eta) if isinstance(spec, Landweber)
+        else nu_method_coefficients(spec.iters, spec.nu, spec.eta_bar)
+        for spec in ladder
+    ]
+
+
+def two_term_iterates(coefficients, target: np.ndarray, apply):
+    """Yield x_1, x_2, ... of the two-term recursion
+
+        x_t = x_{t-1} + omega_t (x_{t-1} - x_{t-2}) + kappa_t (b - A x_{t-1}),
+
+    run from x_0 = x_{-1} = 0, one step per (omega_t, kappa_t) pair.
+    ``target`` is b and ``apply(x)`` returns A x. Each iterate is applied once,
+    the last one included, when the generator resumes after yielding it, so a
+    consumer that raises on an iterate never applies A to it.
+    """
+    prev = curr = np.zeros_like(target)
+    residual = target  # b - A x_0
+    for omega, kappa in coefficients:
+        prev, curr = curr, curr + omega * (curr - prev) + kappa * residual
+        yield curr
+        residual = target - apply(curr)
+
+
 def nu_filter_path(gammas: np.ndarray, t_max: int, nu: float, eta_bar: float) -> np.ndarray:
     """Values p_t(gamma) for t = 1..t_max, shape (t_max, len(gammas)).
 
-    Runs the same recursion as the coefficient iteration, applied to the
-    filter polynomials: p_t = p_{t-1} + omega_t (p_{t-1} - p_{t-2})
+    The filter polynomials follow the coefficient iteration with A = gamma
+    and b = 1: p_t = p_{t-1} + omega_t (p_{t-1} - p_{t-2})
     + kappa_t (1 - gamma p_{t-1}), from p_0 = 0.
     """
     g = np.asarray(gammas, dtype=float)
-    prev = np.zeros_like(g)
-    _, kappa1 = nu_method_coefficients(1, nu, eta_bar)
-    curr = np.full_like(g, kappa1)
-    out = np.empty((t_max, g.shape[0]))
-    out[0] = curr
-    for t in range(2, t_max + 1):
-        omega, kappa = nu_method_coefficients(t, nu, eta_bar)
-        nxt = curr + omega * (curr - prev) + kappa * (1.0 - g * curr)
-        prev, curr = curr, nxt
-        out[t - 1] = curr
-    return out
+    steps = [nu_method_coefficients(t, nu, eta_bar) for t in range(1, t_max + 1)]
+    return np.array(list(two_term_iterates(steps, np.ones_like(g), lambda p: g * p)))
 
 
 def _check_gammas(gammas: np.ndarray) -> np.ndarray:
@@ -270,11 +290,14 @@ def check_admissibility(
     """Evaluate the three admissibility suprema on a uniform grid.
 
     The grid covers [0, kappa^2] and always includes the point
-    gamma = effective lambda, where TSVD-style residuals switch.
+    gamma = effective lambda, where TSVD-style residuals switch; that
+    lambda must be positive.
     """
     if grid_size < 100:
         raise InputError("grid_size must be at least 100")
     lam = effective_shrinkage(spec)
+    if not lam > 0:  # the D bounds divide by lam^eta
+        raise InputError(f"admissibility needs a positive shrinkage parameter, got {lam}")
     grid = np.linspace(0.0, kappa_sq, grid_size)
     if 0.0 <= lam <= kappa_sq:
         grid = np.append(grid, lam)

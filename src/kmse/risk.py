@@ -36,10 +36,9 @@ from .estimators import (
     WeightVector,
     empirical_kme_weights,
     fit_spec,
-    landweber_path,
-    nu_method_path,
+    two_term_path,
 )
-from .filters import FilterSpec, Landweber, NuMethod, default_lambda_grid
+from .filters import FilterSpec, Landweber, NuMethod, default_lambda_grid, ladder_coefficients
 from .kernels import (
     GaussianRBF,
     KernelSpec,
@@ -261,11 +260,8 @@ def fit_weights(
 
 def _oracle_index(kbar: NormalizedGram, ladder: tuple[FilterSpec, ...], oracle_loss) -> int:
     """Index of the ladder spec whose weights have the smallest true loss."""
-    first = ladder[0]
-    if isinstance(first, Landweber):  # one path holds every iteration count
-        candidates = landweber_path(kbar.matrix.values, len(ladder), first.eta)
-    elif isinstance(first, NuMethod):
-        candidates = nu_method_path(kbar.matrix.values, len(ladder), first.nu, first.eta_bar)
+    if isinstance(ladder[0], (Landweber, NuMethod)):  # one path holds every count
+        candidates = two_term_path(kbar.matrix.values, ladder_coefficients(ladder))
     else:
         candidates = (fit_spec(kbar, spec).weights for spec in ladder)
     return int(np.argmin([oracle_loss(w) for w in candidates]))

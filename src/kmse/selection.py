@@ -17,9 +17,11 @@ is a diagonal plus a rank-one term along u_i = U[i, :]:
 Column i of one n x n coefficient matrix X holds fold i, so one step for all
 folds together costs O(n^2):
 
-* Landweber and the nu-method iterate with that operator against the fold
+* Landweber and the nu-method run the shared two-term iteration
+  (``filters.two_term_iterates``) with that operator against the fold
   targets U^T b_i, b_i = P_i A (1_n - e_i) / (n-1), which is (K_i/(n-1)^2) 1
-  embedded; the divergence guard is applied to every column.
+  embedded; each application of the operator also scores the iterate, and
+  the divergence guard is applied to every column.
 * Tikhonov (one solve) and iterated Tikhonov (t solves) use the fold
   resolvent. By the Schur complement, (A_i + lam)^{-1} embedded is
   C - c_i c_i^T / C_ii with C = (A + lam)^{-1} = U diag(1/(gamma + lam)) U^T
@@ -61,7 +63,7 @@ from .estimators import (
     lambda_ladder,
     tsvd_ladder,
 )
-from .filters import FilterSpec, IteratedTikhonov, Landweber, nu_method_coefficients
+from .filters import FilterSpec, IteratedTikhonov, ladder_coefficients, two_term_iterates
 from .kernels import KernelSpec, NormalizedGram, gram_matrix, normalize_gram
 
 #: Doubles the resolvent scorer stacks per chunk of grid points, g n (n + t):
@@ -137,21 +139,16 @@ def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     """Mean held-out squared RKHS distance after each iteration count of a
     Landweber or nu-method ladder, which holds t = 1, 2, ... in order."""
     basis = _FoldBasis.of(kbar)
-    n = kbar.n
-    scores = np.empty(len(ladder))
-    prev = curr = applied = np.zeros((n, n))
-    for j, candidate in enumerate(ladder):
-        if isinstance(candidate, Landweber):
-            omega, kappa = 0.0, candidate.eta
-        else:
-            omega, kappa = nu_method_coefficients(
-                candidate.iters, candidate.nu, candidate.eta_bar
-            )
-        nxt = curr + omega * (curr - prev) + kappa * (basis.targets - applied)
-        _guard(nxt, basis.m)
-        prev, curr = curr, nxt
-        applied, scores[j] = basis.apply(curr)
-    return scores / n
+    scores = []
+
+    def apply(X):  # every iterate is applied once; its score comes along
+        applied, score = basis.apply(X)
+        scores.append(score)
+        return applied
+
+    for X in two_term_iterates(ladder_coefficients(ladder), basis.targets, apply):
+        _guard(X, basis.m)
+    return np.array(scores) / kbar.n
 
 
 def loocv_select_iterations(

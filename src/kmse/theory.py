@@ -17,12 +17,7 @@ import numpy as np
 
 from .data import as_rows
 from .errors import InputError
-from .estimators import (
-    iterated_tikhonov_weights,
-    landweber_path,
-    nu_method_path,
-    spectral_weights,
-)
+from .estimators import fit_spec, spectral_weights
 from .filters import IteratedTikhonov, Landweber, NuMethod, Tikhonov
 from .kernels import NormalizedGram, gram_matrix, linear_spec_for, normalize_gram
 from .risk import EstimatorConfig, risk_estimate
@@ -137,17 +132,15 @@ def verify_spectral_equivalence(
         return 0.0  # both paths are identically zero before the first step
     eta_bar = 1.0 / kbar.kappa_sq
     if algo == "landweber":
-        iterative = landweber_path(kbar.matrix.values, t, eta_bar)[-1]
-        spectral = spectral_weights(kbar, Landweber(t, eta_bar)).weights
+        spec = Landweber(t, eta_bar)
     elif algo == "nu":
-        iterative = nu_method_path(kbar.matrix.values, t, nu, eta_bar)[-1]
-        spectral = spectral_weights(kbar, NuMethod(t, nu, eta_bar)).weights
+        spec = NuMethod(t, nu, eta_bar)
     elif algo == "itik":
-        iterative = iterated_tikhonov_weights(kbar, t, lam).weights
-        spectral = spectral_weights(kbar, IteratedTikhonov(t, lam)).weights
+        spec = IteratedTikhonov(t, lam)
     else:
         raise InputError(f"unknown iterative algorithm {algo!r}")
-    return float(np.abs(iterative - spectral).max())
+    gap = fit_spec(kbar, spec).weights - spectral_weights(kbar, spec).weights
+    return float(np.abs(gap).max())
 
 
 def verify_operator_equivalence(X, lam: float) -> float:

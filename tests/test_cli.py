@@ -290,6 +290,16 @@ class TestAdmissibilityCommand:
         assert code == 0
         assert json.loads(out.read_text())["filter"] == expected
 
+    def test_zero_shrinkage_exits_one_without_output(self, tmp_path, capsys):
+        out = tmp_path / "adm.json"
+        code = main(
+            ["admissibility", "--filter", "skmse", "--lambda", "0",
+             "--grid-size", "200", "--output", str(out)]
+        )
+        assert code == 1
+        assert "positive shrinkage parameter" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDensityFitCommand:
     def test_full_workflow(self, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import eval_jacobi
 
 from kmse.errors import InputError
 from kmse.filters import (
@@ -115,6 +116,16 @@ class TestNuMethod:
 
         assert crossing(16) < crossing(8) / 2.5
 
+    @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [1, 2, 5, 20])
+    def test_residual_is_normalized_jacobi_polynomial(self, nu, t):
+        # Engl, Hanke & Neubauer (1996), section 6.3: the nu-method residual
+        # is P_t^(a, b)(1 - 2 gamma) / P_t^(a, b)(1), a = 2 nu - 1/2, b = -1/2
+        a, b = 2.0 * nu - 0.5, -0.5
+        expected = eval_jacobi(t, a, b, 1.0 - 2.0 * GRID) / eval_jacobi(t, a, b, 1.0)
+        res = 1.0 - retention_values(NuMethod(t, nu, 1.0), GRID)
+        np.testing.assert_allclose(res, expected, rtol=0, atol=1e-13)
+
     def test_bounded_overshoot(self):
         for t in (1, 2, 5, 10, 20):
             kept = retention_values(NuMethod(t), GRID)
@@ -194,6 +205,11 @@ class TestAdmissibilityReport:
     def test_grid_size_minimum(self):
         with pytest.raises(InputError):
             check_admissibility(Tikhonov(0.1), 99, [1.0])
+
+    def test_zero_shrinkage_rejected(self):
+        # the D bounds divide by lam^eta; lam = 0 gave NaN instead of an error
+        with pytest.raises(InputError, match="positive shrinkage parameter"):
+            check_admissibility(SKMSE(0.0), 200, [1.0])
 
 
 class TestQualification:

@@ -1,0 +1,49 @@
+"""Every module of the package uses each name it imports.
+
+No linter ships with the project, so this stands in for an unused-import
+check: it parses each module under ``src/kmse`` (except ``__init__.py``,
+whose imports are the package's re-exports) and collects the names the
+module reads.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kmse"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> line of the import; __future__ is skipped."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = used_names(tree)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in imported_names(tree).items()
+        if name not in used
+    )
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_detects_an_unused_import():
+    tree = ast.parse("import os\nfrom a.b import c, d as e\nfrom __future__ import x\ne()\n")
+    assert set(imported_names(tree)) - used_names(tree) == {"os", "c"}
