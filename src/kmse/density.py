@@ -20,6 +20,7 @@ from scipy.special import logsumexp
 from .data import Dataset, as_rows
 from .errors import ConvergenceError, InputError
 from .estimators import WeightVector
+from .kernels import GaussianRBF, cross_kernel
 from .synthetic import RngStream, as_generator
 
 VARIANCE_FLOOR = 1e-6
@@ -207,6 +208,24 @@ def _value_and_grad(
     return value, grad
 
 
+def _rows_and_weights(
+    X: Dataset | np.ndarray, target_beta: WeightVector | np.ndarray, d: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample's rows and one weight per row; the rows must have dimension
+    ``d`` when it is given."""
+    rows = as_rows(X)
+    beta = (
+        target_beta.weights
+        if isinstance(target_beta, WeightVector)
+        else np.asarray(target_beta, float)
+    )
+    if beta.shape != (rows.shape[0],):
+        raise InputError(f"weights of shape {beta.shape} for {rows.shape[0]} points")
+    if d is not None and d != rows.shape[1]:
+        raise InputError(f"model dimension {d} != data dimension {rows.shape[1]}")
+    return rows, beta
+
+
 def kmm_objective(
     model: MixtureModel,
     target_beta: WeightVector | np.ndarray,
@@ -215,16 +234,7 @@ def kmm_objective(
 ) -> float:
     """||mu_Q - sum_i beta_i k(x_i,.)||^2 under the RBF kernel with bandwidth
     sigma_sq; shares the Gaussian integral closed forms with the analytic loss."""
-    rows = as_rows(X)
-    beta = (
-        target_beta.weights
-        if isinstance(target_beta, WeightVector)
-        else np.asarray(target_beta, float)
-    )
-    if beta.shape[0] != rows.shape[0]:
-        raise InputError(f"{beta.shape[0]} weights for {rows.shape[0]} points")
-    if model.d != rows.shape[1]:
-        raise InputError(f"model dimension {model.d} != data dimension {rows.shape[1]}")
+    rows, beta = _rows_and_weights(X, target_beta, model.d)
     quad = _beta_quad(rows, beta, sigma_sq)
     value, _ = _value_and_grad(
         _pack(model), rows, beta, sigma_sq, model.r, model.d, quad
@@ -233,8 +243,7 @@ def kmm_objective(
 
 
 def _beta_quad(rows: np.ndarray, beta: np.ndarray, sigma_sq: float) -> float:
-    K = np.exp(-cdist(rows, rows, "sqeuclidean") / (2.0 * sigma_sq))
-    return float(beta @ K @ beta)
+    return float(beta @ cross_kernel(GaussianRBF(sigma_sq), rows, rows) @ beta)
 
 
 def kmm_objective_grad(
@@ -244,12 +253,7 @@ def kmm_objective_grad(
     sigma_sq: float,
 ) -> np.ndarray:
     """Gradient of the objective w.r.t. (pi logits, log-variances, means)."""
-    rows = as_rows(X)
-    beta = (
-        target_beta.weights
-        if isinstance(target_beta, WeightVector)
-        else np.asarray(target_beta, float)
-    )
+    rows, beta = _rows_and_weights(X, target_beta, model.d)
     _, grad = _value_and_grad(
         _pack(model), rows, beta, sigma_sq, model.r, model.d, 0.0
     )
@@ -277,12 +281,7 @@ def kmm_fit(
     the best iterate seen. The weight simplex and the variance floor are
     maintained by the parameterization itself.
     """
-    rows = as_rows(X)
-    beta = (
-        target_beta.weights
-        if isinstance(target_beta, WeightVector)
-        else np.asarray(target_beta, float)
-    )
+    rows, beta = _rows_and_weights(X, target_beta)
     init = kmeans_init(rows, r, config.restarts, RngStream(config.seed, 0))
     quad = _beta_quad(rows, beta, sigma_sq)
     vec = _pack(init)

@@ -242,9 +242,7 @@ def landweber_weights(
 
 def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVector:
     """Accelerated gradient iteration; the step is scaled by 1/kappa^2."""
-    spec = NuMethod(iters=t, nu=nu, eta_bar=1.0 / kbar.kappa_sq)
-    path = nu_method_path(kbar.matrix.values, t, nu, spec.eta_bar)
-    return WeightVector(path[-1], "nu", spec)
+    return fit_spec(kbar, NuMethod(iters=t, nu=nu, eta_bar=1.0 / kbar.kappa_sq))
 
 
 def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> WeightVector:
@@ -267,15 +265,17 @@ def tsvd_weights(kbar: NormalizedGram, threshold: float) -> WeightVector:
 def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     """Weights of one filter spec on K/n, each family by its own arithmetic.
 
-    Landweber runs at the step its spec carries; the nu-method always runs at
-    eta_bar = 1/kappa^2 of ``kbar``, the step every ladder and ``fixed`` give it.
+    Landweber and the nu-method run at the step their spec carries, which
+    must not exceed 1/kappa^2 of ``kbar``.
     """
     if isinstance(spec, SKMSE):
         return skmse_weights(kbar.n, spec.lam)
     if isinstance(spec, Landweber):
         return landweber_weights(kbar, spec.iters, spec.eta)
     if isinstance(spec, NuMethod):
-        return nu_method_weights(kbar, spec.iters, spec.nu)
+        _validate_step(spec, kbar.kappa_sq)
+        path = nu_method_path(kbar.matrix.values, spec.iters, spec.nu, spec.eta_bar)
+        return WeightVector(path[-1], "nu", spec)
     if isinstance(spec, IteratedTikhonov):
         return iterated_tikhonov_weights(kbar, spec.iters, spec.lam)
     return spectral_weights(kbar, spec)

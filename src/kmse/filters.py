@@ -109,8 +109,8 @@ class SKMSE:
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InputError("SKMSE lambda must be non-negative")
+        if not self.lam >= 0:
+            raise InputError(f"SKMSE lambda must be non-negative, got {self.lam}")
 
 
 FilterSpec = Tikhonov | Landweber | NuMethod | IteratedTikhonov | TSVD | SKMSE

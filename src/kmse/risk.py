@@ -15,9 +15,11 @@ with the two Gaussian integrals
                  exp(-Delta^T (Sigma_j + Sigma_l + sigma^2 I)^{-1} Delta / 2)
 
 (both via the Gaussian convolution identity; validated against Monte-Carlo
-oracles in the test suite before any benchmark relies on them). Determinants
-and quadratic forms are computed through eigendecompositions so
-rank-deficient covariances are handled symmetrically.
+oracles in the test suite before any benchmark relies on them). Both are one
+integral, ``_gaussian_inners``: ||mu_P||^2 evaluates it at x = theta_j with
+mean theta_l and covariance Sigma_j + Sigma_l. Determinants and quadratic
+forms come from ``synthetic.psd_eigh`` factors, so rank-deficient covariances
+are handled symmetrically; z reads the factors the mixture already holds.
 """
 
 from __future__ import annotations
@@ -57,32 +59,29 @@ from .synthetic import (
     RngStream,
     draw_mixture_params,
     effective_components,
+    psd_eigh,
     sample_mixture,
 )
 
 
-def _component_terms(sigma: np.ndarray, sigma_sq: float):
-    """Eigendecomposition pieces for one Gaussian integral."""
-    sym = (sigma + sigma.T) / 2.0
-    evals, evecs = np.linalg.eigh(sym)
-    if evals[0] < -1e-8 * max(1.0, abs(evals[-1])):
-        raise InputError("component covariance is not positive semidefinite")
-    evals = np.clip(evals, 0.0, None)
+def _gaussian_inners(X: np.ndarray, theta: np.ndarray, factor: tuple, sigma_sq: float):
+    """E_{y ~ N(theta, Sigma)} k(x_i, y) for every row x_i of a 2-d X, with
+    Sigma given by its ``psd_eigh`` factor."""
+    if not sigma_sq > 0:
+        raise InputError("sigma_sq must be positive")
+    evals, evecs = factor
     denom = evals + sigma_sq
     log_pref = 0.5 * float(np.sum(np.log(sigma_sq / denom)))
-    return evecs, denom, log_pref
+    Y = (X - theta) @ evecs
+    quad = (Y**2 / denom).sum(axis=1)
+    return np.exp(log_pref - 0.5 * quad)
 
 
 def component_mean_inners(
     X: np.ndarray, theta: np.ndarray, sigma: np.ndarray, sigma_sq: float
 ) -> np.ndarray:
     """E_{y ~ N(theta, Sigma)} k(x_i, y) for every row x_i, vectorized."""
-    if not sigma_sq > 0:
-        raise InputError("sigma_sq must be positive")
-    evecs, denom, log_pref = _component_terms(np.asarray(sigma, float), sigma_sq)
-    Y = (np.atleast_2d(X) - theta) @ evecs
-    quad = (Y**2 / denom).sum(axis=1)
-    return np.exp(log_pref - 0.5 * quad)
+    return _gaussian_inners(np.atleast_2d(X), theta, psd_eigh(sigma), sigma_sq)
 
 
 def kernel_mean_inner(
@@ -102,8 +101,8 @@ def mixture_mean_inners(
     """z_i = <k(x_i, .), mu_P> for every row, mixing over components."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros(X.shape[0])
-    for pi_j, theta, sigma in zip(params.weights, params.means, params.covariances):
-        out += pi_j * component_mean_inners(X, theta, sigma, sigma_sq)
+    for pi_j, theta, factor in zip(params.weights, params.means, params.factors):
+        out += pi_j * _gaussian_inners(X, theta, factor, sigma_sq)
     return out
 
 
@@ -111,18 +110,13 @@ def mixture_mean_sq_norm(params: MixtureParams, sigma_sq: float) -> float:
     """||mu_P||^2 for a Gaussian mixture under the RBF kernel (noise folded)."""
     if params.noise_var != 0:
         raise InputError("fold the noise into the components first (effective_components)")
-    if not sigma_sq > 0:
-        raise InputError("sigma_sq must be positive")
     k = params.k
     total = 0.0
     for j in range(k):
         for l in range(j, k):
-            evecs, denom, log_pref = _component_terms(
-                params.covariances[j] + params.covariances[l], sigma_sq
-            )
-            delta = (params.means[j] - params.means[l]) @ evecs
-            quad = float((delta**2 / denom).sum())
-            term = params.weights[j] * params.weights[l] * np.exp(log_pref - 0.5 * quad)
+            factor = psd_eigh(params.covariances[j] + params.covariances[l])
+            inner = _gaussian_inners(params.means[j : j + 1], params.means[l], factor, sigma_sq)
+            term = params.weights[j] * params.weights[l] * inner[0]
             total += term if j == l else 2.0 * term
     return float(total)
 

@@ -1,9 +1,13 @@
 """Synthetic benchmark distributions: Gaussian mixtures with random Wishart
-covariances, plus seeded RNG streams for order-independent replications."""
+covariances, plus seeded RNG streams for order-independent replications.
+
+``psd_eigh`` is the one PSD check and covariance eigendecomposition. Each
+``MixtureParams`` keeps it per component as ``factors``, which sampling and
+the analytic loss in ``risk`` share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,11 +50,18 @@ class MixtureParams:
     means: np.ndarray  # (k, d)
     covariances: np.ndarray  # (k, d, d)
     noise_var: float = 0.0
+    # psd_eigh of each covariance: (clamped ascending eigenvalues, eigenvectors)
+    factors: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         mu = np.asarray(self.means, dtype=float)
         cov = np.asarray(self.covariances, dtype=float)
+        for name, value in (
+            ("weights", w), ("means", mu), ("covariances", cov), ("noise_var", self.noise_var)
+        ):
+            if not np.all(np.isfinite(value)):
+                raise InputError(f"mixture {name} must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise InputError("mixture weights must be non-negative and sum to 1")
         if mu.ndim != 2 or cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
@@ -59,10 +70,7 @@ class MixtureParams:
             raise InputError("component counts disagree")
         if self.noise_var < 0:
             raise InputError("noise variance must be non-negative")
-        for sigma in cov:
-            evals = np.linalg.eigvalsh((sigma + sigma.T) / 2.0)
-            if evals[0] < -PSD_TOLERANCE * max(1.0, abs(evals[-1])):
-                raise InputError("component covariance is not positive semidefinite")
+        object.__setattr__(self, "factors", tuple(psd_eigh(sigma) for sigma in cov))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
@@ -76,13 +84,21 @@ class MixtureParams:
         return self.means.shape[1]
 
 
-def _psd_root(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root with eigenvalue clamping (handles rank deficiency)."""
-    sym = (matrix + matrix.T) / 2.0
-    evals, evecs = np.linalg.eigh(sym)
+def psd_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues, clamped at zero, and eigenvectors of (M + M^T)/2
+    for a finite M that is PSD up to PSD_TOLERANCE times its largest eigenvalue."""
+    arr = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InputError("matrix contains non-finite entries")
+    evals, evecs = np.linalg.eigh((arr + arr.T) / 2.0)
     if evals[0] < -PSD_TOLERANCE * max(1.0, abs(evals[-1])):
-        raise InputError("matrix is not positive semidefinite")
-    return evecs @ (np.sqrt(np.clip(evals, 0.0, None))[:, None] * evecs.T)
+        raise InputError(f"matrix is not positive semidefinite (eigenvalue {evals[0]:.3g})")
+    return np.clip(evals, 0.0, None), evecs
+
+
+def _symmetric_root(factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    evals, evecs = factor
+    return evecs @ (np.sqrt(evals)[:, None] * evecs.T)
 
 
 def wishart_sample(
@@ -92,7 +108,7 @@ def wishart_sample(
     if df < 1:
         raise InputError("degrees of freedom must be at least 1")
     gen = as_generator(rng)
-    root = _psd_root(np.asarray(scale, dtype=float))
+    root = _symmetric_root(psd_eigh(scale))
     g = gen.standard_normal((root.shape[0], df))
     a = root @ g
     w = a @ a.T
@@ -122,7 +138,7 @@ def draw_mixture_params(
 def sample_mixture(
     params: MixtureParams, n: int, rng: RngStream | np.random.Generator
 ) -> Dataset:
-    """Component index from pi, Gaussian draw via a clamped eigendecomposition
+    """Component index from pi, Gaussian draw via the root of the component's
     factor (rank-deficient covariances are fine), plus isotropic noise."""
     if n < 1:
         raise InputError("sample size must be at least 1")
@@ -134,7 +150,7 @@ def sample_mixture(
         mask = comps == j
         if not np.any(mask):
             continue
-        root = _psd_root(params.covariances[j])
+        root = _symmetric_root(params.factors[j])
         out[mask] = params.means[j] + z[mask] @ root.T
     if params.noise_var > 0:
         out += np.sqrt(params.noise_var) * gen.standard_normal((n, params.d))

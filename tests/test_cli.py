@@ -117,6 +117,13 @@ class TestEstimateCommand:
         write_sample_csv(data)
         assert main(["estimate", "--input", str(data), *flags]) == 1
 
+    def test_nan_skmse_lambda_named_before_fitting(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data)
+        argv = ["estimate", "--input", str(data), "--filter", "skmse", "--lambda", "nan"]
+        assert main(argv) == 1
+        assert "SKMSE lambda must be non-negative, got nan" in capsys.readouterr().err
+
     @pytest.mark.parametrize("nu", ["-0.25", "-1"])
     def test_bad_nu_under_loocv_exits_one(self, tmp_path, capsys, nu):
         data = tmp_path / "data.csv"

@@ -11,11 +11,12 @@ from kmse.density import (
     kmeans_init,
     kmm_fit,
     kmm_objective,
+    kmm_objective_grad,
     nll,
 )
 from kmse.errors import InputError
 from kmse.estimators import empirical_kme_weights
-from kmse.kernels import median_heuristic_bandwidth
+from kmse.kernels import GaussianRBF, cross_kernel, median_heuristic_bandwidth
 from kmse.synthetic import MixtureParams, RngStream, sample_mixture
 
 
@@ -158,6 +159,38 @@ class TestKmmObjective:
                 fd[i] = (up - dn) / (2 * h)
             denom = max(np.linalg.norm(grad), 1e-10)
             assert np.linalg.norm(grad - fd) / denom <= 1e-5
+
+
+class TestKmmInputs:
+    """The objective, its gradient and the fit reject the same bad inputs."""
+
+    ROWS = np.random.default_rng(7).standard_normal((6, 2))
+    MODEL = MixtureModel(
+        weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.array([1.0])
+    )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rows, beta: kmm_objective(TestKmmInputs.MODEL, beta, rows, 1.0),
+            lambda rows, beta: kmm_objective_grad(TestKmmInputs.MODEL, beta, rows, 1.0),
+            lambda rows, beta: kmm_fit(rows, beta, 1, 1.0, KmmFitConfig(restarts=1)),
+        ],
+        ids=["objective", "grad", "fit"],
+    )
+    def test_weight_count_must_match_rows(self, call):
+        with pytest.raises(InputError, match="for 6 points"):
+            call(self.ROWS, np.full(5, 0.2))
+
+    @pytest.mark.parametrize("function", [kmm_objective, kmm_objective_grad])
+    def test_model_dimension_must_match_data(self, function):
+        with pytest.raises(InputError, match="model dimension 2 != data dimension 3"):
+            function(self.MODEL, np.full(6, 1 / 6), np.zeros((6, 3)), 1.0)
+
+    def test_beta_quad_is_the_rbf_gram_form(self):
+        beta = np.linspace(-1.0, 1.0, 6)
+        gram = cross_kernel(GaussianRBF(0.7), self.ROWS, self.ROWS)
+        assert _beta_quad(self.ROWS, beta, 0.7) == float(beta @ gram @ beta)
 
 
 class TestKmmFit:

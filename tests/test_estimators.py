@@ -7,6 +7,7 @@ from kmse.estimators import (
     _guard,
     empirical_kme_weights,
     evaluate_estimate,
+    fit_spec,
     iterated_tikhonov_weights,
     landweber_weights,
     nu_method_weights,
@@ -151,6 +152,20 @@ class TestIterativePaths:
             best_nu = np.minimum.accumulate(res_nu)
             assert best_nu[14] <= res_lw[14] + 1e-15
             assert best_nu[29] <= 0.75 * res_lw[29]
+
+    def test_fit_spec_runs_nu_at_its_step(self):
+        kbar, _ = random_kbar(np.random.default_rng(14))
+        spec = NuMethod(5, 1.0, 0.25 / kbar.kappa_sq)
+        fitted = fit_spec(kbar, spec)
+        assert fitted.shrinkage == spec
+        np.testing.assert_allclose(
+            fitted.weights, spectral_weights(kbar, spec).weights, rtol=1e-10, atol=1e-14
+        )
+
+    def test_fit_spec_rejects_nu_step_above_bound(self):
+        kbar, _ = random_kbar(np.random.default_rng(15))
+        with pytest.raises(ConfigurationError, match="accelerated step scale"):
+            fit_spec(kbar, NuMethod(5, 1.0, 5.0 / kbar.kappa_sq))
 
     def test_itik_single_step_is_tikhonov(self):
         kbar, _ = random_kbar(np.random.default_rng(8))

@@ -67,6 +67,11 @@ class TestScalarFilter:
         kept = retention_values(SKMSE(1.0), np.array([0.1, 0.5, 1.0]))
         np.testing.assert_allclose(kept, 0.5)
 
+    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
+    def test_skmse_rejects_negative_or_nan_lambda(self, lam):
+        with pytest.raises(InputError, match="SKMSE lambda must be non-negative"):
+            SKMSE(lam)
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(InputError):
             scalar_filter(Tikhonov(1.0), -0.1)

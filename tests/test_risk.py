@@ -25,6 +25,7 @@ from kmse.kernels import (
 from kmse.linalg import SymMatrix
 from kmse.risk import (
     EstimatorConfig,
+    component_mean_inners,
     fit_weights,
     improvement_percent,
     kernel_mean_inner,
@@ -84,6 +85,11 @@ class TestKernelMeanInner:
             )
             assert 0.0 < got <= 1.0
 
+    def test_non_psd_covariance_rejected_at_psd_tolerance(self):
+        # smallest eigenvalue -1e-9 relative to the largest: within 1e-8, beyond 1e-10
+        with pytest.raises(InputError, match="not positive semidefinite"):
+            kernel_mean_inner([0.0, 0.0], [0.0, 0.0], np.diag([1.0, -1e-9]), 1.0)
+
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -99,6 +105,23 @@ class TestKernelMeanInner:
             vals = np.exp(-((draws - x) ** 2).sum(axis=1) / (2 * sigma_sq))
             stderr = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(closed - vals.mean()) <= 3 * stderr
+
+
+class TestMixtureMeanInners:
+    def test_mixes_the_component_integrals(self):
+        # z from the mixture's stored factors equals the per-component
+        # integrals, each factoring its covariance afresh
+        params = effective_components(draw_mixture_params(6, RngStream(21, 0)))
+        X = sample_mixture(params, 30, RngStream(21, 1)).rows
+        want = np.zeros(30)
+        for pi_j, theta, sigma in zip(params.weights, params.means, params.covariances):
+            want += pi_j * component_mean_inners(X, theta, sigma, 2.5)
+        np.testing.assert_array_equal(mixture_mean_inners(X, params, 2.5), want)
+
+    @pytest.mark.parametrize("sigma_sq", [0.0, -1.0, float("nan")])
+    def test_bandwidth_must_be_positive(self, sigma_sq):
+        with pytest.raises(InputError, match="sigma_sq must be positive"):
+            mixture_mean_inners(np.zeros((2, 1)), point_mass([0.0], 1), sigma_sq)
 
 
 class TestMixtureMeanSqNorm:
@@ -381,6 +404,26 @@ class TestSharedReplication:
         m = 3
         replication_losses(ALL_PAIRS, 15, 3, m, seed=41)
         assert calls == {"gram": m, "eigh": m}
+
+    def test_ground_truth_factors_only_the_pairwise_sums(self, monkeypatch):
+        # per replication: one eigh for the K/n spectrum and one per pair
+        # j <= l of Sigma_j + Sigma_l; the components are factored once per
+        # parameter set, when the mixture is built
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        counts = {}
+        for m in (2, 6):
+            calls.clear()
+            replication_losses(ALL_PAIRS, 15, 3, m, seed=47)
+            counts[m] = len(calls)
+        k = 4
+        assert counts[6] - counts[2] == 4 * (1 + k * (k + 1) // 2)
 
 
 LAMBDA_AND_ITERATION = ("skmse", "tikhonov", "landweber", "nu", "itik")

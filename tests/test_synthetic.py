@@ -8,6 +8,7 @@ from kmse.synthetic import (
     RngStream,
     draw_mixture_params,
     effective_components,
+    psd_eigh,
     sample_mixture,
     wishart_sample,
 )
@@ -52,6 +53,89 @@ class TestWishart:
     def test_non_psd_scale_rejected(self):
         with pytest.raises(InputError):
             wishart_sample(np.array([[1.0, 2.0], [2.0, 1.0]]), 3, RngStream(0, 0))
+
+
+def one_component(**overrides):
+    fields = dict(
+        weights=np.array([1.0]),
+        means=np.zeros((1, 2)),
+        covariances=np.eye(2)[None],
+        noise_var=0.1,
+    )
+    fields.update(overrides)
+    return MixtureParams(**fields)
+
+
+class TestPsdEigh:
+    def test_ascending_clamped_factor_of_symmetrized_matrix(self):
+        sym = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, -1e-14]])  # rank 1
+        skew = np.array([[0.0, 2e-3, 0.0], [-2e-3, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        evals, evecs = psd_eigh(sym + skew)
+        assert np.all(np.diff(evals) >= 0)
+        assert evals.min() == 0.0
+        np.testing.assert_allclose(evecs @ np.diag(evals) @ evecs.T, sym, atol=1e-13)
+
+    def test_bit_equal_to_eigh_on_psd_input(self):
+        gen = RngStream(3, 0).generator()
+        cov = wishart_sample(np.eye(5), 3, gen)  # rank 3
+        evals, evecs = psd_eigh(cov)
+        want_vals, want_vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+        np.testing.assert_array_equal(evals, np.clip(want_vals, 0.0, None))
+        np.testing.assert_array_equal(evecs, want_vecs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            psd_eigh(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_tolerance_is_relative_to_the_largest_eigenvalue(self):
+        psd_eigh(np.diag([1e4, -1e-7]))  # -1e-11 relative: rounding
+        with pytest.raises(InputError, match="not positive semidefinite"):
+            psd_eigh(np.diag([1.0, -1e-9]))
+
+
+class TestMixtureParamsValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("weights", np.array([np.nan])),
+            ("means", np.array([[np.nan, 0.0]])),
+            ("covariances", np.array([[[np.nan, 0.0], [0.0, 1.0]]])),
+            ("covariances", np.array([[[np.inf, 0.0], [0.0, 1.0]]])),
+            ("noise_var", np.nan),
+            ("noise_var", np.inf),
+        ],
+    )
+    def test_non_finite_field_named_before_any_factorization(self, monkeypatch, field, value):
+        from kmse import synthetic
+
+        def unreachable(matrix):
+            raise AssertionError("factored before the fields were checked")
+
+        monkeypatch.setattr(synthetic, "psd_eigh", unreachable)
+        with pytest.raises(InputError, match=f"mixture {field} must be finite"):
+            one_component(**{field: value})
+
+    def test_non_psd_covariance_rejected(self):
+        with pytest.raises(InputError, match="not positive semidefinite"):
+            one_component(covariances=np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+
+    def test_factors_are_psd_eigh_of_each_covariance(self):
+        params = draw_mixture_params(4, RngStream(15, 0))
+        assert len(params.factors) == params.k
+        for cov, (evals, evecs) in zip(params.covariances, params.factors):
+            want_vals, want_vecs = psd_eigh(cov)
+            np.testing.assert_array_equal(evals, want_vals)
+            np.testing.assert_array_equal(evecs, want_vecs)
+
+    def test_factors_is_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            one_component(factors=())
+
+    def test_folding_refactors_the_covariances(self):
+        folded = effective_components(one_component())
+        evals, _ = folded.factors[0]
+        np.testing.assert_allclose(evals, [1.1, 1.1], rtol=1e-15)
 
 
 class TestDrawMixtureParams:
@@ -117,6 +201,16 @@ class TestSampleMixture:
         sample_cov = np.cov(rows.T)
         want = cov + 0.2 * np.eye(3)
         assert np.abs(sample_cov - want).max() <= 0.05 * max(1.0, np.abs(want).max())
+
+    def test_sampling_factors_nothing(self, monkeypatch):
+        params = draw_mixture_params(5, RngStream(16, 0))
+
+        def no_eigh(matrix):
+            raise AssertionError("sampling factored a covariance")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        rows = sample_mixture(params, 200, RngStream(16, 1)).rows
+        assert rows.shape == (200, 5)
 
     def test_rank_deficient_sampling_never_fails(self):
         params = draw_mixture_params(20, RngStream(12, 0))
