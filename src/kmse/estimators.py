@@ -72,7 +72,8 @@ class EstimatorKind(NamedTuple):
     selection rules it accepts (the first is its default), the spec it fits
     under selection "none", ``fixed(config, kappa_sq)``, and the ordered
     candidates the other rules choose from, ``ladder(config, kbar)``, where
-    ``config`` is a ``risk.EstimatorConfig``."""
+    ``config`` is a ``risk.EstimatorConfig``. Each row builds its own specs;
+    the oracle rule and LOOCV score that ladder and GCV picks from it."""
 
     spec_type: type | None
     selections: tuple[str, ...]
@@ -80,31 +81,18 @@ class EstimatorKind(NamedTuple):
     ladder: Callable | None = None
 
 
-def lambda_ladder(family: str, lambda_grid, itik_iters: int) -> tuple[FilterSpec, ...]:
-    """Candidates of a lambda method: one spec per grid value, in grid order."""
-    if len(lambda_grid) == 0:
+def _grid(config) -> list[float]:
+    """The lambda candidates of ``config``, in grid order."""
+    if len(config.lambda_grid) == 0:
         raise InputError("lambda grid is empty")
-    if family == "skmse":
-        return tuple(SKMSE(float(lam)) for lam in lambda_grid)
-    if family == "tikhonov":
-        return tuple(Tikhonov(float(lam)) for lam in lambda_grid)
-    if family == "itik":
-        return tuple(IteratedTikhonov(itik_iters, float(lam)) for lam in lambda_grid)
-    raise InputError(f"unknown lambda-selection family {family!r}")
+    return [float(lam) for lam in config.lambda_grid]
 
 
-def iteration_ladder(
-    family: str, t_max: int, nu: float, kappa_sq: float
-) -> tuple[FilterSpec, ...]:
-    """Candidates of a gradient method: t = 1..t_max with step 1/kappa^2."""
-    if t_max < 1:
+def _counts(config) -> range:
+    """The iteration-count candidates of ``config``: 1..t_max."""
+    if config.t_max < 1:
         raise InputError("t_max must be at least 1")
-    eta = 1.0 / kappa_sq
-    if family == "landweber":
-        return tuple(Landweber(t, eta) for t in range(1, t_max + 1))
-    if family == "nu":
-        return tuple(NuMethod(t, nu, eta) for t in range(1, t_max + 1))
-    raise InputError(f"unknown iterative algorithm {family!r}")
+    return range(1, config.t_max + 1)
 
 
 def tsvd_ladder(kbar: NormalizedGram) -> tuple[TSVD, ...]:
@@ -123,19 +111,19 @@ ESTIMATORS: dict[str, EstimatorKind] = {
     "kme": EstimatorKind(None, ("none",)),
     "skmse": EstimatorKind(
         SKMSE, _LAMBDA_RULES, lambda c, kappa_sq: SKMSE(c.lam),
-        lambda c, kbar: lambda_ladder("skmse", c.lambda_grid, c.itik_iters)),
+        lambda c, kbar: tuple(SKMSE(lam) for lam in _grid(c))),
     "tikhonov": EstimatorKind(
         Tikhonov, _LAMBDA_RULES, lambda c, kappa_sq: Tikhonov(c.lam),
-        lambda c, kbar: lambda_ladder("tikhonov", c.lambda_grid, c.itik_iters)),
+        lambda c, kbar: tuple(Tikhonov(lam) for lam in _grid(c))),
     "landweber": EstimatorKind(
         Landweber, _LAMBDA_RULES, lambda c, kappa_sq: Landweber(c.iters, 1.0 / kappa_sq),
-        lambda c, kbar: iteration_ladder("landweber", c.t_max, c.nu, kbar.kappa_sq)),
+        lambda c, kbar: tuple(Landweber(t, 1.0 / kbar.kappa_sq) for t in _counts(c))),
     "nu": EstimatorKind(
         NuMethod, _LAMBDA_RULES, lambda c, kappa_sq: NuMethod(c.iters, c.nu, 1.0 / kappa_sq),
-        lambda c, kbar: iteration_ladder("nu", c.t_max, c.nu, kbar.kappa_sq)),
+        lambda c, kbar: tuple(NuMethod(t, c.nu, 1.0 / kbar.kappa_sq) for t in _counts(c))),
     "itik": EstimatorKind(
         IteratedTikhonov, _LAMBDA_RULES, lambda c, kappa_sq: IteratedTikhonov(c.itik_iters, c.lam),
-        lambda c, kbar: lambda_ladder("itik", c.lambda_grid, c.itik_iters)),
+        lambda c, kbar: tuple(IteratedTikhonov(c.itik_iters, lam) for lam in _grid(c))),
     "tsvd": EstimatorKind(
         TSVD, ("gcv", "none", "oracle"), lambda c, kappa_sq: TSVD(c.lam),
         lambda c, kbar: tsvd_ladder(kbar)),

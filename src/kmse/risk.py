@@ -95,10 +95,17 @@ def kernel_mean_inner(
     )
 
 
+def _require_folded(params: MixtureParams) -> None:
+    if params.noise_var != 0:
+        raise InputError("fold the noise into the components first (effective_components)")
+
+
 def mixture_mean_inners(
     X: np.ndarray, params: MixtureParams, sigma_sq: float
 ) -> np.ndarray:
-    """z_i = <k(x_i, .), mu_P> for every row, mixing over components."""
+    """z_i = <k(x_i, .), mu_P> for every row, mixing over components (noise
+    folded)."""
+    _require_folded(params)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.zeros(X.shape[0])
     for pi_j, theta, factor in zip(params.weights, params.means, params.factors):
@@ -108,8 +115,7 @@ def mixture_mean_inners(
 
 def mixture_mean_sq_norm(params: MixtureParams, sigma_sq: float) -> float:
     """||mu_P||^2 for a Gaussian mixture under the RBF kernel (noise folded)."""
-    if params.noise_var != 0:
-        raise InputError("fold the noise into the components first (effective_components)")
+    _require_folded(params)
     k = params.k
     total = 0.0
     for j in range(k):
@@ -130,8 +136,6 @@ def loss(
     """Squared RKHS distance between the weighted estimate and the mean of P."""
     if not isinstance(spec, GaussianRBF):
         raise InputError("the analytic loss requires the Gaussian RBF kernel")
-    if params.noise_var != 0:
-        raise InputError("fold the noise into the components first (effective_components)")
     rows = as_rows(X)
     w = beta.weights if isinstance(beta, WeightVector) else np.asarray(beta, float)
     if w.shape[0] != rows.shape[0]:
@@ -216,10 +220,11 @@ def fit_weights(
 ) -> WeightVector:
     """Fit one estimator on a sample, running its parameter selection.
 
-    The rule picks a spec, the estimator's ``fixed`` one or an entry of its
-    ``ladder``, and ``estimators.fit_spec`` turns it into weights. ``kbar`` is
-    K/n of ``X`` under ``kspec``; it is built when not given (kme's uniform
-    weights need neither).
+    "none" fits the estimator's ``fixed`` spec and "gcv" the TSVD level
+    ``gcv_select_tsvd`` picks; "oracle" and "loocv" score the estimator's
+    ``ladder``, built once, and pick an entry of it. ``estimators.fit_spec``
+    turns the spec into weights. ``kbar`` is K/n of ``X`` under ``kspec``; it
+    is built when not given (kme's uniform weights need neither).
     """
     kind = ESTIMATORS[config.name]
     if kind.spec_type is None:
@@ -229,32 +234,27 @@ def fit_weights(
     selection = config.resolved_selection()
     if selection == "none":
         spec = kind.fixed(config, kbar.kappa_sq)
-    elif selection == "oracle":
-        if oracle_loss is None:
-            raise InputError("oracle selection needs a loss callback")
-        ladder = kind.ladder(config, kbar)
-        spec = ladder[_oracle_index(kbar, ladder, oracle_loss)]
     elif selection == "gcv":
         spec = gcv_select_tsvd(kbar).chosen
-    elif kind.spec_type in (Landweber, NuMethod):
-        spec = loocv_select_iterations(
-            X, kspec, config.name, config.t_max, nu=config.nu, kbar=kbar
-        ).chosen
     else:
-        spec = loocv_select_lambda(
-            X,
-            kspec,
-            config.lambda_grid,
-            family=config.name,
-            itik_iters=config.itik_iters,
-            kbar=kbar,
-        ).chosen
+        ladder = kind.ladder(config, kbar)
+        iterative = isinstance(ladder[0], (Landweber, NuMethod))
+        if selection == "oracle":
+            spec = ladder[_oracle_index(kbar, ladder, iterative, oracle_loss)]
+        else:  # the selector is looked up per call, so a wrapped binding is seen
+            select = loocv_select_iterations if iterative else loocv_select_lambda
+            spec = select(kbar, ladder).chosen
     return fit_spec(kbar, spec)
 
 
-def _oracle_index(kbar: NormalizedGram, ladder: tuple[FilterSpec, ...], oracle_loss) -> int:
-    """Index of the ladder spec whose weights have the smallest true loss."""
-    if isinstance(ladder[0], (Landweber, NuMethod)):  # one path holds every count
+def _oracle_index(
+    kbar: NormalizedGram, ladder: tuple[FilterSpec, ...], iterative: bool, oracle_loss
+) -> int:
+    """Index of the ladder spec whose weights have the smallest true loss;
+    one path holds every count of an ``iterative`` ladder."""
+    if oracle_loss is None:
+        raise InputError("oracle selection needs a loss callback")
+    if iterative:
         candidates = two_term_path(kbar.matrix.values, ladder_coefficients(ladder))
     else:
         candidates = (fit_spec(kbar, spec).weights for spec in ladder)

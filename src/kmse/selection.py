@@ -44,8 +44,9 @@ Iterative methods are scored along their whole iteration path (the path
 comes for free); lambda methods are scored on a grid. TSVD truncation levels
 are picked by GCV on the projection residual. Ties always break toward the
 smaller parameter. Every selector scores, and chooses from, the estimator's
-candidate ladder (``estimators.lambda_ladder``, ``iteration_ladder``,
-``tsvd_ladder``), the same list the fit and the oracle rule use.
+candidate ladder, the list its ``estimators.ESTIMATORS`` row builds and the
+oracle rule also uses: the LOOCV selectors take it with K/n as
+``(kbar, ladder)``, and GCV reads ``estimators.tsvd_ladder(kbar)``.
 """
 
 from __future__ import annotations
@@ -54,17 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_rows
 from .errors import InputError
-from .estimators import (
-    _guard,
-    _target,
-    iteration_ladder,
-    lambda_ladder,
-    tsvd_ladder,
-)
-from .filters import FilterSpec, IteratedTikhonov, ladder_coefficients, two_term_iterates
-from .kernels import KernelSpec, NormalizedGram, gram_matrix, normalize_gram
+from .estimators import _guard, _target, tsvd_ladder
+from .filters import SKMSE, FilterSpec, IteratedTikhonov, ladder_coefficients, two_term_iterates
+from .kernels import NormalizedGram
 
 #: Doubles the resolvent scorer stacks per chunk of grid points, g n (n + t):
 #: stacking the whole grid raised peak memory and ran slower at n = 50.
@@ -85,8 +79,18 @@ def _argmin_first(scores: np.ndarray) -> int:
     return int(np.argmin(scores))
 
 
-def _sample_size(points: Dataset | np.ndarray, kbar: NormalizedGram | None) -> int:
-    return kbar.n if kbar is not None else as_rows(points).shape[0]
+def _check_loocv(kbar: NormalizedGram, ladder) -> None:
+    if kbar.n < 3:
+        raise InputError("LOOCV needs at least three points")
+    if len(ladder) == 0:
+        raise InputError("LOOCV needs at least one candidate")
+
+
+def _loocv_result(ladder, params, scores: np.ndarray) -> SelectionResult:
+    path = [(float(p), float(s)) for p, s in zip(params, scores)]
+    return SelectionResult(
+        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind="LOOCV"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,32 +155,12 @@ def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     return np.array(scores) / kbar.n
 
 
-def loocv_select_iterations(
-    points: Dataset | np.ndarray,
-    spec: KernelSpec,
-    algo: str,
-    t_max: int,
-    nu: float = 1.0,
-    kbar: NormalizedGram | None = None,
-) -> SelectionResult:
-    """Pick the iteration count for a gradient-type filter by LOOCV.
-
-    ``kbar`` is K/n of ``points`` under ``spec``; it is built when not given.
-    The step is 1/kappa^2 of ``kbar``.
-    """
-    n = _sample_size(points, kbar)
-    if n < 3:
-        raise InputError("LOOCV needs at least three points")
-    # every candidate must be valid, checked before any work
-    kappa_sq = spec.kappa_sq if kbar is None else kbar.kappa_sq
-    ladder = iteration_ladder(algo, t_max, nu, kappa_sq)
-    if kbar is None:
-        kbar = normalize_gram(gram_matrix(points, spec))
-    scores = _iteration_scores(kbar, ladder)
-    path = [(float(t + 1), float(s)) for t, s in enumerate(scores)]
-    return SelectionResult(
-        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind="LOOCV"
-    )
+def loocv_select_iterations(kbar: NormalizedGram, ladder) -> SelectionResult:
+    """Pick the iteration count of a Landweber or nu-method ladder, which holds
+    t = 1, 2, ... in order, by LOOCV on K/n ``kbar``."""
+    _check_loocv(kbar, ladder)
+    iters = [spec.iters for spec in ladder]
+    return _loocv_result(ladder, iters, _iteration_scores(kbar, ladder))
 
 
 def _skmse_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
@@ -245,31 +229,12 @@ def _resolvent_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     return scores / n
 
 
-def loocv_select_lambda(
-    points: Dataset | np.ndarray,
-    spec: KernelSpec,
-    lambda_grid,
-    family: str = "tikhonov",
-    itik_iters: int = 3,
-    kbar: NormalizedGram | None = None,
-) -> SelectionResult:
-    """LOOCV over a lambda grid, all folds from one eigendecomposition.
-
-    ``kbar`` is K/n of ``points`` under ``spec``; it is built when not given.
-    """
-    n = _sample_size(points, kbar)
-    if n < 3:
-        raise InputError("LOOCV needs at least three points")
-    grid = np.asarray(lambda_grid, dtype=float)
-    # every grid value must make a valid filter, checked before any work
-    ladder = lambda_ladder(family, grid, itik_iters)
-    if kbar is None:
-        kbar = normalize_gram(gram_matrix(points, spec))
-    scores = (_skmse_scores if family == "skmse" else _resolvent_scores)(kbar, ladder)
-    path = [(float(lam), float(s)) for lam, s in zip(grid, scores)]
-    return SelectionResult(
-        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind="LOOCV"
-    )
+def loocv_select_lambda(kbar: NormalizedGram, ladder) -> SelectionResult:
+    """Pick the lambda of an S-KMSE, Tikhonov or iterated-Tikhonov ladder by
+    LOOCV on K/n ``kbar``, all folds from one eigendecomposition."""
+    _check_loocv(kbar, ladder)
+    scorer = _skmse_scores if isinstance(ladder[0], SKMSE) else _resolvent_scores
+    return _loocv_result(ladder, [spec.lam for spec in ladder], scorer(kbar, ladder))
 
 
 def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:

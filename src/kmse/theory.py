@@ -201,6 +201,8 @@ class RateExperimentConfig:
             raise InputError("need at least two grid points to fit a slope")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InputError("n_grid must be strictly increasing")
+        if grid[0] < 1:
+            raise InputError(f"sample sizes must be at least 1, got {grid[0]}")
         if self.kernel not in ("linear", "rbf"):
             raise InputError("kernel must be 'linear' or 'rbf'")
         object.__setattr__(self, "n_grid", grid)

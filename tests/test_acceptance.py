@@ -371,9 +371,8 @@ def _density_seed_trial(seed, n_train=50, n_test=1000):
     sigma_sq = median_heuristic_bandwidth(train.rows)
     kspec = GaussianRBF(sigma_sq)
     kbar = normalize_gram(gram_matrix(train.rows, kspec))
-    chosen = loocv_select_lambda(
-        train.rows, kspec, np.geomspace(1e-6, 1e2, 30), family="tikhonov"
-    ).chosen
+    ladder = tuple(Tikhonov(float(lam)) for lam in np.geomspace(1e-6, 1e2, 30))
+    chosen = loocv_select_lambda(kbar, ladder).chosen
     config = KmmFitConfig(seed=seed, restarts=20, max_iters=800)
     model_tik = kmm_fit(train.rows, spectral_weights(kbar, chosen), 2, sigma_sq, config)
     model_kme = kmm_fit(train.rows, empirical_kme_weights(n_train), 2, sigma_sq, config)

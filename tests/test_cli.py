@@ -89,7 +89,7 @@ class TestEstimateCommand:
         assert f"selection {rule!r} is not available for {name}" in capsys.readouterr().err
 
     def test_kme_builds_no_gram_matrix(self, tmp_path, monkeypatch):
-        from kmse import kernels, risk, selection
+        from kmse import kernels, risk
 
         calls = []
 
@@ -97,8 +97,7 @@ class TestEstimateCommand:
             calls.append(args)
             return kernels.gram_matrix(*args, **kwargs)
 
-        for module in (risk, selection):
-            monkeypatch.setattr(module, "gram_matrix", counting)
+        monkeypatch.setattr(risk, "gram_matrix", counting)
         data = tmp_path / "data.csv"
         out = tmp_path / "weights.json"
         write_sample_csv(data)
@@ -262,6 +261,12 @@ class TestRatesCommand:
             rows = list(csv.reader(handle))
         assert rows[0] == ["n", "risk", "stderr", "kme_risk"]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("grid,value", [("0,10", "0"), ("-5,10", "-5")])
+    def test_sample_size_below_one_exits_one(self, capsys, grid, value):
+        assert main(["rates", "--kernel", "linear", f"--n-grid={grid}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"got {value}" in err
 
 
 class TestAdmissibilityCommand:

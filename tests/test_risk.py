@@ -123,6 +123,16 @@ class TestMixtureMeanInners:
         with pytest.raises(InputError, match="sigma_sq must be positive"):
             mixture_mean_inners(np.zeros((2, 1)), point_mass([0.0], 1), sigma_sq)
 
+    def test_unfolded_noise_rejected(self):
+        # the noise widens every component; ignoring it gave a z that disagreed
+        # with ||mu_P||^2 (0.005281 against 0.005505 at x = 0 here)
+        params = draw_mixture_params(2, RngStream(1, 0))
+        assert params.noise_var > 0
+        with pytest.raises(InputError, match="fold the noise"):
+            mixture_mean_inners(np.zeros((1, 2)), params, 1.0)
+        z = mixture_mean_inners(np.zeros((1, 2)), effective_components(params), 1.0)
+        np.testing.assert_allclose(z, 0.005505, rtol=1e-3)
+
 
 class TestMixtureMeanSqNorm:
     def test_point_mass_norm_is_one(self):
@@ -384,7 +394,7 @@ class TestSharedReplication:
         assert len(calls) == (m if redraw else 1)
 
     def test_one_gram_and_one_eigendecomposition_per_replication(self, monkeypatch):
-        from kmse import kernels, risk, selection
+        from kmse import kernels, risk
 
         calls = {"gram": 0, "eigh": 0}
 
@@ -395,9 +405,7 @@ class TestSharedReplication:
 
             return wrapper
 
-        gram = counted("gram", kernels.gram_matrix)
-        for module in (risk, selection):
-            monkeypatch.setattr(module, "gram_matrix", gram)
+        monkeypatch.setattr(risk, "gram_matrix", counted("gram", kernels.gram_matrix))
         monkeypatch.setattr(
             kernels, "sym_eigendecompose", counted("eigh", kernels.sym_eigendecompose)
         )
@@ -462,6 +470,11 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
         "tikhonov": lambda lam: spectral_weights(kbar, Tikhonov(lam)),
         "itik": lambda lam: iterated_tikhonov_weights(kbar, config.itik_iters, lam),
     }
+    lambda_spec = {
+        "skmse": SKMSE,
+        "tikhonov": Tikhonov,
+        "itik": lambda lam: IteratedTikhonov(config.itik_iters, lam),
+    }
     eta = 1.0 / kbar.kappa_sq
     if name == "kme":
         return empirical_kme_weights(n)
@@ -469,28 +482,26 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
         if rule == "none":
             return lambda_fit[name](config.lam)
         if rule == "loocv":
-            chosen = loocv_select_lambda(
-                X, kspec, config.lambda_grid, family=name,
-                itik_iters=config.itik_iters, kbar=kbar,
-            ).chosen
-            return lambda_fit[name](chosen.lam)
+            ladder = tuple(lambda_spec[name](float(lam)) for lam in config.lambda_grid)
+            return lambda_fit[name](loocv_select_lambda(kbar, ladder).chosen.lam)
         return _oracle_argmin([lambda_fit[name](float(lam)) for lam in config.lambda_grid],
                               oracle_loss)
     if name in ("landweber", "nu"):
+        counts = range(1, config.t_max + 1)
+        if name == "landweber":
+            specs = [Landweber(t, eta) for t in counts]
+        else:
+            specs = [NuMethod(t, config.nu, eta) for t in counts]
         if rule == "none":
             t = config.iters
         elif rule == "loocv":
-            t = loocv_select_iterations(
-                X, kspec, name, config.t_max, nu=config.nu, kbar=kbar
-            ).chosen.iters
+            t = loocv_select_iterations(kbar, tuple(specs)).chosen.iters
         else:
             values = kbar.matrix.values
             if name == "landweber":
                 path = landweber_path(values, config.t_max, eta)
-                specs = [Landweber(t, eta) for t in range(1, config.t_max + 1)]
             else:
                 path = nu_method_path(values, config.t_max, config.nu, eta)
-                specs = [NuMethod(t, config.nu, eta) for t in range(1, config.t_max + 1)]
             return _oracle_argmin(
                 [WeightVector(row, name, spec) for row, spec in zip(path, specs)],
                 oracle_loss,

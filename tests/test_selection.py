@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmse import kernels, selection
+from kmse import kernels, risk
 from kmse.errors import ConfigurationError, InputError
-from kmse.estimators import landweber_path, nu_method_path, spectral_weights
-from kmse.filters import TSVD, IteratedTikhonov, Tikhonov, default_lambda_grid, retention_values
+from kmse.estimators import landweber_path, nu_method_path
+from kmse.filters import (
+    SKMSE,
+    IteratedTikhonov,
+    Landweber,
+    NuMethod,
+    Tikhonov,
+    default_lambda_grid,
+    retention_values,
+)
 from kmse.kernels import (
     GaussianRBF,
     NormalizedGram,
@@ -34,16 +42,46 @@ def rbf_spec(rows):
     return GaussianRBF(median_heuristic_bandwidth(rows))
 
 
+def kbar_of(rows, spec=None):
+    return normalize_gram(gram_matrix(rows, rbf_spec(rows) if spec is None else spec))
+
+
+def iteration_ladder(kbar, family, t_max):
+    """Landweber or nu-method (nu = 1) candidates t = 1..t_max at step 1/kappa^2."""
+    eta = 1.0 / kbar.kappa_sq
+    if family == "landweber":
+        return tuple(Landweber(t, eta) for t in range(1, t_max + 1))
+    return tuple(NuMethod(t, 1.0, eta) for t in range(1, t_max + 1))
+
+
+def lambda_ladder(family, grid, itik_iters=3):
+    """One S-KMSE, Tikhonov or iterated-Tikhonov candidate per grid value."""
+    if family == "skmse":
+        return tuple(SKMSE(float(lam)) for lam in grid)
+    if family == "tikhonov":
+        return tuple(Tikhonov(float(lam)) for lam in grid)
+    return tuple(IteratedTikhonov(itik_iters, float(lam)) for lam in grid)
+
+
+def select_iterations(rows, family, t_max, spec=None):
+    kbar = kbar_of(rows, spec)
+    return loocv_select_iterations(kbar, iteration_ladder(kbar, family, t_max))
+
+
+def select_lambda(rows, family, grid, itik_iters=3):
+    return loocv_select_lambda(kbar_of(rows), lambda_ladder(family, grid, itik_iters))
+
+
 class TestLoocvIterations:
     def test_single_candidate(self):
         rows = sample_rows()
-        result = loocv_select_iterations(rows, rbf_spec(rows), "landweber", 1)
+        result = select_iterations(rows, "landweber", 1)
         assert result.chosen.iters == 1
         assert result.score_kind == "LOOCV"
 
     def test_chosen_attains_minimum(self):
         rows = sample_rows(1)
-        result = loocv_select_iterations(rows, rbf_spec(rows), "landweber", 25)
+        result = select_iterations(rows, "landweber", 25)
         scores = np.array([s for _, s in result.score_path])
         params = [t for t, _ in result.score_path]
         assert result.chosen.iters == params[int(np.argmin(scores))]
@@ -53,7 +91,7 @@ class TestLoocvIterations:
         # gradient iterates approach the uniform fixed point, so successive
         # score differences shrink toward zero
         rows = sample_rows(2, n=15)
-        result = loocv_select_iterations(rows, rbf_spec(rows), "landweber", 80)
+        result = select_iterations(rows, "landweber", 80)
         scores = np.array([s for _, s in result.score_path])
         diffs = np.abs(np.diff(scores))
         assert diffs[-1] < 1e-3 * diffs[0]
@@ -63,41 +101,37 @@ class TestLoocvIterations:
         rows = sample_rows(3, n=12)
         spec = rbf_spec(rows)
         perm = np.random.default_rng(0).permutation(12)
-        a = loocv_select_iterations(rows, spec, "nu", 10)
-        b = loocv_select_iterations(rows[perm], spec, "nu", 10)
+        a = select_iterations(rows, "nu", 10, spec)
+        b = select_iterations(rows[perm], "nu", 10, spec)
         sa = np.array([s for _, s in a.score_path])
         sb = np.array([s for _, s in b.score_path])
         np.testing.assert_allclose(sa, sb, rtol=1e-9)
 
     def test_needs_three_points(self):
         with pytest.raises(InputError):
-            loocv_select_iterations(np.eye(2), GaussianRBF(1.0), "landweber", 5)
-
-    def test_unknown_algo(self):
-        with pytest.raises(InputError):
-            loocv_select_iterations(sample_rows(), GaussianRBF(1.0), "ridge", 5)
+            select_iterations(np.eye(2), "landweber", 5, GaussianRBF(1.0))
 
     @pytest.mark.parametrize("algo,t_max", [("ridge", 5), ("landweber", 0), ("nu", 0)])
     def test_invalid_ladder_rejected_before_any_work(self, algo, t_max, monkeypatch):
-        def no_gram(*args, **kwargs):
-            raise AssertionError("Gram matrix built before the ladder was checked")
-
-        monkeypatch.setattr(selection, "gram_matrix", no_gram)
+        monkeypatch.setattr(risk, "loocv_select_iterations", no_selection)
         rows = sample_rows()
         with pytest.raises(InputError):
-            loocv_select_iterations(rows, rbf_spec(rows), algo, t_max)
+            config = risk.EstimatorConfig(algo, selection="loocv", t_max=t_max)
+            risk.fit_weights(config, rows, rbf_spec(rows))
 
     @pytest.mark.parametrize("nu", [-0.25, -1.0, 0.0])
-    def test_non_positive_nu_rejected(self, nu):
+    def test_non_positive_nu_rejected(self, nu, monkeypatch):
+        monkeypatch.setattr(risk, "loocv_select_iterations", no_selection)
         rows = sample_rows()
+        config = risk.EstimatorConfig("nu", selection="loocv", t_max=5, nu=nu)
         with pytest.raises(InputError, match="nu must be positive"):
-            loocv_select_iterations(rows, rbf_spec(rows), "nu", 5, nu=nu)
+            risk.fit_weights(config, rows, rbf_spec(rows))
 
 
 class TestLoocvLambda:
     def test_single_value_grid(self):
         rows = sample_rows(4)
-        result = loocv_select_lambda(rows, rbf_spec(rows), [0.3], family="tikhonov")
+        result = select_lambda(rows, "tikhonov", [0.3])
         assert result.chosen == Tikhonov(0.3)
 
     def test_interior_minimizer_common(self):
@@ -105,7 +139,7 @@ class TestLoocvLambda:
         hits = 0
         for seed in range(10):
             rows = sample_rows(seed, n=25, d=6)
-            result = loocv_select_lambda(rows, rbf_spec(rows), grid, family="tikhonov")
+            result = select_lambda(rows, "tikhonov", grid)
             lam = result.chosen.lam
             hits += grid[0] < lam < grid[-1]
         assert hits >= 8
@@ -113,34 +147,50 @@ class TestLoocvLambda:
     def test_duplicate_rows_tolerated(self):
         rows = sample_rows(5, n=10)
         rows = np.vstack([rows, rows[:3]])
-        result = loocv_select_lambda(rows, rbf_spec(rows), [0.1, 1.0], family="tikhonov")
+        result = select_lambda(rows, "tikhonov", [0.1, 1.0])
         assert result.chosen.lam in (0.1, 1.0)
 
     @pytest.mark.parametrize("family", ["skmse", "tikhonov", "itik"])
     def test_invalid_grid_value_rejected_before_any_work(self, family, monkeypatch):
         # -0.5 scores worse than 0.5 here; it must be rejected all the same
-        def no_gram(*args, **kwargs):
-            raise AssertionError("Gram matrix built before the grid was checked")
-
-        monkeypatch.setattr(selection, "gram_matrix", no_gram)
+        monkeypatch.setattr(risk, "loocv_select_lambda", no_selection)
         rows = sample_rows(8, n=10)
+        config = risk.EstimatorConfig(family, selection="loocv", lambda_grid=(-0.5, 0.5, 2.0))
         with pytest.raises(InputError, match="lambda must be"):
-            loocv_select_lambda(rows, rbf_spec(rows), [-0.5, 0.5, 2.0], family=family)
+            risk.fit_weights(config, rows, rbf_spec(rows))
 
     def test_skmse_family_selects(self):
         rows = sample_rows(6)
-        result = loocv_select_lambda(
-            rows, rbf_spec(rows), np.geomspace(1e-4, 10, 10), family="skmse"
-        )
+        result = select_lambda(rows, "skmse", np.geomspace(1e-4, 10, 10))
         scores = [s for _, s in result.score_path]
         assert result.chosen.lam == result.score_path[int(np.argmin(scores))][0]
 
     def test_itik_family_keeps_iteration_count(self):
         rows = sample_rows(7)
-        result = loocv_select_lambda(
-            rows, rbf_spec(rows), [0.01, 0.1], family="itik", itik_iters=3
-        )
+        result = select_lambda(rows, "itik", [0.01, 0.1], itik_iters=3)
         assert result.chosen.iters == 3
+
+
+def no_selection(*args):
+    raise AssertionError("LOOCV ran before the ladder was checked")
+
+
+class TestSelectorInputs:
+    SELECTORS = [
+        (loocv_select_lambda, (Tikhonov(0.1), Tikhonov(1.0))),
+        (loocv_select_iterations, (Landweber(1, 1.0), Landweber(2, 1.0))),
+    ]
+
+    @pytest.mark.parametrize("select,ladder", SELECTORS)
+    def test_empty_ladder_rejected(self, select, ladder):
+        with pytest.raises(InputError, match="at least one candidate"):
+            select(kbar_of(sample_rows()), ladder[:0])
+
+    @pytest.mark.parametrize("select,ladder", SELECTORS)
+    def test_needs_three_points(self, select, ladder):
+        kbar = kbar_of(sample_rows(n=2))
+        with pytest.raises(InputError, match="at least three points"):
+            select(kbar, ladder)
 
 
 def brute_force_iteration_scores(K, algo, t_max, eta, nu=1.0):
@@ -208,13 +258,12 @@ def assert_scores_match(fast, brute, K):
 FAMILIES = ("skmse", "tikhonov", "itik", "landweber", "nu")
 
 
-def loocv_scores(rows, spec, family, grid, itik_iters, t_max, kbar=None):
+def loocv_scores(rows, spec, family, grid, itik_iters, t_max):
+    kbar = kbar_of(rows, spec)
     if family in ("landweber", "nu"):
-        result = loocv_select_iterations(rows, spec, family, t_max, kbar=kbar)
+        result = loocv_select_iterations(kbar, iteration_ladder(kbar, family, t_max))
     else:
-        result = loocv_select_lambda(
-            rows, spec, grid, family=family, itik_iters=itik_iters, kbar=kbar
-        )
+        result = loocv_select_lambda(kbar, lambda_ladder(family, grid, itik_iters))
     return path_scores(result)
 
 
@@ -286,11 +335,10 @@ class TestLoocvMatchesPerFoldRefit:
         spec = rbf_spec(rows)
         kbar = normalize_gram(gram_matrix(rows, spec))
         kbar.spectrum  # cached before tracing, as every caller has it
+        ladder = lambda_ladder("itik", default_lambda_grid(), itik_iters=50)
         tracemalloc.start()
         try:
-            loocv_select_lambda(
-                rows, spec, default_lambda_grid(), family="itik", itik_iters=50, kbar=kbar
-            )
+            loocv_select_lambda(kbar, ladder)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,13 +346,16 @@ class TestLoocvMatchesPerFoldRefit:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_given_kbar_equals_built_kbar(self, family):
+        # fit_weights builds K/n when it is not given; LOOCV then picks the same
         rows = sample_rows(12, n=18)
         spec = rbf_spec(rows)
-        kbar = normalize_gram(gram_matrix(rows, spec))
-        grid = np.geomspace(1e-4, 10.0, 7)
-        built = loocv_scores(rows, spec, family, grid, 3, 20)
-        given_kbar = loocv_scores(rows, spec, family, grid, 3, 20, kbar=kbar)
-        np.testing.assert_array_equal(built, given_kbar)
+        config = risk.EstimatorConfig(
+            family, selection="loocv", t_max=20, lambda_grid=tuple(np.geomspace(1e-4, 10.0, 7))
+        )
+        built = risk.fit_weights(config, rows, spec)
+        given = risk.fit_weights(config, rows, spec, kbar_of(rows, spec))
+        np.testing.assert_array_equal(built.weights, given.weights)
+        assert built.shrinkage == given.shrinkage
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_eigendecomposition_for_all_folds(self, family, monkeypatch):
@@ -326,7 +377,7 @@ class TestLoocvMatchesPerFoldRefit:
         K = gram_matrix(rows, rbf_spec(rows)).raw.values
         kbar = NormalizedGram(SymMatrix(K / 12), kappa_sq=0.05)
         with pytest.raises(ConfigurationError, match="diverged"):
-            loocv_select_iterations(rows, rbf_spec(rows), algo, 50, kbar=kbar)
+            loocv_select_iterations(kbar, iteration_ladder(kbar, algo, 50))
 
 
 class TestGcvTsvd:

@@ -211,6 +211,8 @@ class TestRateExperiment:
             RateExperimentConfig(c=1.0, smoothness_exponent=1.0, n_grid=(10,))
         with pytest.raises(InputError):
             RateExperimentConfig(c=1.0, smoothness_exponent=1.0, n_grid=(10, 10))
+        with pytest.raises(InputError, match="at least 1, got 0"):
+            RateExperimentConfig(c=1.0, smoothness_exponent=1.0, n_grid=(0, 10))
 
     def test_monte_carlo_path_runs(self):
         config = RateExperimentConfig(

@@ -66,6 +66,12 @@ def test_install_wraps_every_layer_and_uninstall_restores():
         (["--filter", "tsvd", "--select", "gcv"],
          {"risk.fit.tsvd", "selection.gcv", "estimators.apply", "linalg.eigh"}),
         (["--filter", "itik"], {"risk.fit.itik", "estimators.apply", "linalg.spd"}),
+        (["--filter", "skmse", "--select", "loocv"],
+         {"risk.fit.skmse", "selection.loocv", "estimators.apply"}),
+        (["--filter", "itik", "--select", "loocv"],
+         {"risk.fit.itik", "selection.loocv", "estimators.apply", "linalg.eigh"}),
+        (["--filter", "landweber", "--select", "loocv"],
+         {"risk.fit.landweber", "selection.loocv", "estimators.apply"}),
     ],
 )
 def test_fits_are_seen_by_their_layers(tmp_path, flags, spans):
