@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 
 from .data import Dataset, as_rows
 from .errors import ConvergenceError, InputError
-from .estimators import WeightVector
+from .estimators import WeightVector, _rows_and_weights
 from .kernels import GaussianRBF, cross_kernel
 from .synthetic import RngStream, as_generator
 
@@ -206,24 +206,6 @@ def _value_and_grad(
 
     grad = np.concatenate([dlogits, drho, grad_theta.ravel()])
     return value, grad
-
-
-def _rows_and_weights(
-    X: Dataset | np.ndarray, target_beta: WeightVector | np.ndarray, d: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sample's rows and one weight per row; the rows must have dimension
-    ``d`` when it is given."""
-    rows = as_rows(X)
-    beta = (
-        target_beta.weights
-        if isinstance(target_beta, WeightVector)
-        else np.asarray(target_beta, float)
-    )
-    if beta.shape != (rows.shape[0],):
-        raise InputError(f"weights of shape {beta.shape} for {rows.shape[0]} points")
-    if d is not None and d != rows.shape[1]:
-        raise InputError(f"model dimension {d} != data dimension {rows.shape[1]}")
-    return rows, beta
 
 
 def kmm_objective(

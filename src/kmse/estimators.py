@@ -269,6 +269,20 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     return spectral_weights(kbar, spec)
 
 
+def _rows_and_weights(
+    X: Dataset | np.ndarray, beta: WeightVector | np.ndarray, d: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sample's rows and one weight per row; the rows must have dimension
+    ``d`` when it is given."""
+    rows = as_rows(X)
+    weights = beta.weights if isinstance(beta, WeightVector) else np.asarray(beta, float)
+    if weights.shape != (rows.shape[0],):
+        raise InputError(f"weights of shape {weights.shape} for {rows.shape[0]} points")
+    if d is not None and d != rows.shape[1]:
+        raise InputError(f"model dimension {d} != data dimension {rows.shape[1]}")
+    return rows, weights
+
+
 def evaluate_estimate(
     points: Dataset | np.ndarray,
     beta: WeightVector | np.ndarray,
@@ -276,12 +290,7 @@ def evaluate_estimate(
     query: np.ndarray,
 ) -> float:
     """Evaluate Sum_i beta_i k(x_i, query)."""
-    rows = as_rows(points)
-    weights = beta.weights if isinstance(beta, WeightVector) else np.asarray(beta, float)
-    if weights.shape[0] != rows.shape[0]:
-        raise InputError(
-            f"{weights.shape[0]} weights for {rows.shape[0]} points"
-        )
+    rows, weights = _rows_and_weights(points, beta)
     q = np.asarray(query, dtype=float).reshape(1, -1)
     if q.shape[1] != rows.shape[1]:
         raise InputError(f"query dimension {q.shape[1]} != data dimension {rows.shape[1]}")

@@ -27,7 +27,7 @@ gamma = 0 (where every residual equals 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,13 +44,23 @@ def default_lambda_grid(num: int = LAMBDA_GRID_POINTS) -> np.ndarray:
     return np.geomspace(LAMBDA_GRID_MIN, LAMBDA_GRID_MAX, num)
 
 
+def _check_finite(spec) -> None:
+    """Reject an infinite parameter of a filter spec; its positivity checks
+    have already refused nan."""
+    for item in fields(spec):
+        value = getattr(spec, item.name)
+        if not isinstance(value, int) and not math.isfinite(value):
+            raise InputError(f"{type(spec).__name__} {item.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Tikhonov:
     lam: float
 
     def __post_init__(self):
         if not self.lam > 0:
-            raise InputError("Tikhonov lambda must be positive")
+            raise InputError(f"Tikhonov lambda must be positive, got {self.lam}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,8 @@ class Landweber:
         if not (isinstance(self.iters, int) and self.iters >= 1):
             raise InputError("Landweber iteration count must be a positive integer")
         if not self.eta > 0:
-            raise InputError("Landweber step size must be positive")
+            raise InputError(f"Landweber step size must be positive, got {self.eta}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -78,9 +89,10 @@ class NuMethod:
         if not (isinstance(self.iters, int) and self.iters >= 1):
             raise InputError("NuMethod iteration count must be a positive integer")
         if not self.nu > 0:
-            raise InputError("nu must be positive")
+            raise InputError(f"nu must be positive, got {self.nu}")
         if not self.eta_bar > 0:
-            raise InputError("eta_bar must be positive")
+            raise InputError(f"eta_bar must be positive, got {self.eta_bar}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,8 @@ class IteratedTikhonov:
         if not (isinstance(self.iters, int) and self.iters >= 1):
             raise InputError("IteratedTikhonov iteration count must be a positive integer")
         if not self.lam > 0:
-            raise InputError("IteratedTikhonov lambda must be positive")
+            raise InputError(f"IteratedTikhonov lambda must be positive, got {self.lam}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -101,7 +114,8 @@ class TSVD:
 
     def __post_init__(self):
         if not self.threshold > 0:
-            raise InputError("TSVD threshold must be positive")
+            raise InputError(f"TSVD threshold must be positive, got {self.threshold}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,7 @@ class SKMSE:
     def __post_init__(self):
         if not self.lam >= 0:
             raise InputError(f"SKMSE lambda must be non-negative, got {self.lam}")
+        _check_finite(self)
 
 
 FilterSpec = Tikhonov | Landweber | NuMethod | IteratedTikhonov | TSVD | SKMSE

@@ -33,14 +33,9 @@ import numpy as np
 
 from .data import as_rows
 from .errors import InputError, KmseError, ReplicationError
-from .estimators import (
-    ESTIMATORS,
-    WeightVector,
-    empirical_kme_weights,
-    fit_spec,
-    two_term_path,
-)
-from .filters import FilterSpec, Landweber, NuMethod, default_lambda_grid, ladder_coefficients
+from .estimators import ESTIMATORS, WeightVector, _rows_and_weights, empirical_kme_weights
+from .estimators import fit_spec
+from .filters import default_lambda_grid
 from .kernels import (
     GaussianRBF,
     KernelSpec,
@@ -49,11 +44,7 @@ from .kernels import (
     median_heuristic_bandwidth,
     normalize_gram,
 )
-from .selection import (
-    gcv_select_tsvd,
-    loocv_select_iterations,
-    loocv_select_lambda,
-)
+from .selection import select
 from .synthetic import (
     MixtureParams,
     RngStream,
@@ -136,10 +127,7 @@ def loss(
     """Squared RKHS distance between the weighted estimate and the mean of P."""
     if not isinstance(spec, GaussianRBF):
         raise InputError("the analytic loss requires the Gaussian RBF kernel")
-    rows = as_rows(X)
-    w = beta.weights if isinstance(beta, WeightVector) else np.asarray(beta, float)
-    if w.shape[0] != rows.shape[0]:
-        raise InputError(f"{w.shape[0]} weights for {rows.shape[0]} points")
+    rows, w = _rows_and_weights(X, beta)
     K = gram_matrix(rows, spec).raw.values
     z = mixture_mean_inners(rows, params, spec.bandwidth_sq)
     return float(w @ K @ w - 2.0 * (w @ z) + mixture_mean_sq_norm(params, spec.bandwidth_sq))
@@ -220,11 +208,11 @@ def fit_weights(
 ) -> WeightVector:
     """Fit one estimator on a sample, running its parameter selection.
 
-    "none" fits the estimator's ``fixed`` spec and "gcv" the TSVD level
-    ``gcv_select_tsvd`` picks; "oracle" and "loocv" score the estimator's
-    ``ladder``, built once, and pick an entry of it. ``estimators.fit_spec``
-    turns the spec into weights. ``kbar`` is K/n of ``X`` under ``kspec``; it
-    is built when not given (kme's uniform weights need neither).
+    "none" fits the estimator's ``fixed`` spec; any other rule has
+    ``selection.select`` pick an entry of its ``ladder`` (``oracle_loss`` is
+    the "oracle" rule's true loss). ``estimators.fit_spec`` turns the spec into
+    weights. ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not
+    given (kme's uniform weights need neither).
     """
     kind = ESTIMATORS[config.name]
     if kind.spec_type is None:
@@ -234,31 +222,9 @@ def fit_weights(
     selection = config.resolved_selection()
     if selection == "none":
         spec = kind.fixed(config, kbar.kappa_sq)
-    elif selection == "gcv":
-        spec = gcv_select_tsvd(kbar).chosen
     else:
-        ladder = kind.ladder(config, kbar)
-        iterative = isinstance(ladder[0], (Landweber, NuMethod))
-        if selection == "oracle":
-            spec = ladder[_oracle_index(kbar, ladder, iterative, oracle_loss)]
-        else:  # the selector is looked up per call, so a wrapped binding is seen
-            select = loocv_select_iterations if iterative else loocv_select_lambda
-            spec = select(kbar, ladder).chosen
+        spec = select(selection, kbar, kind.ladder(config, kbar), oracle_loss).chosen
     return fit_spec(kbar, spec)
-
-
-def _oracle_index(
-    kbar: NormalizedGram, ladder: tuple[FilterSpec, ...], iterative: bool, oracle_loss
-) -> int:
-    """Index of the ladder spec whose weights have the smallest true loss;
-    one path holds every count of an ``iterative`` ladder."""
-    if oracle_loss is None:
-        raise InputError("oracle selection needs a loss callback")
-    if iterative:
-        candidates = two_term_path(kbar.matrix.values, ladder_coefficients(ladder))
-    else:
-        candidates = (fit_spec(kbar, spec).weights for spec in ladder)
-    return int(np.argmin([oracle_loss(w) for w in candidates]))
 
 
 def _worker_count() -> int:

@@ -43,10 +43,10 @@ The work is one eigendecomposition plus O(n^2) per iteration or grid point
 Iterative methods are scored along their whole iteration path (the path
 comes for free); lambda methods are scored on a grid. TSVD truncation levels
 are picked by GCV on the projection residual. Ties always break toward the
-smaller parameter. Every selector scores, and chooses from, the estimator's
-candidate ladder, the list its ``estimators.ESTIMATORS`` row builds and the
-oracle rule also uses: the LOOCV selectors take it with K/n as
-``(kbar, ladder)``, and GCV reads ``estimators.tsvd_ladder(kbar)``.
+smaller parameter. The oracle rule, where the true loss is known, keeps the
+candidate of least loss. Every selector takes K/n and the candidate ladder its
+``estimators.ESTIMATORS`` row builds as ``(kbar, ladder)`` and chooses from
+that ladder; ``select`` names the selector of each rule.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import _guard, _target, tsvd_ladder
-from .filters import SKMSE, FilterSpec, IteratedTikhonov, ladder_coefficients, two_term_iterates
+from .estimators import _guard, _target, fit_spec, two_term_path
+from .filters import SKMSE, FilterSpec, IteratedTikhonov, Landweber, NuMethod
+from .filters import ladder_coefficients, two_term_iterates
 from .kernels import NormalizedGram
 
 #: Doubles the resolvent scorer stacks per chunk of grid points, g n (n + t):
@@ -86,10 +87,10 @@ def _check_loocv(kbar: NormalizedGram, ladder) -> None:
         raise InputError("LOOCV needs at least one candidate")
 
 
-def _loocv_result(ladder, params, scores: np.ndarray) -> SelectionResult:
+def _result(ladder, params, scores: np.ndarray, kind: str) -> SelectionResult:
     path = [(float(p), float(s)) for p, s in zip(params, scores)]
     return SelectionResult(
-        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind="LOOCV"
+        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind=kind
     )
 
 
@@ -160,7 +161,7 @@ def loocv_select_iterations(kbar: NormalizedGram, ladder) -> SelectionResult:
     t = 1, 2, ... in order, by LOOCV on K/n ``kbar``."""
     _check_loocv(kbar, ladder)
     iters = [spec.iters for spec in ladder]
-    return _loocv_result(ladder, iters, _iteration_scores(kbar, ladder))
+    return _result(ladder, iters, _iteration_scores(kbar, ladder), "LOOCV")
 
 
 def _skmse_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
@@ -234,21 +235,22 @@ def loocv_select_lambda(kbar: NormalizedGram, ladder) -> SelectionResult:
     LOOCV on K/n ``kbar``, all folds from one eigendecomposition."""
     _check_loocv(kbar, ladder)
     scorer = _skmse_scores if isinstance(ladder[0], SKMSE) else _resolvent_scores
-    return _loocv_result(ladder, [spec.lam for spec in ladder], scorer(kbar, ladder))
+    return _result(ladder, [spec.lam for spec in ladder], scorer(kbar, ladder), "LOOCV")
 
 
-def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
+def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
     """Pick the TSVD truncation level by generalized cross-validation.
 
     With H_m the projector onto the top-m eigenvectors of Kbar,
     GCV(m) = ||(I - H_m) Kbar 1_n||^2 / (1 - m/n)^2; GCV(n) is +inf by
     definition. Levels whose eigenvalue is zero are not valid thresholds
-    and are excluded. Returns the threshold gamma_m of the argmin.
+    and are excluded. Returns the ``ladder`` entry at gamma_m of the argmin.
     """
     n = kbar.n
     if n < 2:
         raise InputError("GCV needs at least two points")
-    ladder = tsvd_ladder(kbar)
+    if len(ladder) == 0:
+        raise InputError("GCV needs at least one candidate")
     eig = kbar.spectrum
     gammas = np.clip(eig.eigenvalues, 0.0, None)
     coeff = eig.eigenvectors.T @ _target(kbar.matrix.values)
@@ -269,3 +271,34 @@ def gcv_select_tsvd(kbar: NormalizedGram) -> SelectionResult:
     chosen = ladder[thresholds.index(float(gammas[m_star - 1]))]
     path = [(float(m), float(s)) for m, s in zip(levels, scores_arr)]
     return SelectionResult(chosen=chosen, score_path=path, score_kind="GCV")
+
+
+def oracle_select(kbar: NormalizedGram, ladder, loss) -> SelectionResult:
+    """Pick the ladder entry whose weights on K/n ``kbar`` have the smallest
+    true loss ``loss(weights)``; the path holds (index, loss) per entry. One
+    two-term path fits every count of a Landweber or nu-method ladder."""
+    if loss is None:
+        raise InputError("oracle selection needs a loss callback")
+    if len(ladder) == 0:
+        raise InputError("oracle selection needs at least one candidate")
+    if isinstance(ladder[0], (Landweber, NuMethod)):
+        candidates = two_term_path(kbar.matrix.values, ladder_coefficients(ladder))
+    else:
+        candidates = (fit_spec(kbar, spec).weights for spec in ladder)
+    losses = np.array([loss(w) for w in candidates])
+    return _result(ladder, range(len(ladder)), losses, "oracle")
+
+
+def select(rule: str, kbar: NormalizedGram, ladder, loss=None) -> SelectionResult:
+    """Choose from ``ladder`` on K/n ``kbar`` by ``rule``: "loocv", "gcv" or
+    "oracle", which minimizes ``loss`` of the weights."""
+    # the selectors are looked up per call, so a wrapped module binding is seen
+    if rule == "gcv":
+        return gcv_select_tsvd(kbar, ladder)
+    if rule == "oracle":
+        return oracle_select(kbar, ladder, loss)
+    if rule != "loocv":
+        raise InputError(f"unknown selection rule {rule!r}")
+    if len(ladder) > 0 and isinstance(ladder[0], (Landweber, NuMethod)):
+        return loocv_select_iterations(kbar, ladder)
+    return loocv_select_lambda(kbar, ladder)

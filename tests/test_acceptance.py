@@ -7,7 +7,6 @@ lines and measured metrics. Every tolerance is fixed here, not configurable.
 import time
 
 import numpy as np
-import pytest
 
 from kmse.data import standardize, standardize_like
 from kmse.density import KmmFitConfig, MixtureModel, kmm_fit, nll

@@ -123,6 +123,25 @@ class TestEstimateCommand:
         assert main(argv) == 1
         assert "SKMSE lambda must be non-negative, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--filter", "nu", "--nu", "inf"], "NuMethod nu"),
+            (["--filter", "nu", "--nu", "inf", "--select", "loocv"], "NuMethod nu"),
+            (["--filter", "itik", "--lambda", "inf"], "IteratedTikhonov lam"),
+            (["--filter", "tikhonov", "--lambda", "inf"], "Tikhonov lam"),
+            (["--filter", "tsvd", "--lambda", "inf"], "TSVD threshold"),
+            (["--filter", "skmse", "--lambda", "inf"], "SKMSE lam"),
+        ],
+    )
+    def test_infinite_parameter_exits_one_naming_it(self, tmp_path, capsys, flags, message):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "weights.json"
+        write_sample_csv(data)
+        assert main(["estimate", "--input", str(data), *flags, "--output", str(out)]) == 1
+        assert f"{message} must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("nu", ["-0.25", "-1"])
     def test_bad_nu_under_loocv_exits_one(self, tmp_path, capsys, nu):
         data = tmp_path / "data.csv"

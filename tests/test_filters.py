@@ -77,6 +77,29 @@ class TestScalarFilter:
             scalar_filter(Tikhonov(1.0), -0.1)
 
 
+class TestSpecParameters:
+    # each spec with its one floating parameter set to x, and that field's name
+    SPECS = [
+        (Tikhonov, "Tikhonov lam"),
+        (lambda x: Landweber(3, x), "Landweber eta"),
+        (lambda x: NuMethod(3, x), "NuMethod nu"),
+        (lambda x: NuMethod(3, 1.0, x), "NuMethod eta_bar"),
+        (lambda x: IteratedTikhonov(3, x), "IteratedTikhonov lam"),
+        (TSVD, "TSVD threshold"),
+        (SKMSE, "SKMSE lam"),
+    ]
+
+    @pytest.mark.parametrize("make,field", SPECS)
+    def test_infinite_parameter_named(self, make, field):
+        with pytest.raises(InputError, match=f"{field} must be finite, got inf"):
+            make(float("inf"))
+
+    @pytest.mark.parametrize("make,field", SPECS)
+    def test_nan_parameter_named(self, make, field):
+        with pytest.raises(InputError, match="must be .*, got nan"):
+            make(float("nan"))
+
+
 class TestResidual:
     def test_tikhonov_closed_form(self):
         # r(gamma) = lambda / (gamma + lambda); at gamma = lambda = 1 -> 0.5

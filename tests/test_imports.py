@@ -1,9 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and every test module uses each name it imports.
 
 No linter ships with the project, so this stands in for an unused-import
 check: it parses each module under ``src/kmse`` (except ``__init__.py``,
-whose imports are the package's re-exports) and collects the names the
-module reads.
+whose imports are the package's re-exports) and under ``tests`` and collects
+the names the module reads.
 """
 
 import ast
@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kmse"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kmse"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -32,7 +34,7 @@ def used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     used = used_names(tree)

@@ -6,6 +6,7 @@ from kmse.estimators import (
     ESTIMATORS,
     WeightVector,
     empirical_kme_weights,
+    evaluate_estimate,
     iterated_tikhonov_weights,
     landweber_path,
     landweber_weights,
@@ -13,6 +14,7 @@ from kmse.estimators import (
     nu_method_weights,
     skmse_weights,
     spectral_weights,
+    tsvd_ladder,
 )
 from kmse.filters import SKMSE, TSVD, IteratedTikhonov, Landweber, NuMethod, Tikhonov
 from kmse.kernels import (
@@ -235,6 +237,19 @@ class TestLoss:
             for t in ([0.0], [1.3])
         ) / 3.0
         np.testing.assert_allclose(diff, quad - 2.0 * cross, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "weigh",
+        [
+            lambda beta, X: loss(beta, X, point_mass([0.0], 1), GaussianRBF(1.0)),
+            lambda beta, X: evaluate_estimate(X, beta, GaussianRBF(1.0), [0.0]),
+        ],
+        ids=["loss", "evaluate_estimate"],
+    )
+    def test_two_d_weights_rejected(self, weigh):
+        X = np.array([[0.0], [1.0]])
+        with pytest.raises(InputError, match=r"weights of shape \(2, 1\) for 2 points"):
+            weigh(np.full((2, 1), 0.5), X)
 
     def test_monte_carlo_agreement(self):
         from kmse.synthetic import draw_mixture_params, sample_mixture
@@ -513,7 +528,7 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
     if rule == "none":
         return spectral_weights(kbar, TSVD(config.lam))
     if rule == "gcv":
-        return spectral_weights(kbar, gcv_select_tsvd(kbar).chosen)
+        return spectral_weights(kbar, gcv_select_tsvd(kbar, tsvd_ladder(kbar)).chosen)
     gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
     thresholds = dict.fromkeys(float(g) for g in gammas if g > 0)
     return _oracle_argmin([spectral_weights(kbar, TSVD(g)) for g in thresholds], oracle_loss)

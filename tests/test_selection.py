@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmse import kernels, risk
+from kmse import kernels, risk, selection
 from kmse.errors import ConfigurationError, InputError
-from kmse.estimators import landweber_path, nu_method_path
+from kmse.estimators import fit_spec, landweber_path, nu_method_path, tsvd_ladder
 from kmse.filters import (
     SKMSE,
     IteratedTikhonov,
     Landweber,
     NuMethod,
+    TSVD,
     Tikhonov,
     default_lambda_grid,
     retention_values,
@@ -30,6 +31,7 @@ from kmse.selection import (
     gcv_select_tsvd,
     loocv_select_iterations,
     loocv_select_lambda,
+    oracle_select,
 )
 
 
@@ -113,7 +115,7 @@ class TestLoocvIterations:
 
     @pytest.mark.parametrize("algo,t_max", [("ridge", 5), ("landweber", 0), ("nu", 0)])
     def test_invalid_ladder_rejected_before_any_work(self, algo, t_max, monkeypatch):
-        monkeypatch.setattr(risk, "loocv_select_iterations", no_selection)
+        monkeypatch.setattr(selection, "loocv_select_iterations", no_selection)
         rows = sample_rows()
         with pytest.raises(InputError):
             config = risk.EstimatorConfig(algo, selection="loocv", t_max=t_max)
@@ -121,7 +123,7 @@ class TestLoocvIterations:
 
     @pytest.mark.parametrize("nu", [-0.25, -1.0, 0.0])
     def test_non_positive_nu_rejected(self, nu, monkeypatch):
-        monkeypatch.setattr(risk, "loocv_select_iterations", no_selection)
+        monkeypatch.setattr(selection, "loocv_select_iterations", no_selection)
         rows = sample_rows()
         config = risk.EstimatorConfig("nu", selection="loocv", t_max=5, nu=nu)
         with pytest.raises(InputError, match="nu must be positive"):
@@ -153,7 +155,7 @@ class TestLoocvLambda:
     @pytest.mark.parametrize("family", ["skmse", "tikhonov", "itik"])
     def test_invalid_grid_value_rejected_before_any_work(self, family, monkeypatch):
         # -0.5 scores worse than 0.5 here; it must be rejected all the same
-        monkeypatch.setattr(risk, "loocv_select_lambda", no_selection)
+        monkeypatch.setattr(selection, "loocv_select_lambda", no_selection)
         rows = sample_rows(8, n=10)
         config = risk.EstimatorConfig(family, selection="loocv", lambda_grid=(-0.5, 0.5, 2.0))
         with pytest.raises(InputError, match="lambda must be"):
@@ -175,13 +177,25 @@ def no_selection(*args):
     raise AssertionError("LOOCV ran before the ladder was checked")
 
 
+def zero_loss(weights):
+    return 0.0
+
+
 class TestSelectorInputs:
     SELECTORS = [
         (loocv_select_lambda, (Tikhonov(0.1), Tikhonov(1.0))),
         (loocv_select_iterations, (Landweber(1, 1.0), Landweber(2, 1.0))),
     ]
+    EMPTY_LADDER_ONLY = [
+        (gcv_select_tsvd, (TSVD(0.1),)),
+        (lambda kbar, ladder: oracle_select(kbar, ladder, zero_loss), (Tikhonov(0.1),)),
+        *[
+            (lambda kbar, ladder, rule=rule: selection.select(rule, kbar, ladder, zero_loss), ())
+            for rule in ("loocv", "gcv", "oracle")
+        ],
+    ]
 
-    @pytest.mark.parametrize("select,ladder", SELECTORS)
+    @pytest.mark.parametrize("select,ladder", SELECTORS + EMPTY_LADDER_ONLY)
     def test_empty_ladder_rejected(self, select, ladder):
         with pytest.raises(InputError, match="at least one candidate"):
             select(kbar_of(sample_rows()), ladder[:0])
@@ -191,6 +205,37 @@ class TestSelectorInputs:
         kbar = kbar_of(sample_rows(n=2))
         with pytest.raises(InputError, match="at least three points"):
             select(kbar, ladder)
+
+    @pytest.mark.parametrize("rule", ["none", "default", "LOOCV", "bogus"])
+    def test_unknown_rule_rejected(self, rule):
+        with pytest.raises(InputError, match="unknown selection rule"):
+            selection.select(rule, kbar_of(sample_rows()), (Tikhonov(0.1),), zero_loss)
+
+    def test_oracle_needs_a_loss(self):
+        with pytest.raises(InputError, match="loss callback"):
+            selection.select("oracle", kbar_of(sample_rows()), (Tikhonov(0.1),))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("family", ["landweber", "nu", "tikhonov", "skmse", "itik"])
+    def test_path_holds_the_loss_of_every_entry(self, family):
+        rows = sample_rows(17, n=15)
+        kbar = kbar_of(rows)
+        if family in ("landweber", "nu"):
+            ladder = iteration_ladder(kbar, family, 12)
+        else:
+            ladder = lambda_ladder(family, default_lambda_grid(9))
+        target = np.linspace(0.2, -0.1, kbar.n)  # a loss with an interior minimum
+
+        def loss(weights):
+            return float(np.sum((weights - target) ** 2))
+
+        result = selection.select("oracle", kbar, ladder, loss)
+        want = [loss(fit_spec(kbar, spec).weights) for spec in ladder]
+        assert [i for i, _ in result.score_path] == list(range(len(ladder)))
+        np.testing.assert_allclose([s for _, s in result.score_path], want, rtol=1e-12)
+        assert result.chosen == ladder[int(np.argmin(want))]
+        assert result.score_kind == "oracle"
 
 
 def brute_force_iteration_scores(K, algo, t_max, eta, nu=1.0):
@@ -383,15 +428,16 @@ class TestLoocvMatchesPerFoldRefit:
 class TestGcvTsvd:
     def test_rank_one_duplicate_points(self):
         gram = gram_matrix(np.array([[1.0], [1.0]]), GaussianRBF(1.0))
-        result = gcv_select_tsvd(normalize_gram(gram))
+        kbar = normalize_gram(gram)
+        result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
         assert result.score_path[0][0] == 1.0  # m = 1 evaluated
         assert result.score_path[0][1] <= 1e-20  # residual exactly captured
-        kbar = normalize_gram(gram)
         np.testing.assert_allclose(result.chosen.threshold, 1.0, atol=1e-12)
 
     def test_two_distinct_points_select_m1(self):
         gram = gram_matrix(np.array([[0.0], [1.0]]), GaussianRBF(1.0))
-        result = gcv_select_tsvd(normalize_gram(gram))
+        kbar = normalize_gram(gram)
+        result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
         assert [m for m, _ in result.score_path] == [1.0]
 
     @staticmethod
@@ -418,7 +464,7 @@ class TestGcvTsvd:
         c = 0.17
         n = 6
         kbar = NormalizedGram(SymMatrix(c * np.eye(n)), kappa_sq=1.0)
-        result = gcv_select_tsvd(kbar)
+        result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
         brute = self.brute_force_scores(kbar)
         fast = [s for _, s in result.score_path]
         np.testing.assert_allclose(fast, brute, atol=1e-12)
@@ -433,7 +479,7 @@ class TestGcvTsvd:
             kbar = normalize_gram(
                 gram_matrix(rows, GaussianRBF(median_heuristic_bandwidth(rows)))
             )
-            result = gcv_select_tsvd(kbar)
+            result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
             brute = self.brute_force_scores(kbar)
             fast = [s for _, s in result.score_path]
             assert len(fast) == len(brute)
@@ -442,7 +488,6 @@ class TestGcvTsvd:
 
     def test_chosen_threshold_is_positive(self):
         rows = sample_rows(9, n=15)
-        result = gcv_select_tsvd(
-            normalize_gram(gram_matrix(rows, rbf_spec(rows)))
-        )
+        kbar = normalize_gram(gram_matrix(rows, rbf_spec(rows)))
+        result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
         assert result.chosen.threshold > 0.0

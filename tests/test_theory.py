@@ -3,7 +3,6 @@ import pytest
 
 from kmse.errors import InputError
 from kmse.kernels import GaussianRBF, gram_matrix, median_heuristic_bandwidth, normalize_gram
-from kmse.synthetic import MixtureParams, RngStream
 from kmse.theory import (
     RateExperimentConfig,
     component_risk_difference,
