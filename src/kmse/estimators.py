@@ -13,6 +13,15 @@ beta = 0.
 
 ``ESTIMATORS`` registers every estimator with its selection rules, its fixed
 spec and its candidate ladder; ``fit_spec`` turns any spec into weights.
+
+``fit_fixed`` fits a spec chosen without selection. A Tikhonov spec with
+lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is one Cholesky solve of
+(Kbar + lam I) beta = Kbar 1_n, the first step of iterated Tikhonov, so no
+eigendecomposition is made; it agrees with the spectral path to about 1e-12
+relative. Below that floor the solve loses digits to the conditioning of
+Kbar + lam I and the fit stays spectral. A selected spec is fitted by
+``fit_spec``: its selector has already built the spectrum, and applying the
+filter to it keeps selected weights the same bits however they were reached.
 """
 
 from __future__ import annotations
@@ -38,10 +47,14 @@ from .filters import (
     two_term_iterates,
 )
 from .kernels import KernelSpec, NormalizedGram, cross_kernel
-from .linalg import spd_factor
+from .linalg import shifted_spd_factor
 
 STEP_SIZE_SLACK = 1e-12
 DIVERGENCE_FACTOR = 1e6
+#: Smallest lam / kappa^2 at which a fixed Tikhonov fit is one Cholesky solve;
+#: below it the error of the solve grows like 1/lam (TestFitFixed in
+#: tests/test_estimators.py measures it).
+RESOLVENT_MIN_LAMBDA = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,16 +246,21 @@ def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVe
     return fit_spec(kbar, NuMethod(iters=t, nu=nu, eta_bar=1.0 / kbar.kappa_sq))
 
 
-def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> WeightVector:
-    """Solve (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from beta_0 = 0."""
-    spec = IteratedTikhonov(iters=t, lam=lam)
-    values = kbar.matrix.values
-    target = _target(values)
-    factor = spd_factor(values + lam * np.eye(kbar.n))
+def _resolvent_iterates(kbar: NormalizedGram, t: int, lam: float) -> np.ndarray:
+    """beta_t of (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from
+    beta_0 = 0, all t solves on one Cholesky factor of Kbar + lam I."""
+    target = _target(kbar.matrix.values)
+    factor = shifted_spd_factor(kbar.matrix, lam)
     beta = np.zeros(kbar.n)
     for _ in range(t):
         beta = factor.solve(target + lam * beta)
-    return WeightVector(beta, "itik", spec)
+    return beta
+
+
+def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> WeightVector:
+    """Solve (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from beta_0 = 0."""
+    spec = IteratedTikhonov(iters=t, lam=lam)
+    return WeightVector(_resolvent_iterates(kbar, t, lam), "itik", spec)
 
 
 def tsvd_weights(kbar: NormalizedGram, threshold: float) -> WeightVector:
@@ -253,8 +271,10 @@ def tsvd_weights(kbar: NormalizedGram, threshold: float) -> WeightVector:
 def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     """Weights of one filter spec on K/n, each family by its own arithmetic.
 
-    Landweber and the nu-method run at the step their spec carries, which
-    must not exceed 1/kappa^2 of ``kbar``.
+    Tikhonov and TSVD go through the spectrum of K/n (``spectral_weights``),
+    which selected fits have already built. Landweber and the nu-method run
+    at the step their spec carries, which must not exceed 1/kappa^2 of
+    ``kbar``.
     """
     if isinstance(spec, SKMSE):
         return skmse_weights(kbar.n, spec.lam)
@@ -267,6 +287,19 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     if isinstance(spec, IteratedTikhonov):
         return iterated_tikhonov_weights(kbar, spec.iters, spec.lam)
     return spectral_weights(kbar, spec)
+
+
+def fit_fixed(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
+    """Weights of a spec fitted without parameter selection.
+
+    A Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is one solve of
+    (Kbar + lam I) beta = Kbar 1_n on a Cholesky factor, with no
+    eigendecomposition; every other spec goes to ``fit_spec``. The path
+    depends on the spec alone, never on whether the spectrum is cached.
+    """
+    if isinstance(spec, Tikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
+        return WeightVector(_resolvent_iterates(kbar, 1, spec.lam), "tikhonov", spec)
+    return fit_spec(kbar, spec)
 
 
 def _rows_and_weights(

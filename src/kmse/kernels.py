@@ -124,9 +124,13 @@ def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> GramMatrix:
 
 
 def normalize_gram(gram: GramMatrix) -> NormalizedGram:
-    """Scale K to K/n so the spectrum lives in [0, kappa^2]."""
+    """Scale K to K/n so the spectrum lives in [0, kappa^2].
+
+    K is exactly symmetric and so is K/n, elementwise; it is not symmetrized
+    again.
+    """
     return NormalizedGram(
-        matrix=SymMatrix(gram.raw.values / gram.n),
+        matrix=SymMatrix.exact(gram.raw.values / gram.n),
         kappa_sq=gram.spec.kappa_sq,
     )
 

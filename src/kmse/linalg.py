@@ -17,25 +17,46 @@ import scipy.linalg
 from .errors import ConvergenceError, DefinitenessError, InputError
 
 
+def _square(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise InputError("matrix dimension must be at least 1")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Dense real symmetric matrix, symmetrized to (M + M^T)/2 at construction."""
+    """Dense real symmetric matrix, symmetrized to (M + M^T)/2 at construction
+    (``exact`` wraps a matrix that is symmetric already)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise InputError("matrix dimension must be at least 1")
+        arr = _square(self.values)
         sym = (arr + arr.T) / 2.0
         sym.setflags(write=False)
         object.__setattr__(self, "values", sym)
 
+    @classmethod
+    def exact(cls, values: np.ndarray) -> SymMatrix:
+        """Wrap a matrix that is exactly symmetric by construction, skipping the
+        (M + M^T)/2 pass. The array is kept, not copied, and made read-only."""
+        arr = _square(values)
+        arr.setflags(write=False)
+        sym = object.__new__(cls)
+        object.__setattr__(sym, "values", arr)
+        return sym
+
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+
+class _Disposable(SymMatrix):
+    """A copy made for one ``spd_factor`` call, which overwrites it with the
+    Cholesky factor; nothing reads it afterwards."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +112,25 @@ def spd_factor(matrix: SymMatrix | np.ndarray) -> SpdFactor:
     if not np.all(np.isfinite(sym.values)):
         raise InputError("matrix contains non-finite entries")
     try:
-        factor = scipy.linalg.cho_factor(sym.values, lower=True, check_finite=False)
+        # LAPACK factors a Fortran-ordered array in place, and the transpose
+        # of exactly symmetric C-ordered values is that matrix in Fortran
+        # order; only a _Disposable copy may be overwritten
+        factor = scipy.linalg.cho_factor(
+            sym.values.T, lower=True, overwrite_a=isinstance(sym, _Disposable),
+            check_finite=False,
+        )
     except scipy.linalg.LinAlgError as exc:
         raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
     return SpdFactor(factor)
+
+
+def shifted_spd_factor(sym: SymMatrix, shift: float) -> SpdFactor:
+    """Factor sym + shift I from one copy of sym with shift added to its
+    diagonal: no identity temporary, no second symmetrization (the copy is
+    still exactly symmetric), and the factorization overwrites the copy."""
+    values = np.array(sym.values)
+    values.flat[:: sym.dim + 1] += shift
+    return spd_factor(_Disposable.exact(values))
 
 
 def solve_spd(matrix: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from .data import as_rows
 from .errors import InputError, KmseError, ReplicationError
 from .estimators import ESTIMATORS, WeightVector, _rows_and_weights, empirical_kme_weights
-from .estimators import fit_spec
+from .estimators import fit_fixed, fit_spec
 from .filters import default_lambda_grid
 from .kernels import (
     GaussianRBF,
@@ -208,11 +208,15 @@ def fit_weights(
 ) -> WeightVector:
     """Fit one estimator on a sample, running its parameter selection.
 
-    "none" fits the estimator's ``fixed`` spec; any other rule has
+    "none" fits the estimator's ``fixed`` spec with ``estimators.fit_fixed``,
+    which solves a Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 on
+    one Cholesky factor instead of an eigendecomposition. Any other rule has
     ``selection.select`` pick an entry of its ``ladder`` (``oracle_loss`` is
-    the "oracle" rule's true loss). ``estimators.fit_spec`` turns the spec into
-    weights. ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not
-    given (kme's uniform weights need neither).
+    the "oracle" rule's true loss) and ``estimators.fit_spec`` applies it to
+    the spectrum the selector built. The path depends on the rule alone, so a
+    fit's bits never depend on what another estimator cached on ``kbar``.
+    ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given
+    (kme's uniform weights need neither).
     """
     kind = ESTIMATORS[config.name]
     if kind.spec_type is None:
@@ -221,10 +225,8 @@ def fit_weights(
         kbar = normalize_gram(gram_matrix(X, kspec))
     selection = config.resolved_selection()
     if selection == "none":
-        spec = kind.fixed(config, kbar.kappa_sq)
-    else:
-        spec = select(selection, kbar, kind.ladder(config, kbar), oracle_loss).chosen
-    return fit_spec(kbar, spec)
+        return fit_fixed(kbar, kind.fixed(config, kbar.kappa_sq))
+    return fit_spec(kbar, select(selection, kbar, kind.ladder(config, kbar), oracle_loss).chosen)
 
 
 def _worker_count() -> int:

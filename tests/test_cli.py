@@ -22,6 +22,26 @@ def write_sample_csv(path, seed=0, n=25, d=2):
     return rows
 
 
+def count_calls(monkeypatch, name):
+    """Record each call of ``kmse.linalg.<name>`` made through any module of
+    the package that binds it."""
+    from kmse import linalg
+
+    original = getattr(linalg, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "kmse" or module_name.startswith("kmse."):
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, counting)
+    return calls
+
+
 class TestEstimateCommand:
     def test_fixed_tikhonov_weights(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -105,6 +125,23 @@ class TestEstimateCommand:
                      "--output", str(out)]) == 0
         assert calls == []
         assert json.loads(out.read_text())["weights"] == [1.0 / 25] * 25
+
+    @pytest.mark.parametrize(
+        "flags,eigh_calls,spd_calls",
+        [([], 0, 1), (["--select", "loocv"], 1, 0), (["--lambda", "1e-6"], 1, 0)],
+        ids=["defaults", "loocv", "below-floor"],
+    )
+    def test_factorizations_of_a_tikhonov_fit(self, tmp_path, monkeypatch, flags,
+                                               eigh_calls, spd_calls):
+        # the default fit (tikhonov, lambda 0.1, select none) is one Cholesky
+        # solve; a selected fit and one below the floor use the spectrum
+        eigh = count_calls(monkeypatch, "sym_eigendecompose")
+        spd = count_calls(monkeypatch, "spd_factor")
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, n=300)
+        assert main(["estimate", "--input", str(data), "--output", str(tmp_path / "w.json")]
+                    + flags) == 0
+        assert (len(eigh), len(spd)) == (eigh_calls, spd_calls)
 
     @pytest.mark.parametrize(
         "flags",

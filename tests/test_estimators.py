@@ -4,9 +4,11 @@ import pytest
 from kmse.errors import ConfigurationError, InputError
 from kmse.estimators import (
     DIVERGENCE_FACTOR,
+    RESOLVENT_MIN_LAMBDA,
     _guard,
     empirical_kme_weights,
     evaluate_estimate,
+    fit_fixed,
     fit_spec,
     iterated_tikhonov_weights,
     landweber_weights,
@@ -20,6 +22,7 @@ from kmse.kernels import (
     GaussianRBF,
     NormalizedGram,
     gram_matrix,
+    linear_spec_for,
     median_heuristic_bandwidth,
     normalize_gram,
 )
@@ -187,6 +190,81 @@ class TestIterativePaths:
             iterative = iterated_tikhonov_weights(kbar, 3, lam).weights
             spectral = spectral_weights(kbar, IteratedTikhonov(3, lam)).weights
             assert np.abs(iterative - spectral).max() <= 1e-10
+
+
+def kbar_with_duplicates(kernel, n, seed=0):
+    """K/n of n standard normal rows in 3-d whose last row repeats the first."""
+    rows = np.random.default_rng(seed).standard_normal((n, 3))
+    rows[-1] = rows[0]
+    spec = GaussianRBF(median_heuristic_bandwidth(rows)) if kernel == "rbf" else linear_spec_for(rows)
+    return normalize_gram(gram_matrix(rows, spec))
+
+
+class TestFitFixed:
+    """A fixed Tikhonov fit above the floor is one Cholesky solve of
+    (K/n + lam I) beta = (K/n) 1_n and equals the spectral path to 1e-10.
+
+    Relative L2 distance of that solve from ``spectral_weights`` on the
+    n=2000, d=5 ``spectral_fit`` benchmark input (seed 5):
+
+    | lam / kappa^2 | RBF     | linear (kappa^2 = 73) |
+    | ------------- | ------- | --------------------- |
+    | 10            | 9.5e-16 | 1.3e-15               |
+    | 0.1           | 2.9e-15 | 1.2e-15               |
+    | 0.05          | 6.3e-15 | 1.6e-15               |
+    | 1e-2          | 5.1e-14 | 7.9e-15               |
+    | 1e-3 (floor)  | 5.7e-13 | 1.0e-13               |
+    | 1e-6          | 5.4e-10 | 1.1e-10               |
+    | 1e-12         | 4.4e-4  | 1.1e-4                |
+    | 1e-15         | 0.35    | 0.10                  |
+
+    The error grows like 1/lam, and on the linear kernel an absolute lam of
+    1e-15 makes the Cholesky factorization raise ``DefinitenessError``. Below
+    the floor a fixed fit therefore stays on the spectral path.
+    """
+
+    @pytest.mark.parametrize("n", [3, 50, 300])
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    @pytest.mark.parametrize("ratio", [RESOLVENT_MIN_LAMBDA, 1e-2, 0.1, 1.0, 10.0])
+    def test_resolvent_equals_spectral(self, kernel, n, ratio):
+        kbar = kbar_with_duplicates(kernel, n)
+        spec = Tikhonov(ratio * kbar.kappa_sq)
+        got = fit_fixed(kbar, spec)
+        assert kbar._spectrum is None  # no eigendecomposition was made
+        want = spectral_weights(kbar, spec)
+        error = np.linalg.norm(got.weights - want.weights) / np.linalg.norm(want.weights)
+        assert error <= 1e-10
+        assert (got.estimator_id, got.shrinkage) == ("tikhonov", spec)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    @pytest.mark.parametrize("ratio", [RESOLVENT_MIN_LAMBDA * 0.999, 1e-6, 1e-12])
+    def test_below_the_floor_stays_spectral(self, kernel, ratio):
+        kbar = kbar_with_duplicates(kernel, 50)
+        spec = Tikhonov(ratio * kbar.kappa_sq)
+        got = fit_fixed(kbar, spec)
+        want = fit_spec(kbar, spec)
+        assert np.array_equal(got.weights, want.weights)
+        assert (got.estimator_id, got.shrinkage) == (want.estimator_id, want.shrinkage)
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_other_specs_equal_fit_spec(self, kernel):
+        kbar = kbar_with_duplicates(kernel, 50)
+        eta = 1.0 / kbar.kappa_sq
+        for spec in (SKMSE(0.3), Landweber(7, eta), NuMethod(5, 1.5, eta),
+                     IteratedTikhonov(3, 0.2 * kbar.kappa_sq), TSVD(0.01 * kbar.kappa_sq)):
+            got = fit_fixed(kbar, spec)
+            want = fit_spec(kbar, spec)
+            assert np.array_equal(got.weights, want.weights), spec
+            assert (got.estimator_id, got.shrinkage) == (want.estimator_id, want.shrinkage)
+
+    def test_floor_scales_with_kappa_sq(self):
+        # the same lam is above the floor at kappa^2 = 1 and below it at 1e4
+        kbar = kbar_with_duplicates("rbf", 20)
+        wide = NormalizedGram(kbar.matrix, kappa_sq=1e4)
+        fit_fixed(kbar, Tikhonov(2.0 * RESOLVENT_MIN_LAMBDA))
+        assert kbar._spectrum is None
+        fit_fixed(wide, Tikhonov(2.0 * RESOLVENT_MIN_LAMBDA))
+        assert wide._spectrum is not None
 
 
 class TestDivergenceGuard:

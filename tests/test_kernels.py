@@ -11,6 +11,7 @@ from kmse.kernels import (
     median_heuristic_bandwidth,
     normalize_gram,
 )
+from kmse.linalg import SymMatrix
 
 
 class TestKernelEval:
@@ -129,3 +130,14 @@ class TestNormalizeGram:
         rows = np.random.default_rng(9).standard_normal((8, 2))
         kbar = normalize_gram(gram_matrix(rows, GaussianRBF(1.0)))
         assert kbar.spectrum is kbar.spectrum
+
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_matrix_is_k_over_n_without_a_second_symmetrization(self, kernel):
+        rows = np.random.default_rng(11).standard_normal((40, 3))
+        spec = (GaussianRBF(median_heuristic_bandwidth(rows)) if kernel == "rbf"
+                else linear_spec_for(rows))
+        gram = gram_matrix(rows, spec)
+        values = normalize_gram(gram).matrix.values
+        assert np.array_equal(values, SymMatrix(gram.raw.values / gram.n).values)
+        assert not values.flags.writeable
+        assert not np.shares_memory(values, gram.raw.values)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from kmse.errors import DefinitenessError, InputError
-from kmse.linalg import SymMatrix, solve_spd, sym_eigendecompose
+from kmse.linalg import (
+    SymMatrix,
+    shifted_spd_factor,
+    solve_spd,
+    spd_factor,
+    sym_eigendecompose,
+)
 
 
 def random_psd(rng, dim, entry_bound=10.0):
@@ -19,6 +25,19 @@ class TestSymMatrix:
         m = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         assert np.array_equal(m.values, m.values.T)
         np.testing.assert_allclose(m.values, [[1.0, 1.0], [1.0, 3.0]])
+
+    def test_returns_the_symmetric_part(self):
+        a = np.random.default_rng(3).standard_normal((7, 7))
+        assert np.array_equal(SymMatrix(a).values, (a + a.T) / 2.0)
+
+    def test_exact_keeps_the_array_read_only(self):
+        a = np.random.default_rng(4).standard_normal((5, 5))
+        a = a + a.T
+        values = SymMatrix.exact(a).values
+        assert values is a
+        assert not values.flags.writeable
+        with pytest.raises(InputError):
+            SymMatrix.exact(np.zeros((2, 3)))
 
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
@@ -113,3 +132,26 @@ class TestSolveSpd:
             b = m @ x
             got = solve_spd(m, b)
             assert np.linalg.norm(m @ got - b) <= 1e-8 * np.linalg.norm(b)
+
+
+class TestShiftedFactor:
+    def test_solves_the_shifted_system_and_leaves_the_matrix(self):
+        rng = np.random.default_rng(8)
+        sym = SymMatrix(random_psd(rng, 12))
+        before = sym.values.copy()
+        b = rng.standard_normal(12)
+        got = shifted_spd_factor(sym, 0.3).solve(b)
+        want = spd_factor(sym.values + 0.3 * np.eye(12)).solve(b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(sym.values, before)
+
+    def test_factoring_a_sym_matrix_leaves_it(self):
+        rng = np.random.default_rng(9)
+        sym = SymMatrix(random_psd(rng, 6) + np.eye(6))
+        before = sym.values.copy()
+        spd_factor(sym)
+        assert np.array_equal(sym.values, before)
+
+    def test_non_pd_shift_raises(self):
+        with pytest.raises(DefinitenessError):
+            shifted_spd_factor(SymMatrix(np.eye(3)), -2.0)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kmse.errors import InputError
 from kmse.estimators import (
     ESTIMATORS,
+    RESOLVENT_MIN_LAMBDA,
     WeightVector,
     empirical_kme_weights,
     evaluate_estimate,
@@ -495,6 +497,11 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
         return empirical_kme_weights(n)
     if name in lambda_fit:
         if rule == "none":
+            if name == "tikhonov" and config.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
+                # above the floor a fixed Tikhonov fit is one resolvent solve:
+                # iterated Tikhonov with a single step
+                beta = iterated_tikhonov_weights(kbar, 1, config.lam).weights
+                return WeightVector(beta, "tikhonov", Tikhonov(config.lam))
             return lambda_fit[name](config.lam)
         if rule == "loocv":
             ladder = tuple(lambda_spec[name](float(lam)) for lam in config.lambda_grid)
@@ -559,6 +566,23 @@ class TestFitWeights:
         assert np.array_equal(got.weights, want.weights)
         assert got.estimator_id == want.estimator_id == config.name
         assert got.shrinkage == want.shrinkage
+
+    @pytest.mark.parametrize("seed", [5, 23])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_itik_bit_identical_to_identity_shift(self, seed, t):
+        # the formula itik used before the shared resolvent: K/n + lam * eye(n),
+        # symmetrized, then a Cholesky factor of a C-ordered copy
+        _, _, kbar, _ = self.sample(seed)
+        values = kbar.matrix.values
+        for lam in (1e-6, 0.1, 7.0):
+            factor = scipy.linalg.cho_factor(
+                SymMatrix(values + lam * np.eye(kbar.n)).values, lower=True, check_finite=False
+            )
+            want = np.zeros(kbar.n)
+            for _ in range(t):
+                want = scipy.linalg.cho_solve(factor, values.mean(axis=1) + lam * want,
+                                              check_finite=False)
+            assert np.array_equal(iterated_tikhonov_weights(kbar, t, lam).weights, want)
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_ladders_list_candidates_in_order(self, seed):
