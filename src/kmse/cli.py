@@ -47,6 +47,15 @@ def _json_dump(payload, path: str | None) -> None:
             handle.write(text + "\n")
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """One header line, then one line per row; floats are written as their
+    shortest round-trip repr."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _spec_payload(spec: FilterSpec) -> dict:
     out = dataclasses.asdict(spec)
     out["kind"] = type(spec).__name__
@@ -67,16 +76,15 @@ def _estimator_config(args, selection: str) -> risk.EstimatorConfig:
 
 
 def _parse_bandwidth(text: str) -> float | None:
-    """The squared bandwidth given on the command line; None for 'median'."""
+    """The squared bandwidth given on the command line, checked as the RBF
+    kernel checks it; None for 'median'."""
     if text == "median":
         return None
     try:
         value = float(text)
     except ValueError:
         raise InputError(f"--bandwidth must be 'median' or a number, got {text!r}") from None
-    if value <= 0:
-        raise InputError("bandwidth must be positive")
-    return value
+    return GaussianRBF(value).bandwidth_sq
 
 
 def _resolve_kernel(args, rows):
@@ -142,21 +150,8 @@ def _cmd_benchmark(args) -> int:
             )
         rows.append(row)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["estimator", "n", "d", "m", "seed", "mean_loss", "stderr"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["estimator"],
-                        row["n"],
-                        row["d"],
-                        row["m"],
-                        row["seed"],
-                        repr(row["mean_loss"]),
-                        repr(row["stderr"]),
-                    ]
-                )
+        header = ["estimator", "n", "d", "m", "seed", "mean_loss", "stderr"]
+        _write_csv(args.out, header, [[row[key] for key in header] for row in rows])
     payload = {
         "config": {
             "n": args.n,
@@ -191,13 +186,8 @@ def _cmd_rates(args) -> int:
     )
     result = theory.rate_experiment(config)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["n", "risk", "stderr", "kme_risk"])
-            for point in result.points:
-                writer.writerow(
-                    [point.n, repr(point.risk), repr(point.stderr), repr(point.kme_risk)]
-                )
+        _write_csv(args.out, ["n", "risk", "stderr", "kme_risk"],
+                   [dataclasses.astuple(point) for point in result.points])
     payload = {
         "config": dataclasses.asdict(config),
         "slope": result.slope,

@@ -215,7 +215,8 @@ def kmm_objective(
     sigma_sq: float,
 ) -> float:
     """||mu_Q - sum_i beta_i k(x_i,.)||^2 under the RBF kernel with bandwidth
-    sigma_sq; shares the Gaussian integral closed forms with the analytic loss."""
+    sigma_sq. ``_value_and_grad`` computes it with its own closed forms of the
+    Gaussian integrals for isotropic components, together with the gradient."""
     rows, beta = _rows_and_weights(X, target_beta, model.d)
     quad = _beta_quad(rows, beta, sigma_sq)
     value, _ = _value_and_grad(

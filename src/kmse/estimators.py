@@ -18,10 +18,11 @@ spec and its candidate ladder; ``fit_spec`` turns any spec into weights.
 lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is one Cholesky solve of
 (Kbar + lam I) beta = Kbar 1_n, the first step of iterated Tikhonov, so no
 eigendecomposition is made; it agrees with the spectral path to about 1e-12
-relative. Below that floor the solve loses digits to the conditioning of
-Kbar + lam I and the fit stays spectral. A selected spec is fitted by
-``fit_spec``: its selector has already built the spectrum, and applying the
-filter to it keeps selected weights the same bits however they were reached.
+relative. Below that floor Cholesky solves lose digits to the conditioning
+of Kbar + lam I, so fixed Tikhonov and iterated Tikhonov fits there are
+spectral. A selected spec is fitted by ``fit_spec``: its selector has
+already built the spectrum, and applying the filter to it keeps selected
+weights the same bits however they were reached.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from .filters import (
     two_term_iterates,
 )
 from .kernels import KernelSpec, NormalizedGram, cross_kernel
-from .linalg import shifted_spd_factor
+from .linalg import spd_factor
 
 STEP_SIZE_SLACK = 1e-12
 DIVERGENCE_FACTOR = 1e6
-#: Smallest lam / kappa^2 at which a fixed Tikhonov fit is one Cholesky solve;
-#: below it the error of the solve grows like 1/lam (TestFitFixed in
-#: tests/test_estimators.py measures it).
+#: Smallest lam / kappa^2 at which a fixed Tikhonov or iterated Tikhonov fit
+#: goes through Cholesky solves; below it their error grows like 1/lam
+#: (TestFitFixed in tests/test_estimators.py measures it).
 RESOLVENT_MIN_LAMBDA = 1e-3
 
 
@@ -250,7 +251,7 @@ def _resolvent_iterates(kbar: NormalizedGram, t: int, lam: float) -> np.ndarray:
     """beta_t of (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from
     beta_0 = 0, all t solves on one Cholesky factor of Kbar + lam I."""
     target = _target(kbar.matrix.values)
-    factor = shifted_spd_factor(kbar.matrix, lam)
+    factor = spd_factor(kbar.matrix, lam)
     beta = np.zeros(kbar.n)
     for _ in range(t):
         beta = factor.solve(target + lam * beta)
@@ -292,13 +293,18 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
 def fit_fixed(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     """Weights of a spec fitted without parameter selection.
 
-    A Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is one solve of
-    (Kbar + lam I) beta = Kbar 1_n on a Cholesky factor, with no
-    eigendecomposition; every other spec goes to ``fit_spec``. The path
-    depends on the spec alone, never on whether the spectrum is cached.
+    A Tikhonov or iterated Tikhonov spec with lam below
+    RESOLVENT_MIN_LAMBDA * kappa^2 goes through the spectrum. Above that
+    floor a Tikhonov spec is one solve of (Kbar + lam I) beta = Kbar 1_n on
+    a Cholesky factor, with no eigendecomposition; every other spec goes to
+    ``fit_spec``. The path depends on the spec alone, never on whether the
+    spectrum is cached.
     """
-    if isinstance(spec, Tikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
-        return WeightVector(_resolvent_iterates(kbar, 1, spec.lam), "tikhonov", spec)
+    if isinstance(spec, (Tikhonov, IteratedTikhonov)):
+        if spec.lam < RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
+            return spectral_weights(kbar, spec)
+        if isinstance(spec, Tikhonov):
+            return WeightVector(_resolvent_iterates(kbar, 1, spec.lam), "tikhonov", spec)
     return fit_spec(kbar, spec)
 
 

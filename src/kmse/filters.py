@@ -21,7 +21,8 @@ component fully shrunk to the target). Implemented families:
 
 Retention factors are evaluated through dedicated closed forms rather than
 as a literal product g * gamma, so they stay finite and accurate down to
-gamma = 0 (where every residual equals 1).
+gamma = 0 (where every residual equals 1). ``filter_values`` divides them by
+gamma and takes each family's limit at gamma = 0.
 """
 
 from __future__ import annotations
@@ -240,34 +241,27 @@ def retention_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
     return g * nu_filter_path(g, spec.iters, spec.nu, spec.eta_bar)[-1]
 
 
-def filter_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
-    """g(gamma) on an array of eigenvalues."""
-    g = _check_gammas(gammas)
+def _value_at_zero(spec: FilterSpec) -> float:
+    """g(0): the limit of gamma * g(gamma) / gamma, or 0 where the filter
+    drops the null component."""
     if isinstance(spec, Tikhonov):
-        return 1.0 / (g + spec.lam)
+        return 1.0 / spec.lam
     if isinstance(spec, Landweber):
-        positive = g > 0
-        out = np.full_like(g, spec.eta * spec.iters)
-        gp = g[positive]
-        out[positive] = (1.0 - (1.0 - spec.eta * gp) ** spec.iters) / gp
-        return out
+        return spec.eta * spec.iters
     if isinstance(spec, IteratedTikhonov):
-        positive = g > 0
-        out = np.full_like(g, spec.iters / spec.lam)
-        gp = g[positive]
-        out[positive] = (1.0 - (spec.lam / (gp + spec.lam)) ** spec.iters) / gp
-        return out
-    if isinstance(spec, TSVD):
-        out = np.zeros_like(g)
-        kept = g >= spec.threshold
-        out[kept] = 1.0 / g[kept]
-        return out
-    if isinstance(spec, SKMSE):
-        out = np.zeros_like(g)
-        positive = g > 0
-        out[positive] = 1.0 / ((1.0 + spec.lam) * g[positive])
-        return out
-    return nu_filter_path(g, spec.iters, spec.nu, spec.eta_bar)[-1]
+        return spec.iters / spec.lam
+    if isinstance(spec, NuMethod):
+        return float(nu_filter_path(np.zeros(1), spec.iters, spec.nu, spec.eta_bar)[-1, 0])
+    return 0.0  # TSVD and SKMSE
+
+
+def filter_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
+    """g(gamma) on an array of eigenvalues: the retention factor over gamma."""
+    g = _check_gammas(gammas)
+    positive = g > 0
+    out = np.full_like(g, _value_at_zero(spec))
+    out[positive] = retention_values(spec, g[positive]) / g[positive]
+    return out
 
 
 def scalar_filter(spec: FilterSpec, gamma: float) -> float:

@@ -11,6 +11,7 @@ step size eta = 1/kappa^2 valid for gradient-type filters.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ from .linalg import EigenDecomposition, SymMatrix, sym_eigendecompose
 DIAGONAL_TOLERANCE = 1e-12
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class GaussianRBF:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); k(x, x) = 1, so kappa^2 = 1."""
@@ -31,10 +37,8 @@ class GaussianRBF:
     kappa_sq: float = 1.0
 
     def __post_init__(self):
-        if not self.bandwidth_sq > 0:
-            raise InputError("bandwidth_sq must be positive")
-        if not self.kappa_sq > 0:
-            raise InputError("kappa_sq must be positive")
+        _require_positive_finite("bandwidth_sq", self.bandwidth_sq)
+        _require_positive_finite("kappa_sq", self.kappa_sq)
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,7 @@ class Linear:
     kappa_sq: float
 
     def __post_init__(self):
-        if not self.kappa_sq > 0:
-            raise InputError("kappa_sq must be positive")
+        _require_positive_finite("kappa_sq", self.kappa_sq)
 
 
 KernelSpec = GaussianRBF | Linear
@@ -53,14 +56,7 @@ KernelSpec = GaussianRBF | Linear
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     """Evaluate the kernel on a single pair of points."""
-    xv = np.asarray(x, dtype=float).ravel()
-    yv = np.asarray(y, dtype=float).ravel()
-    if xv.shape != yv.shape:
-        raise InputError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-    if isinstance(spec, GaussianRBF):
-        diff = xv - yv
-        return float(np.exp(-(diff @ diff) / (2.0 * spec.bandwidth_sq)))
-    return float(xv @ yv)
+    return float(cross_kernel(spec, np.ravel(x)[None, :], np.ravel(y)[None, :])[0, 0])
 
 
 def cross_kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -116,11 +112,16 @@ class NormalizedGram:
 
 
 def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> GramMatrix:
-    """Pairwise kernel matrix over a dataset."""
-    rows = as_rows(points)
+    """Pairwise kernel matrix over a dataset.
+
+    K is exactly symmetric as built, so it is not symmetrized again: ``cdist``
+    squares the same differences for (i, j) and (j, i), and numpy computes
+    X X^T of one contiguous X with a symmetric rank-k update and mirrors it.
+    """
+    rows = np.ascontiguousarray(as_rows(points))
     if rows.shape[0] < 1:
         raise InputError("cannot build a Gram matrix from an empty dataset")
-    return GramMatrix(raw=SymMatrix(cross_kernel(spec, rows, rows)), spec=spec)
+    return GramMatrix(raw=SymMatrix.exact(cross_kernel(spec, rows, rows)), spec=spec)
 
 
 def normalize_gram(gram: GramMatrix) -> NormalizedGram:

@@ -54,11 +54,6 @@ class SymMatrix:
         return self.values.shape[0]
 
 
-class _Disposable(SymMatrix):
-    """A copy made for one ``spd_factor`` call, which overwrites it with the
-    Cholesky factor; nothing reads it afterwards."""
-
-
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenpairs of a symmetric matrix, eigenvalues sorted descending.
@@ -106,31 +101,23 @@ class SpdFactor:
         return scipy.linalg.cho_solve(self._factor, b, check_finite=False)
 
 
-def spd_factor(matrix: SymMatrix | np.ndarray) -> SpdFactor:
-    """Factor a symmetric positive definite matrix once for later solves."""
+def spd_factor(matrix: SymMatrix | np.ndarray, shift: float = 0.0) -> SpdFactor:
+    """Factor the symmetric positive definite matrix + shift I once for later
+    solves. The factorization overwrites one private copy, never ``matrix``."""
     sym = _as_sym(matrix)
-    if not np.all(np.isfinite(sym.values)):
+    # the transpose of exactly symmetric C-ordered values is the same matrix
+    # in Fortran order, which LAPACK factors in place after a plain copy
+    values = np.array(sym.values.T, order="F")
+    values.flat[:: sym.dim + 1] += shift
+    if not np.all(np.isfinite(values)):
         raise InputError("matrix contains non-finite entries")
     try:
-        # LAPACK factors a Fortran-ordered array in place, and the transpose
-        # of exactly symmetric C-ordered values is that matrix in Fortran
-        # order; only a _Disposable copy may be overwritten
         factor = scipy.linalg.cho_factor(
-            sym.values.T, lower=True, overwrite_a=isinstance(sym, _Disposable),
-            check_finite=False,
+            values, lower=True, overwrite_a=True, check_finite=False
         )
     except scipy.linalg.LinAlgError as exc:
         raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
     return SpdFactor(factor)
-
-
-def shifted_spd_factor(sym: SymMatrix, shift: float) -> SpdFactor:
-    """Factor sym + shift I from one copy of sym with shift added to its
-    diagonal: no identity temporary, no second symmetrization (the copy is
-    still exactly symmetric), and the factorization overwrites the copy."""
-    values = np.array(sym.values)
-    values.flat[:: sym.dim + 1] += shift
-    return spd_factor(_Disposable.exact(values))
 
 
 def solve_spd(matrix: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:

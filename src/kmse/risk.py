@@ -118,6 +118,11 @@ def mixture_mean_sq_norm(params: MixtureParams, sigma_sq: float) -> float:
     return float(total)
 
 
+def _rkhs_loss(w: np.ndarray, K: np.ndarray, z: np.ndarray, mu_sq_norm: float) -> float:
+    """L(w) = w^T K w - 2 w^T z + ||mu_P||^2."""
+    return float(w @ K @ w - 2.0 * (w @ z) + mu_sq_norm)
+
+
 def loss(
     beta: WeightVector | np.ndarray,
     X,
@@ -130,7 +135,7 @@ def loss(
     rows, w = _rows_and_weights(X, beta)
     K = gram_matrix(rows, spec).raw.values
     z = mixture_mean_inners(rows, params, spec.bandwidth_sq)
-    return float(w @ K @ w - 2.0 * (w @ z) + mixture_mean_sq_norm(params, spec.bandwidth_sq))
+    return _rkhs_loss(w, K, z, mixture_mean_sq_norm(params, spec.bandwidth_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +292,7 @@ def replication_losses(
             msn = mixture_mean_sq_norm(folded, sigma_sq)
 
             def loss_of(w: np.ndarray) -> float:
-                return float(w @ K @ w - 2.0 * (w @ z) + msn)
+                return _rkhs_loss(w, K, z, msn)
 
             losses = []
             for config in configs:

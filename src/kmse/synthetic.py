@@ -104,15 +104,16 @@ def _symmetric_root(factor: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def wishart_sample(
     scale: np.ndarray, df: int, rng: RngStream | np.random.Generator
 ) -> np.ndarray:
-    """Draw S G G^T S^T with S a symmetric root of ``scale`` and G d x df standard normal."""
+    """Draw S G G^T S^T with S a symmetric root of ``scale`` and G d x df standard
+    normal. numpy computes A A^T with a symmetric rank-k update and mirrors it,
+    so the draw is exactly symmetric."""
     if df < 1:
         raise InputError("degrees of freedom must be at least 1")
     gen = as_generator(rng)
     root = _symmetric_root(psd_eigh(scale))
     g = gen.standard_normal((root.shape[0], df))
     a = root @ g
-    w = a @ a.T
-    return (w + w.T) / 2.0
+    return a @ a.T
 
 
 def draw_mixture_params(

@@ -157,10 +157,9 @@ def verify_operator_equivalence(X, lam: float) -> float:
         raise InputError("operator-side check is limited to d <= 20, n <= 200")
     if not lam > 0:
         raise InputError("lambda must be positive")
-    spec = linear_spec_for(rows)
-    kbar = normalize_gram(gram_matrix(rows, spec))
-    beta = spectral_weights(kbar, Tikhonov(lam)).weights
-    gram_side = (rows @ rows.T) @ beta
+    gram = gram_matrix(rows, linear_spec_for(rows))
+    beta = spectral_weights(normalize_gram(gram), Tikhonov(lam)).weights
+    gram_side = gram.raw.values @ beta
 
     cov = rows.T @ rows / n
     xbar = rows.mean(axis=0)
@@ -192,10 +191,11 @@ class RateExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise InputError("c must be positive")
-        if not self.smoothness_exponent > 0:
-            raise InputError("the decay exponent must be positive")
+        if not 0 < self.c < math.inf:
+            raise InputError(f"c must be positive and finite, got {self.c}")
+        b = self.smoothness_exponent
+        if not 0 < b < math.inf:
+            raise InputError(f"the decay exponent b must be positive and finite, got {b}")
         grid = tuple(int(v) for v in self.n_grid)
         if len(grid) < 2:
             raise InputError("need at least two grid points to fit a slope")

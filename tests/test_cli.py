@@ -179,6 +179,16 @@ class TestEstimateCommand:
         assert f"{message} must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "1e400"])
+    def test_infinite_bandwidth_exits_one_naming_it(self, tmp_path, capsys, value):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "weights.json"
+        write_sample_csv(data)
+        argv = ["estimate", "--input", str(data), "--bandwidth", value, "--output", str(out)]
+        assert main(argv) == 1
+        assert "bandwidth_sq must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("nu", ["-0.25", "-1"])
     def test_bad_nu_under_loocv_exits_one(self, tmp_path, capsys, nu):
         data = tmp_path / "data.csv"
@@ -260,6 +270,14 @@ class TestBenchmarkCommand:
         assert code == 1
         assert err.startswith("error: replication 1 failed (tikhonov):")
 
+    def test_infinite_bandwidth_exits_one_naming_it(self, tmp_path, capsys):
+        argv = ["benchmark", "--n", "20", "--d", "2", "--reps", "2",
+                "--filters", "kme,tikhonov", "--bandwidth", "inf",
+                "--json", str(tmp_path / "x.json")]
+        assert main(argv) == 1
+        assert "bandwidth_sq must be positive and finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_failing_estimator_named_after_others_fit(self, tmp_path, capsys):
         # kme fits on two points; nu is the first estimator that cannot
         code = main(
@@ -323,6 +341,15 @@ class TestRatesCommand:
         assert main(["rates", "--kernel", "linear", f"--n-grid={grid}"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"got {value}" in err
+
+    @pytest.mark.parametrize(
+        "flag,message", [("--c", "c must"), ("--beta", "the decay exponent b must")]
+    )
+    def test_infinite_parameter_exits_one_naming_it(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "rates.json"
+        assert main(["rates", flag, "inf", "--json", str(out)]) == 1
+        assert f"{message} be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAdmissibilityCommand:
@@ -434,3 +461,44 @@ class TestVerifyCommand:
         main(["verify", "--check", "prop1", "--output", str(out)])
         payload = json.loads(out.read_text())
         assert set(payload) >= {"check", "pass", "metric", "threshold"}
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which json.dumps writes but
+    strict JSON parsers reject."""
+
+    def refuse(constant):
+        raise ValueError(f"non-finite number {constant} in a JSON artifact")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJsonArtifacts:
+    """Every command's JSON artifact is strict JSON: no NaN or Infinity."""
+
+    COMMANDS = {
+        "estimate": ["estimate", "--input", "{data}", "--output", "{out}"],
+        "estimate-loocv": ["estimate", "--input", "{data}", "--filter", "itik",
+                           "--select", "loocv", "--iters", "5", "--output", "{out}"],
+        "estimate-gcv": ["estimate", "--input", "{data}", "--filter", "tsvd",
+                         "--select", "gcv", "--output", "{out}"],
+        "benchmark": ["benchmark", "--n", "20", "--d", "2", "--reps", "2", "--json", "{out}"],
+        "rates-linear": ["rates", "--json", "{out}"],
+        "rates-rbf": ["rates", "--kernel", "rbf", "--n-grid", "10,20", "--reps", "2",
+                      "--d", "2", "--json", "{out}"],
+        "admissibility": ["admissibility", "--filter", "nu", "--grid-size", "200",
+                          "--output", "{out}"],
+        "density-fit": ["density-fit", "--input", "{data}", "--components", "2",
+                        "--iters", "5", "--output", "{out}"],
+        **{f"verify-{check}": ["verify", "--check", check, "--output", "{out}"]
+           for check in ("prop1", "prop2", "thm1", "thm2", "rates")},
+    }
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_output_parses_strictly(self, tmp_path, name):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "out.json"
+        write_sample_csv(data, n=40)
+        argv = [arg.format(data=data, out=out) for arg in self.COMMANDS[name]]
+        assert main(argv) == 0
+        assert isinstance(strict_json(out.read_text(encoding="utf-8")), dict)

@@ -12,6 +12,7 @@ from kmse.filters import (
     Tikhonov,
     check_admissibility,
     default_lambda_grid,
+    filter_values,
     nu_method_coefficients,
     qualification,
     residual,
@@ -75,6 +76,41 @@ class TestScalarFilter:
     def test_negative_gamma_rejected(self):
         with pytest.raises(InputError):
             scalar_filter(Tikhonov(1.0), -0.1)
+
+
+def nu_literal(t, nu, eta, gamma):
+    """The nu-method filter from its Jacobi residual r (see
+    test_residual_is_normalized_jacobi_polynomial): (1 - r) / gamma, and at
+    gamma = 0 the limit -r'(0), by d/dx P_t^(a,b) = (t+a+b+1)/2 P_{t-1}^(a+1,b+1)."""
+    a, b = 2.0 * nu - 0.5, -0.5
+    at_one = eval_jacobi(t, a, b, 1.0)
+    if gamma == 0.0:
+        return eta * (t + a + b + 1.0) * eval_jacobi(t - 1, a + 1.0, b + 1.0, 1.0) / at_one
+    return (1.0 - eval_jacobi(t, a, b, 1.0 - 2.0 * eta * gamma) / at_one) / gamma
+
+
+class TestFilterValues:
+    """g(gamma) of every family against its formula written out, at gamma = 0
+    (the limit of retention / gamma) and at gamma > 0."""
+
+    GAMMAS = [0.0, 0.05, 0.3, 0.7, 1.0]
+    CASES = [
+        (Tikhonov(0.3), lambda g: 1.0 / (g + 0.3)),
+        (Landweber(7, 0.9), lambda g: 0.9 * sum((1.0 - 0.9 * g) ** i for i in range(7))),
+        (IteratedTikhonov(3, 0.3),
+         lambda g: sum(0.3**s / (g + 0.3) ** (s + 1) for s in range(3))),
+        (TSVD(0.3), lambda g: 1.0 / g if g >= 0.3 else 0.0),
+        (SKMSE(0.7), lambda g: 1.0 / (1.7 * g) if g > 0 else 0.0),
+        (NuMethod(1, 1.0, 0.5), lambda g: nu_literal(1, 1.0, 0.5, g)),
+        (NuMethod(5, 1.0, 0.5), lambda g: nu_literal(5, 1.0, 0.5, g)),
+        (NuMethod(12, 2.0, 1.0), lambda g: nu_literal(12, 2.0, 1.0, g)),
+    ]
+
+    @pytest.mark.parametrize("spec,literal", CASES, ids=[repr(case[0]) for case in CASES])
+    def test_matches_literal_formula(self, spec, literal):
+        want = [literal(g) for g in self.GAMMAS]
+        np.testing.assert_allclose(filter_values(spec, np.array(self.GAMMAS)), want,
+                                   rtol=1e-14, atol=0)
 
 
 class TestSpecParameters:

@@ -34,6 +34,16 @@ class TestKernelEval:
         with pytest.raises(InputError):
             GaussianRBF(0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), 1e400, float("nan"), -1.0])
+    @pytest.mark.parametrize(
+        "make,name",
+        [(GaussianRBF, "bandwidth_sq"), (lambda v: GaussianRBF(1.0, v), "kappa_sq"),
+         (Linear, "kappa_sq")],
+    )
+    def test_non_finite_or_non_positive_parameter_named(self, make, name, value):
+        with pytest.raises(InputError, match=f"{name} must be positive and finite"):
+            make(value)
+
 
 class TestGramMatrix:
     def test_single_point(self):
@@ -62,6 +72,25 @@ class TestGramMatrix:
             gram = gram_matrix(rows, GaussianRBF(median_heuristic_bandwidth(rows)))
             evals = np.linalg.eigvalsh(gram.raw.values)
             assert evals.min() >= -1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 2000])
+    @pytest.mark.parametrize("kernel", ["rbf", "linear"])
+    def test_built_exactly_symmetric(self, kernel, n):
+        # gram_matrix skips the (K + K^T)/2 pass, so K must equal it as built
+        rows = np.random.default_rng(n).standard_normal((n, 5))
+        rows[n // 2:] = rows[: n - n // 2]  # the second half repeats the first
+        spec = GaussianRBF(2.5) if kernel == "rbf" else linear_spec_for(rows)
+        K = gram_matrix(rows, spec).raw.values
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(K, SymMatrix(K).values)
+
+    def test_strided_rows_built_exactly_symmetric(self):
+        # X X^T of a strided view comes from a general matrix product, which
+        # need not be symmetric; gram_matrix makes the rows contiguous first
+        wide = np.random.default_rng(4).standard_normal((300, 10))
+        rows = wide[:, ::2]
+        K = gram_matrix(rows, linear_spec_for(rows)).raw.values
+        assert np.array_equal(K, K.T)
 
     def test_diagonal_bound_enforced_for_linear(self):
         rows = np.array([[3.0, 0.0], [0.0, 1.0]])

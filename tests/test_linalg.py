@@ -4,7 +4,6 @@ import pytest
 from kmse.errors import DefinitenessError, InputError
 from kmse.linalg import (
     SymMatrix,
-    shifted_spd_factor,
     solve_spd,
     spd_factor,
     sym_eigendecompose,
@@ -140,7 +139,7 @@ class TestShiftedFactor:
         sym = SymMatrix(random_psd(rng, 12))
         before = sym.values.copy()
         b = rng.standard_normal(12)
-        got = shifted_spd_factor(sym, 0.3).solve(b)
+        got = spd_factor(sym, 0.3).solve(b)
         want = spd_factor(sym.values + 0.3 * np.eye(12)).solve(b)
         assert np.array_equal(got, want)
         assert np.array_equal(sym.values, before)
@@ -154,4 +153,4 @@ class TestShiftedFactor:
 
     def test_non_pd_shift_raises(self):
         with pytest.raises(DefinitenessError):
-            shifted_spd_factor(SymMatrix(np.eye(3)), -2.0)
+            spd_factor(SymMatrix(np.eye(3)), -2.0)
