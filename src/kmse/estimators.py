@@ -20,9 +20,11 @@ lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is one Cholesky solve of
 eigendecomposition is made; it agrees with the spectral path to about 1e-12
 relative. Below that floor Cholesky solves lose digits to the conditioning
 of Kbar + lam I, so fixed Tikhonov and iterated Tikhonov fits there are
-spectral. A selected spec is fitted by ``fit_spec``: its selector has
-already built the spectrum, and applying the filter to it keeps selected
-weights the same bits however they were reached.
+spectral. A selected spec is fitted by ``fit_spec``. A selected Tikhonov or
+TSVD spec is applied to the spectrum its selector has already built; a
+selected iterated Tikhonov spec is t Cholesky solves on one factor of
+Kbar + lam I at every lam, below that floor too; Landweber and nu specs run
+their iterations on Kbar.
 """
 
 from __future__ import annotations
@@ -273,9 +275,10 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     """Weights of one filter spec on K/n, each family by its own arithmetic.
 
     Tikhonov and TSVD go through the spectrum of K/n (``spectral_weights``),
-    which selected fits have already built. Landweber and the nu-method run
-    at the step their spec carries, which must not exceed 1/kappa^2 of
-    ``kbar``.
+    which selected fits have already built. Iterated Tikhonov makes its t
+    solves on one Cholesky factor of K/n + lam I at any lam, with no
+    spectrum. Landweber and the nu-method run at the step their spec
+    carries, which must not exceed 1/kappa^2 of ``kbar``.
     """
     if isinstance(spec, SKMSE):
         return skmse_weights(kbar.n, spec.lam)

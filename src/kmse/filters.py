@@ -314,7 +314,17 @@ def check_admissibility(
     res = 1.0 - kept
     bounds = []
     for eta in eta_list:
-        bounds.append((float(eta), float(np.max(np.abs(res) * grid**eta) / lam**eta)))
+        try:  # lam**eta underflows to 0 or overflows for extreme lambda
+            scale = lam**eta
+        except OverflowError:
+            scale = math.inf
+        bound = float(np.max(np.abs(res) * grid**eta)) / scale if scale > 0 else math.inf
+        if not math.isfinite(bound):
+            raise InputError(
+                f"the D bound at eta = {eta} is not finite in floating point "
+                f"for lambda = {lam}"
+            )
+        bounds.append((float(eta), bound))
     return AdmissibilityReport(
         sup_gamma_g=float(np.max(np.abs(kept))),
         sup_residual=float(np.max(np.abs(res))),

@@ -5,16 +5,89 @@ adds the conventions the rest of the package relies on: symmetrized storage,
 eigenvalues sorted descending (so truncation indices read as "top-m
 components"), and explicit failure types. All values are immutable after
 construction and every operation is a pure function.
+
+One BLAS thread pool. The numpy and scipy wheels each vendor their own
+OpenBLAS, and each copy keeps its own thread pool. After a threaded call an
+OpenBLAS worker spins for a while before it sleeps, so once both pools have
+run, their spinning workers and the calling thread contend for the cores.
+The Cholesky factorization and its solves (``spd_factor``,
+``SpdFactor.solve``) are the package's only calls into scipy's LAPACK, and
+they run inside ``_ONE_BLAS_THREAD``, which sets scipy's OpenBLAS to one
+thread; numpy's pool keeps the machine's threads. On one thread the factor
+is also the same bits whatever OPENBLAS_NUM_THREADS says, which a threaded
+``potrf`` is not for n >= 128.
+
+``CHOLESKY_PINNED`` says whether that pin is in force. It is False when
+scipy's LAPACK is not an OpenBLAS of scipy's own Linux wheel (MKL,
+Accelerate, a system OpenBLAS shared with numpy) or that OpenBLAS lacks
+``openblas_set_num_threads_local``. Then nothing is pinned, and the
+factorization runs on as many threads as that library chooses. OpenBLAS
+built with pthreads keeps the thread count per process, not per thread, so
+the scope counts the threads inside it: the first to enter sets one thread
+and the last to leave restores the count the first one found.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DefinitenessError, InputError
+
+
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that scipy's wheel vendors, if ``scipy.linalg`` has loaded
+    it and it exports ``openblas_set_num_threads_local``."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas-*.so")):
+        try:  # RTLD_NOLOAD: only a copy this process has loaded already
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        if hasattr(lib, "openblas_set_num_threads_local"):
+            lib.openblas_set_num_threads_local.argtypes = [ctypes.c_int]
+            lib.openblas_set_num_threads_local.restype = ctypes.c_int
+            return lib
+    return None
+
+
+class _OneThreadScope:
+    """Holds scipy's OpenBLAS at one thread while any thread is inside."""
+
+    def __init__(self, set_threads):
+        self._set_threads = set_threads
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._found = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._inside == 0:
+                self._found = self._set_threads(1)
+            self._inside += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0:
+                self._set_threads(self._found)
+        return False
+
+
+_SCIPY_OPENBLAS = _scipy_openblas()
+CHOLESKY_PINNED = _SCIPY_OPENBLAS is not None
+_ONE_BLAS_THREAD = (
+    _OneThreadScope(_SCIPY_OPENBLAS.openblas_set_num_threads_local)
+    if CHOLESKY_PINNED
+    else contextlib.nullcontext()
+)
 
 
 def _square(values) -> np.ndarray:
@@ -98,7 +171,8 @@ class SpdFactor:
     _factor: tuple
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve(self._factor, b, check_finite=False)
+        with _ONE_BLAS_THREAD:
+            return scipy.linalg.cho_solve(self._factor, b, check_finite=False)
 
 
 def spd_factor(matrix: SymMatrix | np.ndarray, shift: float = 0.0) -> SpdFactor:
@@ -112,9 +186,10 @@ def spd_factor(matrix: SymMatrix | np.ndarray, shift: float = 0.0) -> SpdFactor:
     if not np.all(np.isfinite(values)):
         raise InputError("matrix contains non-finite entries")
     try:
-        factor = scipy.linalg.cho_factor(
-            values, lower=True, overwrite_a=True, check_finite=False
-        )
+        with _ONE_BLAS_THREAD:
+            factor = scipy.linalg.cho_factor(
+                values, lower=True, overwrite_a=True, check_finite=False
+            )
     except scipy.linalg.LinAlgError as exc:
         raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
     return SpdFactor(factor)

@@ -62,16 +62,21 @@ def shrinkage_helps(c: float, b: float, n: int, mu_norm_sq: float, k_diag_mean: 
     )
 
 
+def _check_theorem1_parameters(c: float, b: float) -> None:
+    """lambda = c n^{-b} with a finite c > 0 and a finite b > 1."""
+    if not (b > 1 and math.isfinite(b)):
+        raise InputError(f"the bound requires a finite b > 1, got b = {b}")
+    if not (c > 0 and math.isfinite(c)):
+        raise InputError(f"c must be positive and finite, got c = {c}")
+
+
 def theorem1_admissibility_bound(c: float, b: float) -> float:
     """Threshold A on ||mu||^2 / int k dP for uniform admissibility of
     lambda = c n^{-b} shrinkage:
 
         A = 2^{1/b} b / (2^{1/b} b + c^{1/b} (b-1)^{(b-1)/b}),  A in (0, 1).
     """
-    if not b > 1:
-        raise InputError("the bound requires b > 1")
-    if not c > 0:
-        raise InputError("c must be positive")
+    _check_theorem1_parameters(c, b)
     two_b = 2.0 ** (1.0 / b)
     return two_b * b / (two_b * b + c ** (1.0 / b) * (b - 1.0) ** ((b - 1.0) / b))
 
@@ -83,6 +88,7 @@ def risk_ratio_infimum(c: float, b: float, grid_points: int = 4001) -> float:
     Independent oracle for :func:`theorem1_admissibility_bound`: coarse
     log-spaced scan followed by two local linear refinements.
     """
+    _check_theorem1_parameters(c, b)
 
     def f(x: np.ndarray) -> np.ndarray:
         # (c^2 + 2c x^b) / (x c^2 + c^2 + 2c x^b) = 1 / (1 + q) with

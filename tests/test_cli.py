@@ -199,6 +199,42 @@ class TestEstimateCommand:
         assert "nu must be positive" in capsys.readouterr().err
 
 
+class TestEstimateThreadIndependence:
+    # scipy's threaded potrf gives other bits from n = 128 on; the Cholesky
+    # fits must write the same bytes at any OPENBLAS_NUM_THREADS
+    FITS = (
+        ["--filter", "itik", "--select", "loocv", "--iters", "50"],
+        ["--filter", "tikhonov", "--lambda", "0.05"],
+        ["--filter", "itik", "--lambda", "0.05"],
+    )
+
+    def test_cholesky_fits_independent_of_blas_threads(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_sample_csv(data, seed=3, n=200, d=5)
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = {}
+        for blas in ("1", "2"):
+            argvs = [
+                ["estimate", "--input", str(data),
+                 "--output", str(tmp_path / f"fit_{blas}_{i}.json")] + fit
+                for i, fit in enumerate(self.FITS)
+            ]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+            )
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from kmse.cli import main\n"
+                 f"for argv in {argvs!r}:\n"
+                 "    assert main(argv) == 0, argv"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs[blas] = [(tmp_path / f"fit_{blas}_{i}.json").read_bytes()
+                             for i in range(len(self.FITS))]
+        assert outputs["1"] == outputs["2"]
+
+
 class TestBenchmarkCommand:
     def test_csv_independent_of_thread_counts(self, tmp_path):
         # BLAS threads and harness workers must not change a single byte
@@ -462,6 +498,18 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert set(payload) >= {"check", "pass", "metric", "threshold"}
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--beta", "inf", "b = inf"), ("--beta", "nan", "b = nan"),
+         ("--c", "inf", "c = inf"), ("--c", "nan", "c = nan")],
+    )
+    def test_thm1_non_finite_parameter_exits_one(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "v.json"
+        code = main(["verify", "--check", "thm1", flag, value, "--output", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def strict_json(text):
     """json.loads that refuses NaN and Infinity, which json.dumps writes but
@@ -488,6 +536,9 @@ class TestStrictJsonArtifacts:
                       "--d", "2", "--json", "{out}"],
         "admissibility": ["admissibility", "--filter", "nu", "--grid-size", "200",
                           "--output", "{out}"],
+        "admissibility-huge-lambda": ["admissibility", "--filter", "tikhonov",
+                                      "--lambda", "1e200", "--grid-size", "200",
+                                      "--output", "{out}"],
         "density-fit": ["density-fit", "--input", "{data}", "--components", "2",
                         "--iters", "5", "--output", "{out}"],
         **{f"verify-{check}": ["verify", "--check", check, "--output", "{out}"]
@@ -502,3 +553,13 @@ class TestStrictJsonArtifacts:
         argv = [arg.format(data=data, out=out) for arg in self.COMMANDS[name]]
         assert main(argv) == 0
         assert isinstance(strict_json(out.read_text(encoding="utf-8")), dict)
+
+    def test_underflowing_lambda_power_exits_one(self, tmp_path, capsys):
+        # lambda**eta underflows to 0 for eta = 2, so the D bound there is 0/0
+        out = tmp_path / "out.json"
+        argv = ["admissibility", "--filter", "tikhonov", "--lambda", "1e-320",
+                "--grid-size", "200", "--output", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "eta = 2.0" in err and "lambda = 1e-320" in err
+        assert not out.exists()

@@ -8,6 +8,10 @@ place each. ``linalg.spd_factor`` is the one Cholesky site, so every SPD
 solve shares its checks and its definiteness error. This parses each module
 under ``src/kmse`` with ``ast`` and lists the function around each call of
 ``eigh`` or ``eigvalsh`` (or of ``cho_factor`` or ``cholesky``).
+
+Every call into ``scipy.linalg`` must also sit inside a ``with
+_ONE_BLAS_THREAD:`` block, which runs scipy's OpenBLAS on one thread; an
+unscoped call would wake scipy's thread pool next to numpy's.
 """
 
 import ast
@@ -50,6 +54,54 @@ def stray_sites(solvers, allowed) -> list[str]:
     return stray
 
 
+SCOPE = "_ONE_BLAS_THREAD"
+
+
+def _dotted(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def unscoped_scipy_linalg_calls(tree: ast.Module) -> list[int]:
+    """Lines of calls into ``scipy.linalg`` outside a ``with SCOPE:`` block."""
+    prefixes = {"scipy.linalg"}  # modules whose attributes are scipy.linalg's
+    names = set()  # functions imported from scipy.linalg
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("scipy.linalg") and alias.asname:
+                    prefixes.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module.startswith("scipy.linalg"):
+                    names.add(bound)
+                elif node.module == "scipy" and alias.name == "linalg":
+                    prefixes.add(bound)
+    lines = []
+
+    def visit(node, scoped):
+        for child in ast.iter_child_nodes(node):
+            inside = scoped or (
+                isinstance(child, ast.With)
+                and any(_dotted(item.context_expr) == SCOPE for item in child.items)
+            )
+            if isinstance(child, ast.Call) and not scoped:
+                name = _dotted(child.func)
+                if name is not None and (
+                    name in names or any(name.startswith(p + ".") for p in prefixes)
+                ):
+                    lines.append(child.lineno)
+            visit(child, inside)
+
+    visit(tree, False)
+    return lines
+
+
 def test_eigensolvers_called_only_by_the_two_factorizations():
     stray = stray_sites(SOLVERS, ALLOWED)
     assert not stray, f"eigensolver calls outside the shared factorizations: {', '.join(stray)}"
@@ -85,3 +137,35 @@ def test_detects_cholesky_calls():
         "scipy.linalg.cho_solve((np.eye(2), True), np.ones(2))\n"
     )
     assert call_sites(tree, CHOLESKY) == [("f", 4), ("<module>", 5)]
+
+
+def test_scipy_linalg_called_only_on_one_blas_thread():
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        stray += [f"{path.name}:{line}" for line in unscoped_scipy_linalg_calls(tree)]
+    assert not stray, f"scipy.linalg calls outside {SCOPE}: {', '.join(stray)}"
+
+
+def test_detects_unscoped_scipy_linalg_calls():
+    tree = ast.parse(
+        "import scipy.linalg\n"
+        "import scipy.linalg as sla\n"
+        "from scipy import linalg as spl\n"
+        "from scipy.linalg import cho_solve\n"
+        "from .linalg import spd_factor\n"
+        "def f(m, b):\n"
+        "    with _ONE_BLAS_THREAD:\n"
+        "        x = scipy.linalg.cho_factor(m)\n"
+        "        cho_solve(x, b)\n"
+        "    sla.cho_factor(m)\n"
+        "    spl.lapack.dpotrf(m)\n"
+        "    spd_factor(m)\n"
+        "    return cho_solve(x, b)\n"
+        "try:\n"
+        "    scipy.linalg.cholesky(m)\n"
+        "except scipy.linalg.LinAlgError:\n"
+        "    pass\n"
+    )
+    assert unscoped_scipy_linalg_calls(tree) == [10, 11, 13, 15]
+

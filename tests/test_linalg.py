@@ -1,6 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from kmse import linalg
 from kmse.errors import DefinitenessError, InputError
 from kmse.linalg import (
     SymMatrix,
@@ -154,3 +159,94 @@ class TestShiftedFactor:
     def test_non_pd_shift_raises(self):
         with pytest.raises(DefinitenessError):
             spd_factor(SymMatrix(np.eye(3)), -2.0)
+
+
+def scipy_blas_threads() -> int:
+    """Thread count of scipy's vendored OpenBLAS, read without changing it."""
+    return linalg._SCIPY_OPENBLAS.scipy_openblas_get_num_threads()
+
+
+@pytest.fixture
+def two_scipy_blas_threads():
+    """Set scipy's OpenBLAS to two threads for the test, then put back the
+    count it had."""
+    set_threads = linalg._SCIPY_OPENBLAS.openblas_set_num_threads_local
+    found = set_threads(2)
+    yield
+    set_threads(found)
+
+
+@pytest.fixture
+def record_scipy_blas_threads(monkeypatch):
+    """Thread counts of scipy's OpenBLAS seen inside each cho_factor and
+    cho_solve call."""
+    seen = []
+    for name in ("cho_factor", "cho_solve"):
+        original = getattr(scipy.linalg, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            seen.append(scipy_blas_threads())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, recorded)
+    return seen
+
+
+class TestOneBlasThread:
+    def test_pinned_when_scipy_vendors_openblas(self):
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas != "scipy-openblas":
+            pytest.skip(f"scipy uses {blas}, which has no pin")
+        assert linalg.CHOLESKY_PINNED
+
+    @pytest.mark.skipif(not linalg.CHOLESKY_PINNED, reason="scipy's BLAS is not pinned")
+    def test_factor_and_solve_run_on_one_thread_then_restore(
+        self, two_scipy_blas_threads, record_scipy_blas_threads
+    ):
+        rng = np.random.default_rng(10)
+        factor = spd_factor(random_psd(rng, 150) + np.eye(150))
+        assert scipy_blas_threads() == 2
+        factor.solve(rng.standard_normal(150))
+        assert record_scipy_blas_threads == [1, 1]
+        assert scipy_blas_threads() == 2
+
+    @pytest.mark.skipif(not linalg.CHOLESKY_PINNED, reason="scipy's BLAS is not pinned")
+    def test_restores_after_a_definiteness_error(
+        self, two_scipy_blas_threads, record_scipy_blas_threads
+    ):
+        with pytest.raises(DefinitenessError):
+            spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert record_scipy_blas_threads == [1]
+        assert scipy_blas_threads() == 2
+
+    @pytest.mark.skipif(not linalg.CHOLESKY_PINNED, reason="scipy's BLAS is not pinned")
+    def test_concurrent_factorizations_share_the_pin(
+        self, two_scipy_blas_threads, record_scipy_blas_threads
+    ):
+        # the count is process-wide: a thread leaving while another is inside
+        # must not restore it, and the last to leave must
+        rng = np.random.default_rng(11)
+        matrix = random_psd(rng, 20) + np.eye(20)
+        b = rng.standard_normal(20)
+        want = solve_spd(matrix, b)
+        results = []
+
+        def work():
+            for _ in range(40):
+                results.append(np.array_equal(spd_factor(matrix).solve(b), want))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 240
+        assert set(record_scipy_blas_threads) == {1}
+        assert scipy_blas_threads() == 2
+
