@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one parameter check."""
+
+import math
 
 
 class KmseError(Exception):
@@ -7,6 +9,12 @@ class KmseError(Exception):
 
 class InputError(KmseError):
     """Invalid argument or malformed input data."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Refuse a parameter that is nan, zero, negative or infinite."""
+    if not 0 < value < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 class ConfigurationError(KmseError):

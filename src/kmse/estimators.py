@@ -45,9 +45,9 @@ from .filters import (
     SKMSE,
     TSVD,
     Tikhonov,
-    nu_method_coefficients,
     retention_values,
     two_term_iterates,
+    two_term_steps,
 )
 from .kernels import KernelSpec, NormalizedGram, cross_kernel
 from .linalg import spd_factor
@@ -223,15 +223,14 @@ def landweber_path(
     kbar_values: np.ndarray, t_max: int, eta: float
 ) -> np.ndarray:
     """Gradient-descent iterates beta^1..beta^t_max, shape (t_max, n)."""
-    return two_term_path(kbar_values, [(0.0, eta)] * t_max)
+    return two_term_path(kbar_values, two_term_steps(Landweber(t_max, eta)))
 
 
 def nu_method_path(
     kbar_values: np.ndarray, t_max: int, nu: float, eta_bar: float
 ) -> np.ndarray:
     """Accelerated two-term iterates beta^1..beta^t_max, shape (t_max, n)."""
-    steps = [nu_method_coefficients(t, nu, eta_bar) for t in range(1, t_max + 1)]
-    return two_term_path(kbar_values, steps)
+    return two_term_path(kbar_values, two_term_steps(NuMethod(t_max, nu, eta_bar)))
 
 
 def landweber_weights(

@@ -14,6 +14,7 @@ component fully shrunk to the target). Implemented families:
                           i.e. (1 - (1 - eta*gamma)^t) / gamma, with g(0) = eta*t
 * ``NuMethod``            g = p_t(gamma), the degree-(t-1) polynomial of the
                           two-term recursion ``two_term_iterates`` run on gamma
+                          with the step schedule ``two_term_steps``
 * ``IteratedTikhonov``    g(gamma) = ((gamma+lam)^t - lam^t) / (gamma * (gamma+lam)^t)
 * ``TSVD``                g(gamma) = 1/gamma if gamma >= lam else 0
 * ``SKMSE``               g(gamma) = 1 / ((1+lam) * gamma) for gamma > 0, the
@@ -22,17 +23,21 @@ component fully shrunk to the target). Implemented families:
 Retention factors are evaluated through dedicated closed forms rather than
 as a literal product g * gamma, so they stay finite and accurate down to
 gamma = 0 (where every residual equals 1). ``filter_values`` divides them by
-gamma and takes each family's limit at gamma = 0.
+gamma and takes each family's limit at gamma = 0. ``residual_values`` forms
+r without cancellation near retention 1: lam / (gamma + lam) for Tikhonov,
+(lam / (gamma + lam))^t for iterated Tikhonov, (1 - eta gamma)^t for Landweber.
+``two_term_steps`` is the one (omega_t, kappa_t) schedule of a Landweber or
+nu-method spec; the filter polynomials, weight paths and LOOCV all run it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, require_positive
 
 #: Default shrinkage-parameter grid for model selection: logarithmic over
 #: [1e-6, 1e2], 30 points.
@@ -45,13 +50,9 @@ def default_lambda_grid(num: int = LAMBDA_GRID_POINTS) -> np.ndarray:
     return np.geomspace(LAMBDA_GRID_MIN, LAMBDA_GRID_MAX, num)
 
 
-def _check_finite(spec) -> None:
-    """Reject an infinite parameter of a filter spec; its positivity checks
-    have already refused nan."""
-    for item in fields(spec):
-        value = getattr(spec, item.name)
-        if not isinstance(value, int) and not math.isfinite(value):
-            raise InputError(f"{type(spec).__name__} {item.name} must be finite, got {value}")
+def _require_count(spec) -> None:
+    if not (isinstance(spec.iters, int) and spec.iters >= 1):
+        raise InputError(f"{type(spec).__name__} iters must be an integer >= 1, got {spec.iters}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,7 @@ class Tikhonov:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InputError(f"Tikhonov lambda must be positive, got {self.lam}")
-        _check_finite(self)
+        require_positive("Tikhonov lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,8 @@ class Landweber:
     eta: float
 
     def __post_init__(self):
-        if not (isinstance(self.iters, int) and self.iters >= 1):
-            raise InputError("Landweber iteration count must be a positive integer")
-        if not self.eta > 0:
-            raise InputError(f"Landweber step size must be positive, got {self.eta}")
-        _check_finite(self)
+        _require_count(self)
+        require_positive("Landweber eta", self.eta)
 
 
 @dataclass(frozen=True)
@@ -87,13 +83,9 @@ class NuMethod:
     eta_bar: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.iters, int) and self.iters >= 1):
-            raise InputError("NuMethod iteration count must be a positive integer")
-        if not self.nu > 0:
-            raise InputError(f"nu must be positive, got {self.nu}")
-        if not self.eta_bar > 0:
-            raise InputError(f"eta_bar must be positive, got {self.eta_bar}")
-        _check_finite(self)
+        _require_count(self)
+        require_positive("NuMethod nu", self.nu)
+        require_positive("NuMethod eta_bar", self.eta_bar)
 
 
 @dataclass(frozen=True)
@@ -102,11 +94,8 @@ class IteratedTikhonov:
     lam: float
 
     def __post_init__(self):
-        if not (isinstance(self.iters, int) and self.iters >= 1):
-            raise InputError("IteratedTikhonov iteration count must be a positive integer")
-        if not self.lam > 0:
-            raise InputError(f"IteratedTikhonov lambda must be positive, got {self.lam}")
-        _check_finite(self)
+        _require_count(self)
+        require_positive("IteratedTikhonov lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -114,9 +103,7 @@ class TSVD:
     threshold: float
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise InputError(f"TSVD threshold must be positive, got {self.threshold}")
-        _check_finite(self)
+        require_positive("TSVD threshold", self.threshold)
 
 
 @dataclass(frozen=True)
@@ -124,9 +111,8 @@ class SKMSE:
     lam: float
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise InputError(f"SKMSE lambda must be non-negative, got {self.lam}")
-        _check_finite(self)
+        if not 0 <= self.lam < math.inf:
+            raise InputError(f"SKMSE lam must be non-negative and finite, got {self.lam}")
 
 
 FilterSpec = Tikhonov | Landweber | NuMethod | IteratedTikhonov | TSVD | SKMSE
@@ -177,15 +163,12 @@ def nu_method_coefficients(t: int, nu: float, eta_bar: float) -> tuple[float, fl
     return omega, kappa
 
 
-def ladder_coefficients(ladder) -> list[tuple[float, float]]:
-    """(omega_t, kappa_t) of every step of a Landweber or nu-method ladder,
-    which holds t = 1, 2, ... in order; Landweber steps have omega = 0 and
-    kappa = eta."""
-    return [
-        (0.0, spec.eta) if isinstance(spec, Landweber)
-        else nu_method_coefficients(spec.iters, spec.nu, spec.eta_bar)
-        for spec in ladder
-    ]
+def two_term_steps(spec: Landweber | NuMethod) -> list[tuple[float, float]]:
+    """(omega_t, kappa_t) of steps t = 1..iters of a Landweber or nu-method
+    spec; Landweber steps have omega = 0 and kappa = eta."""
+    if isinstance(spec, Landweber):
+        return [(0.0, spec.eta)] * spec.iters
+    return [nu_method_coefficients(t, spec.nu, spec.eta_bar) for t in range(1, spec.iters + 1)]
 
 
 def two_term_iterates(coefficients, target: np.ndarray, apply):
@@ -206,16 +189,12 @@ def two_term_iterates(coefficients, target: np.ndarray, apply):
         residual = target - apply(curr)
 
 
-def nu_filter_path(gammas: np.ndarray, t_max: int, nu: float, eta_bar: float) -> np.ndarray:
-    """Values p_t(gamma) for t = 1..t_max, shape (t_max, len(gammas)).
-
-    The filter polynomials follow the coefficient iteration with A = gamma
-    and b = 1: p_t = p_{t-1} + omega_t (p_{t-1} - p_{t-2})
-    + kappa_t (1 - gamma p_{t-1}), from p_0 = 0.
-    """
-    g = np.asarray(gammas, dtype=float)
-    steps = [nu_method_coefficients(t, nu, eta_bar) for t in range(1, t_max + 1)]
-    return np.array(list(two_term_iterates(steps, np.ones_like(g), lambda p: g * p)))
+def _nu_polynomial(spec: NuMethod, gammas: np.ndarray) -> np.ndarray:
+    """p_t(gamma), the last iterate of the two-term recursion with A = gamma and
+    b = 1: p_t = p_{t-1} + omega_t (p_{t-1} - p_{t-2}) + kappa_t (1 - gamma p_{t-1})."""
+    for p in two_term_iterates(two_term_steps(spec), np.ones_like(gammas), lambda x: gammas * x):
+        pass
+    return p
 
 
 def _check_gammas(gammas: np.ndarray) -> np.ndarray:
@@ -225,20 +204,32 @@ def _check_gammas(gammas: np.ndarray) -> np.ndarray:
     return g
 
 
+def residual_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
+    """r(gamma) = 1 - gamma * g(gamma), in closed form where 1 - retention
+    would cancel; TSVD and S-KMSE retention is exact, and the nu filter's
+    residual is 1 - gamma p_t(gamma)."""
+    g = _check_gammas(gammas)
+    if isinstance(spec, Tikhonov):
+        return spec.lam / (g + spec.lam)
+    if isinstance(spec, Landweber):
+        return (1.0 - spec.eta * g) ** spec.iters
+    if isinstance(spec, IteratedTikhonov):
+        return (spec.lam / (g + spec.lam)) ** spec.iters
+    return 1.0 - retention_values(spec, g)
+
+
 def retention_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
     """gamma * g(gamma), evaluated in closed form (finite at gamma = 0)."""
     g = _check_gammas(gammas)
     if isinstance(spec, Tikhonov):
         return g / (g + spec.lam)
-    if isinstance(spec, Landweber):
-        return 1.0 - (1.0 - spec.eta * g) ** spec.iters
-    if isinstance(spec, IteratedTikhonov):
-        return 1.0 - (spec.lam / (g + spec.lam)) ** spec.iters
+    if isinstance(spec, (Landweber, IteratedTikhonov)):
+        return 1.0 - residual_values(spec, g)
     if isinstance(spec, TSVD):
         return np.where(g >= spec.threshold, 1.0, 0.0)
     if isinstance(spec, SKMSE):
         return np.where(g > 0, 1.0 / (1.0 + spec.lam), 0.0)
-    return g * nu_filter_path(g, spec.iters, spec.nu, spec.eta_bar)[-1]
+    return g * _nu_polynomial(spec, g)
 
 
 def _value_at_zero(spec: FilterSpec) -> float:
@@ -251,7 +242,7 @@ def _value_at_zero(spec: FilterSpec) -> float:
     if isinstance(spec, IteratedTikhonov):
         return spec.iters / spec.lam
     if isinstance(spec, NuMethod):
-        return float(nu_filter_path(np.zeros(1), spec.iters, spec.nu, spec.eta_bar)[-1, 0])
+        return float(_nu_polynomial(spec, np.zeros(1))[0])
     return 0.0  # TSVD and SKMSE
 
 
@@ -271,7 +262,7 @@ def scalar_filter(spec: FilterSpec, gamma: float) -> float:
 
 def residual(spec: FilterSpec, gamma: float) -> float:
     """r(gamma) = 1 - gamma * g(gamma); equals 1 at gamma = 0 for every filter."""
-    return float(1.0 - retention_values(spec, np.asarray([gamma], dtype=float))[0])
+    return float(residual_values(spec, np.asarray([gamma], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -310,8 +301,7 @@ def check_admissibility(
     grid = np.linspace(0.0, kappa_sq, grid_size)
     if 0.0 <= lam <= kappa_sq:
         grid = np.append(grid, lam)
-    kept = retention_values(spec, grid)
-    res = 1.0 - kept
+    res = residual_values(spec, grid)
     bounds = []
     for eta in eta_list:
         try:  # lam**eta underflows to 0 or overflows for extreme lambda
@@ -326,7 +316,7 @@ def check_admissibility(
             )
         bounds.append((float(eta), bound))
     return AdmissibilityReport(
-        sup_gamma_g=float(np.max(np.abs(kept))),
+        sup_gamma_g=float(np.max(np.abs(retention_values(spec, grid)))),
         sup_residual=float(np.max(np.abs(res))),
         residual_eta_bounds=bounds,
         grid_size=grid_size,

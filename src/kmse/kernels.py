@@ -11,22 +11,16 @@ step size eta = 1/kappa^2 valid for gradient-type filters.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .data import Dataset, as_rows
-from .errors import DegenerateBandwidthError, InputError
+from .errors import DegenerateBandwidthError, InputError, require_positive
 from .linalg import EigenDecomposition, SymMatrix, sym_eigendecompose
 
 DIAGONAL_TOLERANCE = 1e-12
-
-
-def _require_positive_finite(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +31,8 @@ class GaussianRBF:
     kappa_sq: float = 1.0
 
     def __post_init__(self):
-        _require_positive_finite("bandwidth_sq", self.bandwidth_sq)
-        _require_positive_finite("kappa_sq", self.kappa_sq)
+        require_positive("bandwidth_sq", self.bandwidth_sq)
+        require_positive("kappa_sq", self.kappa_sq)
 
 
 @dataclass(frozen=True)
@@ -48,7 +42,7 @@ class Linear:
     kappa_sq: float
 
     def __post_init__(self):
-        _require_positive_finite("kappa_sq", self.kappa_sq)
+        require_positive("kappa_sq", self.kappa_sq)
 
 
 KernelSpec = GaussianRBF | Linear

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import as_rows
-from .errors import InputError, KmseError, ReplicationError
+from .errors import InputError, KmseError, ReplicationError, require_positive
 from .estimators import ESTIMATORS, WeightVector, _rows_and_weights, empirical_kme_weights
 from .estimators import fit_fixed, fit_spec
 from .filters import default_lambda_grid
@@ -58,8 +58,7 @@ from .synthetic import (
 def _gaussian_inners(X: np.ndarray, theta: np.ndarray, factor: tuple, sigma_sq: float):
     """E_{y ~ N(theta, Sigma)} k(x_i, y) for every row x_i of a 2-d X, with
     Sigma given by its ``psd_eigh`` factor."""
-    if not sigma_sq > 0:
-        raise InputError("sigma_sq must be positive")
+    require_positive("sigma_sq", sigma_sq)
     evals, evecs = factor
     denom = evals + sigma_sq
     log_pref = 0.5 * float(np.sum(np.log(sigma_sq / denom)))

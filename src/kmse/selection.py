@@ -57,8 +57,8 @@ import numpy as np
 
 from .errors import InputError
 from .estimators import _guard, _target, fit_spec, two_term_path
-from .filters import SKMSE, FilterSpec, IteratedTikhonov, Landweber, NuMethod
-from .filters import ladder_coefficients, two_term_iterates
+from .filters import SKMSE, TSVD, FilterSpec, IteratedTikhonov, Landweber, NuMethod, Tikhonov
+from .filters import two_term_iterates, two_term_steps
 from .kernels import NormalizedGram
 
 #: Doubles the resolvent scorer stacks per chunk of grid points, g n (n + t):
@@ -140,9 +140,20 @@ class _FoldBasis:
         return self._score_parts(X)[2]
 
 
+def _iteration_steps(ladder) -> list[tuple[float, float]]:
+    """The step schedule of a Landweber or nu-method ladder, which must hold
+    t = 1..T of the schedule of its last entry, in order."""
+    last = ladder[-1]
+    for t, spec in enumerate(ladder, 1):
+        if type(spec) is not type(last) or vars(spec) != {**vars(last), "iters": t}:
+            raise InputError(f"iteration ladder entry {t - 1} is {spec}, not step {t} of {last}")
+    return two_term_steps(last)
+
+
 def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     """Mean held-out squared RKHS distance after each iteration count of a
     Landweber or nu-method ladder, which holds t = 1, 2, ... in order."""
+    steps = _iteration_steps(ladder)
     basis = _FoldBasis.of(kbar)
     scores = []
 
@@ -151,7 +162,7 @@ def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
         scores.append(score)
         return applied
 
-    for X in two_term_iterates(ladder_coefficients(ladder), basis.targets, apply):
+    for X in two_term_iterates(steps, basis.targets, apply):
         _guard(X, basis.m)
     return np.array(scores) / kbar.n
 
@@ -253,23 +264,18 @@ def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
         raise InputError("GCV needs at least one candidate")
     eig = kbar.spectrum
     gammas = np.clip(eig.eigenvalues, 0.0, None)
-    coeff = eig.eigenvectors.T @ _target(kbar.matrix.values)
-    sq = coeff**2
+    sq = (eig.eigenvectors.T @ _target(kbar.matrix.values)) ** 2
     # residual^2 after keeping the top m components, for m = 1..n
     tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])  # tail[m] = sum_{i>m} sq
-    scores = []
-    levels = []
-    for m in range(1, n):
-        if gammas[m - 1] <= 0.0:
-            break  # beyond the numerical rank: no valid threshold
-        scores.append(tail[m] / (1.0 - m / n) ** 2)
-        levels.append(m)
-    scores_arr = np.asarray(scores)
-    m_star = levels[_argmin_first(scores_arr)]
+    # levels 1..n-1, up to the numerical rank: no valid threshold beyond it
+    head = gammas[: n - 1] > 0.0
+    levels = np.arange(1, (n - 1 if head.all() else int(np.argmin(head))) + 1)
+    scores = tail[levels] / (1.0 - levels / n) ** 2
+    m_star = int(levels[_argmin_first(scores)])
     # tied eigenvalues share one threshold, so a level's ladder index can be lower
     thresholds = [candidate.threshold for candidate in ladder]
     chosen = ladder[thresholds.index(float(gammas[m_star - 1]))]
-    path = [(float(m), float(s)) for m, s in zip(levels, scores_arr)]
+    path = [(float(m), float(s)) for m, s in zip(levels, scores)]
     return SelectionResult(chosen=chosen, score_path=path, score_kind="GCV")
 
 
@@ -282,7 +288,7 @@ def oracle_select(kbar: NormalizedGram, ladder, loss) -> SelectionResult:
     if len(ladder) == 0:
         raise InputError("oracle selection needs at least one candidate")
     if isinstance(ladder[0], (Landweber, NuMethod)):
-        candidates = two_term_path(kbar.matrix.values, ladder_coefficients(ladder))
+        candidates = two_term_path(kbar.matrix.values, _iteration_steps(ladder))
     else:
         candidates = (fit_spec(kbar, spec).weights for spec in ladder)
     losses = np.array([loss(w) for w in candidates])
@@ -293,12 +299,15 @@ def select(rule: str, kbar: NormalizedGram, ladder, loss=None) -> SelectionResul
     """Choose from ``ladder`` on K/n ``kbar`` by ``rule``: "loocv", "gcv" or
     "oracle", which minimizes ``loss`` of the weights."""
     # the selectors are looked up per call, so a wrapped module binding is seen
-    if rule == "gcv":
-        return gcv_select_tsvd(kbar, ladder)
     if rule == "oracle":
         return oracle_select(kbar, ladder, loss)
-    if rule != "loocv":
+    if rule not in ("loocv", "gcv"):
         raise InputError(f"unknown selection rule {rule!r}")
-    if len(ladder) > 0 and isinstance(ladder[0], (Landweber, NuMethod)):
+    family = type(ladder[0]) if len(ladder) > 0 else None
+    if rule == "gcv" and family in (TSVD, None):
+        return gcv_select_tsvd(kbar, ladder)
+    if rule == "loocv" and family in (Landweber, NuMethod):
         return loocv_select_iterations(kbar, ladder)
-    return loocv_select_lambda(kbar, ladder)
+    if rule == "loocv" and family in (SKMSE, Tikhonov, IteratedTikhonov, None):
+        return loocv_select_lambda(kbar, ladder)
+    raise InputError(f"no {rule} selector for a {family.__name__} ladder")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import as_rows
-from .errors import InputError
+from .errors import InputError, require_positive
 from .estimators import fit_spec, spectral_weights
 from .filters import IteratedTikhonov, Landweber, NuMethod, Tikhonov
 from .kernels import NormalizedGram, gram_matrix, linear_spec_for, normalize_gram
@@ -37,8 +37,9 @@ def skmse_risk_difference_exact(
 
     Negative values mean shrinkage helps at this sample size.
     """
-    if not (c > 0 and b > 1 and n >= 1):
-        raise InputError("need c > 0, b > 1, n >= 1")
+    _check_theorem1_parameters(c, b)
+    if not n >= 1:
+        raise InputError(f"need n >= 1, got {n}")
     if not 0 <= mu_norm_sq <= k_diag_mean:
         raise InputError("need 0 <= ||mu||^2 <= int k(x,x) dP (Cauchy-Schwarz)")
     nb = float(n) ** b
@@ -66,8 +67,7 @@ def _check_theorem1_parameters(c: float, b: float) -> None:
     """lambda = c n^{-b} with a finite c > 0 and a finite b > 1."""
     if not (b > 1 and math.isfinite(b)):
         raise InputError(f"the bound requires a finite b > 1, got b = {b}")
-    if not (c > 0 and math.isfinite(c)):
-        raise InputError(f"c must be positive and finite, got c = {c}")
+    require_positive("c", c)
 
 
 def theorem1_admissibility_bound(c: float, b: float) -> float:
@@ -161,8 +161,6 @@ def verify_operator_equivalence(X, lam: float) -> float:
     n, d = rows.shape
     if d > 20 or n > 200:
         raise InputError("operator-side check is limited to d <= 20, n <= 200")
-    if not lam > 0:
-        raise InputError("lambda must be positive")
     gram = gram_matrix(rows, linear_spec_for(rows))
     beta = spectral_weights(normalize_gram(gram), Tikhonov(lam)).weights
     gram_side = gram.raw.values @ beta
@@ -197,11 +195,8 @@ class RateExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.c < math.inf:
-            raise InputError(f"c must be positive and finite, got {self.c}")
-        b = self.smoothness_exponent
-        if not 0 < b < math.inf:
-            raise InputError(f"the decay exponent b must be positive and finite, got {b}")
+        require_positive("c", self.c)
+        require_positive("the decay exponent b", self.smoothness_exponent)
         grid = tuple(int(v) for v in self.n_grid)
         if len(grid) < 2:
             raise InputError("need at least two grid points to fit a slope")

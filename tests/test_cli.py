@@ -158,7 +158,7 @@ class TestEstimateCommand:
         write_sample_csv(data)
         argv = ["estimate", "--input", str(data), "--filter", "skmse", "--lambda", "nan"]
         assert main(argv) == 1
-        assert "SKMSE lambda must be non-negative, got nan" in capsys.readouterr().err
+        assert "SKMSE lam must be non-negative and finite, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -176,7 +176,8 @@ class TestEstimateCommand:
         out = tmp_path / "weights.json"
         write_sample_csv(data)
         assert main(["estimate", "--input", str(data), *flags, "--output", str(out)]) == 1
-        assert f"{message} must be finite, got inf" in capsys.readouterr().err
+        condition = "non-negative" if message == "SKMSE lam" else "positive"
+        assert f"{message} must be {condition} and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "1e400"])
@@ -499,15 +500,21 @@ class TestVerifyCommand:
         assert set(payload) >= {"check", "pass", "metric", "threshold"}
 
     @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--beta", "inf", "b = inf"), ("--beta", "nan", "b = nan"),
-         ("--c", "inf", "c = inf"), ("--c", "nan", "c = nan")],
+        "flag, value, message", [("--beta", "inf", "b = inf"), ("--beta", "nan", "b = nan")]
     )
     def test_thm1_non_finite_parameter_exits_one(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "v.json"
         code = main(["verify", "--check", "thm1", flag, value, "--output", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_thm1_non_finite_c_exits_one(self, tmp_path, capsys, value):
+        out = tmp_path / "v.json"
+        code = main(["verify", "--check", "thm1", "--c", value, "--output", str(out)])
+        assert code == 1
+        assert f"c must be positive and finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
 

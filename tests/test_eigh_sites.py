@@ -12,6 +12,10 @@ under ``src/kmse`` with ``ast`` and lists the function around each call of
 Every call into ``scipy.linalg`` must also sit inside a ``with
 _ONE_BLAS_THREAD:`` block, which runs scipy's OpenBLAS on one thread; an
 unscoped call would wake scipy's thread pool next to numpy's.
+
+Two more rules have one site each: ``errors.require_positive`` is the one
+"positive and finite" parameter check, and ``filters.two_term_steps`` is the
+one caller of ``nu_method_coefficients``, the nu-method step schedule.
 """
 
 import ast
@@ -110,6 +114,17 @@ def test_eigensolvers_called_only_by_the_two_factorizations():
 def test_cholesky_called_only_by_spd_factor():
     stray = stray_sites(CHOLESKY, CHOLESKY_ALLOWED)
     assert not stray, f"Cholesky calls outside linalg.spd_factor: {', '.join(stray)}"
+
+
+def test_positive_and_finite_check_written_only_in_errors():
+    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "must be positive and finite" in path.read_text(encoding="utf-8")]
+    assert sites == ["errors.py"]
+
+
+def test_nu_coefficients_called_only_by_two_term_steps():
+    stray = stray_sites({"nu_method_coefficients"}, {("filters.py", "two_term_steps")})
+    assert not stray, f"step schedules outside filters.two_term_steps: {', '.join(stray)}"
 
 
 def test_detects_calls_in_methods_and_at_module_level():

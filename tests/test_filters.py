@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
-from kmse.errors import InputError
+from kmse.errors import InputError, require_positive
 from kmse.filters import (
     IteratedTikhonov,
     Landweber,
@@ -16,8 +16,10 @@ from kmse.filters import (
     nu_method_coefficients,
     qualification,
     residual,
+    residual_values,
     retention_values,
     scalar_filter,
+    two_term_steps,
 )
 
 GRID = np.linspace(0.0, 1.0, 2001)
@@ -70,7 +72,8 @@ class TestScalarFilter:
 
     @pytest.mark.parametrize("lam", [-0.1, float("nan")])
     def test_skmse_rejects_negative_or_nan_lambda(self, lam):
-        with pytest.raises(InputError, match="SKMSE lambda must be non-negative"):
+        message = f"SKMSE lam must be non-negative and finite, got {lam}"
+        with pytest.raises(InputError, match=message):
             SKMSE(lam)
 
     def test_negative_gamma_rejected(self):
@@ -127,13 +130,43 @@ class TestSpecParameters:
 
     @pytest.mark.parametrize("make,field", SPECS)
     def test_infinite_parameter_named(self, make, field):
-        with pytest.raises(InputError, match=f"{field} must be finite, got inf"):
+        condition = "non-negative" if field == "SKMSE lam" else "positive"
+        with pytest.raises(InputError, match=f"{field} must be {condition} and finite, got inf"):
             make(float("inf"))
 
     @pytest.mark.parametrize("make,field", SPECS)
     def test_nan_parameter_named(self, make, field):
         with pytest.raises(InputError, match="must be .*, got nan"):
             make(float("nan"))
+
+    @pytest.mark.parametrize(
+        "make", [lambda t: Landweber(t, 1.0), NuMethod, lambda t: IteratedTikhonov(t, 0.1)]
+    )
+    @pytest.mark.parametrize("iters", [0, -2, 2.0])
+    def test_bad_iteration_count_named(self, make, iters):
+        with pytest.raises(InputError, match=rf"iters must be an integer >= 1, got {iters}$"):
+            make(iters)
+
+
+class TestRequirePositive:
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf"), float("-inf")])
+    def test_refused_with_its_name_and_value(self, value):
+        with pytest.raises(InputError, match=rf"^width must be positive and finite, got {value}$"):
+            require_positive("width", value)
+
+    @pytest.mark.parametrize("value", [5e-324, 1.0, 3, 1.7e308])
+    def test_positive_finite_accepted(self, value):
+        require_positive("width", value)
+
+
+class TestTwoTermSteps:
+    def test_landweber_steps_are_plain_gradient_steps(self):
+        assert two_term_steps(Landweber(3, 0.5)) == [(0.0, 0.5)] * 3
+
+    def test_nu_steps_follow_the_coefficients(self):
+        spec = NuMethod(4, 1.5, 0.5)
+        want = [nu_method_coefficients(t, 1.5, 0.5) for t in range(1, 5)]
+        assert two_term_steps(spec) == want
 
 
 class TestResidual:
@@ -158,6 +191,31 @@ class TestResidual:
     def test_tsvd_exact_inverse_above_threshold(self):
         assert residual(TSVD(0.3), 0.3) == 0.0
         assert residual(TSVD(0.3), 0.9) == 0.0
+
+    @pytest.mark.parametrize(
+        "spec,closed",
+        [
+            (Tikhonov(1e-17), lambda g: 1e-17 / (g + 1e-17)),
+            (IteratedTikhonov(3, 1e-12), lambda g: (1e-12 / (g + 1e-12)) ** 3),
+            (Landweber(4, 0.999), lambda g: (1.0 - 0.999 * g) ** 4),
+        ],
+    )
+    def test_closed_form_where_retention_is_near_one(self, spec, closed):
+        # 1 - retention cancels where these residuals are tiny; the closed form keeps them
+        gammas = np.array([0.0, 1e-3, 0.5, 1.0])
+        np.testing.assert_array_equal(residual_values(spec, gammas), closed(gammas))
+
+    @pytest.mark.parametrize("spec", [Landweber(7, 0.8), IteratedTikhonov(3, 0.2)])
+    def test_retention_is_one_minus_the_closed_residual(self, spec):
+        np.testing.assert_array_equal(
+            retention_values(spec, GRID), 1.0 - residual_values(spec, GRID)
+        )
+
+    @pytest.mark.parametrize("spec", [NuMethod(5), TSVD(0.3), SKMSE(0.7)])
+    def test_other_families_are_one_minus_retention(self, spec):
+        np.testing.assert_array_equal(
+            residual_values(spec, GRID), 1.0 - retention_values(spec, GRID)
+        )
 
 
 class TestNuMethod:
@@ -269,6 +327,15 @@ class TestAdmissibilityReport:
     def test_grid_size_minimum(self):
         with pytest.raises(InputError):
             check_admissibility(Tikhonov(0.1), 99, [1.0])
+
+    def test_small_lambda_bounds_match_the_closed_form_supremum(self):
+        # 1 - retention cancels here and reads 1.85 and 1.73e16; on [0, 1]
+        # the supremum of lam / (g + lam) (g / lam)^eta sits at g = 1
+        lam = 1e-17
+        report = check_admissibility(Tikhonov(lam), 10_000, [1.0, 2.0])
+        (_, d1), (_, d2) = report.residual_eta_bounds
+        assert d1 == pytest.approx(1.0 / (1.0 + lam), rel=1e-12)
+        assert d2 == pytest.approx(1.0 / (lam * (1.0 + lam)), rel=1e-12)
 
     def test_zero_shrinkage_rejected(self):
         # the D bounds divide by lam^eta; lam = 0 gave NaN instead of an error

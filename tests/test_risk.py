@@ -127,6 +127,18 @@ class TestMixtureMeanInners:
         with pytest.raises(InputError, match="sigma_sq must be positive"):
             mixture_mean_inners(np.zeros((2, 1)), point_mass([0.0], 1), sigma_sq)
 
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            lambda s: kernel_mean_inner(np.zeros(2), np.zeros(2), np.eye(2), s),
+            lambda s: component_mean_inners(np.zeros((3, 2)), np.zeros(2), np.eye(2), s),
+        ],
+    )
+    def test_infinite_bandwidth_refused(self, inner):
+        # inf passes a bare sigma_sq > 0 test and gives NaN with a RuntimeWarning
+        with pytest.raises(InputError, match="sigma_sq must be positive and finite, got inf"):
+            inner(float("inf"))
+
     def test_unfolded_noise_rejected(self):
         # the noise widens every component; ignoring it gave a z that disagreed
         # with ||mu_P||^2 (0.005281 against 0.005505 at x = 0 here)

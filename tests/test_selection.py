@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -152,13 +153,19 @@ class TestLoocvLambda:
         result = select_lambda(rows, "tikhonov", [0.1, 1.0])
         assert result.chosen.lam in (0.1, 1.0)
 
+    MESSAGES = {
+        "skmse": "SKMSE lam must be non-negative and finite, got -0.5",
+        "tikhonov": "Tikhonov lam must be positive and finite, got -0.5",
+        "itik": "IteratedTikhonov lam must be positive and finite, got -0.5",
+    }
+
     @pytest.mark.parametrize("family", ["skmse", "tikhonov", "itik"])
     def test_invalid_grid_value_rejected_before_any_work(self, family, monkeypatch):
         # -0.5 scores worse than 0.5 here; it must be rejected all the same
         monkeypatch.setattr(selection, "loocv_select_lambda", no_selection)
         rows = sample_rows(8, n=10)
         config = risk.EstimatorConfig(family, selection="loocv", lambda_grid=(-0.5, 0.5, 2.0))
-        with pytest.raises(InputError, match="lambda must be"):
+        with pytest.raises(InputError, match=self.MESSAGES[family]):
             risk.fit_weights(config, rows, rbf_spec(rows))
 
     def test_skmse_family_selects(self):
@@ -214,6 +221,35 @@ class TestSelectorInputs:
     def test_oracle_needs_a_loss(self):
         with pytest.raises(InputError, match="loss callback"):
             selection.select("oracle", kbar_of(sample_rows()), (Tikhonov(0.1),))
+
+    @pytest.mark.parametrize("rule", ["loocv", "oracle"])
+    @pytest.mark.parametrize(
+        "ladder,bad",
+        [
+            # scoring steps 1 and 2 as t = 30 and 40 picks t = 40 under both rules
+            ((Landweber(30, 1.0), Landweber(40, 1.0)), 0),
+            ((Landweber(1, 1.0), Landweber(3, 1.0), Landweber(3, 1.0)), 1),
+            ((Landweber(1, 1.0), Landweber(2, 1.0), Landweber(2, 1.0)), 2),
+            ((Landweber(1, 0.5), Landweber(2, 1.0)), 0),
+            ((NuMethod(1), NuMethod(2, 2.0)), 0),
+            ((NuMethod(1), NuMethod(2, 1.0, 0.5)), 0),
+            ((NuMethod(1), Landweber(2, 1.0)), 0),
+        ],
+    )
+    def test_iteration_ladder_must_count_one_schedule_from_one(self, rule, ladder, bad):
+        kbar = kbar_of(sample_rows(n=12))
+        message = re.escape(f"iteration ladder entry {bad} is {ladder[bad]!r}")
+        with pytest.raises(InputError, match=message):
+            selection.select(rule, kbar, ladder, zero_loss)
+
+    @pytest.mark.parametrize(
+        "rule,ladder",
+        [("loocv", (TSVD(0.1),)), ("gcv", (Tikhonov(0.1),)), ("gcv", (Landweber(1, 1.0),))],
+    )
+    def test_rule_without_a_selector_for_the_family(self, rule, ladder):
+        family = type(ladder[0]).__name__
+        with pytest.raises(InputError, match=f"no {rule} selector for a {family} ladder"):
+            selection.select(rule, kbar_of(sample_rows()), ladder)
 
 
 class TestOracle:
@@ -485,6 +521,46 @@ class TestGcvTsvd:
             assert len(fast) == len(brute)
             for fast_score, direct in zip(fast, brute):
                 assert abs(fast_score - direct) <= 1e-10 * max(1.0, direct)
+
+    @staticmethod
+    def per_level_scores(kbar):
+        """GCV level by level, stopping at the first zero eigenvalue."""
+        n = kbar.n
+        eig = kbar.spectrum
+        gammas = np.clip(eig.eigenvalues, 0.0, None)
+        sq = (eig.eigenvectors.T @ kbar.matrix.values.mean(axis=1)) ** 2
+        tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
+        levels, scores = [], []
+        for m in range(1, n):
+            if gammas[m - 1] <= 0.0:
+                break
+            levels.append(float(m))
+            scores.append(tail[m] / (1.0 - m / n) ** 2)
+        return levels, scores
+
+    def assert_equals_per_level(self, kbar):
+        result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
+        levels, scores = self.per_level_scores(kbar)
+        assert [m for m, _ in result.score_path] == levels
+        assert np.array_equal([s for _, s in result.score_path], scores)
+        m_star = int(levels[int(np.argmin(scores))])
+        gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
+        assert result.chosen.threshold == float(gammas[m_star - 1])
+        return levels
+
+    @pytest.mark.parametrize("n,samples", [(50, 20), (200, 8), (700, 2)])
+    def test_scores_equal_the_per_level_loop(self, n, samples):
+        rng = np.random.default_rng(n)
+        for _ in range(samples):
+            rows = rng.standard_normal((n, int(rng.integers(1, 6))))
+            self.assert_equals_per_level(kbar_of(rows))
+
+    def test_levels_stop_at_the_numerical_rank(self):
+        gammas = [0.5, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0]
+        kbar = NormalizedGram(SymMatrix(np.diag(gammas)), kappa_sq=1.0)
+        assert self.assert_equals_per_level(kbar) == [1.0, 2.0, 3.0, 4.0]
+        rows = np.random.default_rng(3).standard_normal((40, 4))  # linear kernel: rank 4
+        self.assert_equals_per_level(kbar_of(rows, linear_spec_for(rows)))
 
     def test_chosen_threshold_is_positive(self):
         rows = sample_rows(9, n=15)

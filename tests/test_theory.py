@@ -39,6 +39,18 @@ class TestUniformShrinkageRisk:
         with pytest.raises(InputError):
             skmse_risk_difference_exact(1.0, 2.0, 5, 1.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "c,b,message",
+        [(float("inf"), 2.0, "c must be positive and finite, got inf"),
+         (0.0, 2.0, "c must be positive and finite, got 0.0"),
+         (1.0, float("inf"), "finite b > 1, got b = inf"),
+         (1.0, 1.0, "finite b > 1, got b = 1.0")],
+    )
+    def test_parameters_refused_by_name(self, c, b, message):
+        # unchecked, an infinite c or b reaches math.fsum, which raises ValueError
+        with pytest.raises(InputError, match=message):
+            skmse_risk_difference_exact(c, b, 10, 0.5, 1.0)
+
     def test_sign_matches_inequality(self):
         rng = np.random.default_rng(0)
         for _ in range(10_000)[:2000]:
