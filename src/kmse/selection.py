@@ -44,9 +44,9 @@ Iterative methods are scored along their whole iteration path (the path
 comes for free); lambda methods are scored on a grid. TSVD truncation levels
 are picked by GCV on the projection residual. Ties always break toward the
 smaller parameter. The oracle rule, where the true loss is known, keeps the
-candidate of least loss. Every selector takes K/n and the candidate ladder its
-``estimators.ESTIMATORS`` row builds as ``(kbar, ladder)`` and chooses from
-that ladder; ``select`` names the selector of each rule.
+candidate of least loss. Every selector takes K/n and a ladder, one family
+varying one field (``lam``, ``iters`` = 1..T or ``threshold``), as ``(kbar,
+ladder)``, checks it with ``_check_ladder`` and scores the values it returns.
 """
 
 from __future__ import annotations
@@ -80,11 +80,36 @@ def _argmin_first(scores: np.ndarray) -> int:
     return int(np.argmin(scores))
 
 
-def _check_loocv(kbar: NormalizedGram, ladder) -> None:
+#: The field each family's ladder varies; its entries agree on every other one.
+_VARIED = {SKMSE: "lam", Tikhonov: "lam", IteratedTikhonov: "lam", TSVD: "threshold",
+           Landweber: "iters", NuMethod: "iters"}
+_ITERATIONS = (Landweber, NuMethod)
+
+
+def _check_ladder(ladder, rule: str, families) -> tuple[FilterSpec, np.ndarray]:
+    """The last entry of ``ladder`` and its varied-field values, after refusing an
+    empty ladder, a last entry of none of ``families`` and an entry that differs
+    from the last in another field (iteration ladders must count t = 1..T)."""
+    if len(ladder) == 0:
+        raise InputError(f"{rule} selection needs at least one candidate")
+    last = ladder[-1]
+    if type(last) not in families:
+        raise InputError(f"no {rule} selector for a {type(last).__name__} ladder: "
+                         f"entry {len(ladder) - 1} is {last!r}")
+    field = _VARIED[type(last)]
+    counts = field == "iters"
+    values = range(1, len(ladder) + 1) if counts else [getattr(s, field, None) for s in ladder]
+    for i, (spec, value) in enumerate(zip(ladder, values)):
+        if type(spec) is not type(last) or vars(spec) != {**vars(last), field: value}:
+            kind, want = ("iteration", f"step {i + 1}") if counts else (field, f"another {field}")
+            raise InputError(f"{kind} ladder entry {i} is {spec!r}, not {want} of {last!r}")
+    return last, np.array(values, dtype=float)
+
+
+def _check_loocv(kbar: NormalizedGram, ladder, families) -> tuple[FilterSpec, np.ndarray]:
     if kbar.n < 3:
         raise InputError("LOOCV needs at least three points")
-    if len(ladder) == 0:
-        raise InputError("LOOCV needs at least one candidate")
+    return _check_ladder(ladder, "loocv", families)
 
 
 def _result(ladder, params, scores: np.ndarray, kind: str) -> SelectionResult:
@@ -140,20 +165,8 @@ class _FoldBasis:
         return self._score_parts(X)[2]
 
 
-def _iteration_steps(ladder) -> list[tuple[float, float]]:
-    """The step schedule of a Landweber or nu-method ladder, which must hold
-    t = 1..T of the schedule of its last entry, in order."""
-    last = ladder[-1]
-    for t, spec in enumerate(ladder, 1):
-        if type(spec) is not type(last) or vars(spec) != {**vars(last), "iters": t}:
-            raise InputError(f"iteration ladder entry {t - 1} is {spec}, not step {t} of {last}")
-    return two_term_steps(last)
-
-
-def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
-    """Mean held-out squared RKHS distance after each iteration count of a
-    Landweber or nu-method ladder, which holds t = 1, 2, ... in order."""
-    steps = _iteration_steps(ladder)
+def _iteration_scores(kbar: NormalizedGram, steps) -> np.ndarray:
+    """Mean held-out squared RKHS distance after each step of ``steps``."""
     basis = _FoldBasis.of(kbar)
     scores = []
 
@@ -170,12 +183,11 @@ def _iteration_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
 def loocv_select_iterations(kbar: NormalizedGram, ladder) -> SelectionResult:
     """Pick the iteration count of a Landweber or nu-method ladder, which holds
     t = 1, 2, ... in order, by LOOCV on K/n ``kbar``."""
-    _check_loocv(kbar, ladder)
-    iters = [spec.iters for spec in ladder]
-    return _result(ladder, iters, _iteration_scores(kbar, ladder), "LOOCV")
+    last, iters = _check_loocv(kbar, ladder, _ITERATIONS)
+    return _result(ladder, iters, _iteration_scores(kbar, two_term_steps(last)), "LOOCV")
 
 
-def _skmse_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
+def _skmse_scores(kbar: NormalizedGram, lams: np.ndarray) -> np.ndarray:
     """Fold i refits (1/(1+lam)) 1_{n-1}/(n-1); its score needs K's sums."""
     n = kbar.n
     m = n - 1
@@ -184,13 +196,13 @@ def _skmse_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     # sum over folds of 1^T K_i 1 / m^2 and of mean(k_i)
     quad = ((n - 2) * total + trace) / m**2
     cross = (total - trace) / m
-    shrink = 1.0 / (1.0 + np.array([candidate.lam for candidate in ladder]))
+    shrink = 1.0 / (1.0 + lams)
     return (shrink**2 * quad - 2.0 * shrink * cross + trace) / n
 
 
-def _resolvent_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
-    """Scores of t Tikhonov solves from beta = 0 per candidate: one solve is
-    Tikhonov, t solves are iterated Tikhonov.
+def _resolvent_scores(kbar: NormalizedGram, lams: np.ndarray, solves: int) -> np.ndarray:
+    """Scores of t = ``solves`` Tikhonov solves from beta = 0 per lambda in
+    ``lams``: one solve is Tikhonov, t solves are iterated Tikhonov.
 
     With d = 1/(gamma + lam) and W = lam d, solve s of fold i is
     X_s = W X_{s-1} + d T_i - alpha_s d u_i, where alpha_s makes
@@ -206,14 +218,11 @@ def _resolvent_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
     """
     basis = _FoldBasis.of(kbar)
     n = kbar.n
-    first = ladder[0]
-    solves = first.iters if isinstance(first, IteratedTikhonov) else 1
     u_targets = basis.ut * basis.targets
     u_sq = basis.ut * basis.ut
-    lams = np.array([candidate.lam for candidate in ladder])
     chunk = max(1, _CHUNK_DOUBLES // (n * (n + solves)))
-    scores = np.empty(len(ladder))
-    for start in range(0, len(ladder), chunk):
+    scores = np.empty(len(lams))
+    for start in range(0, len(lams), chunk):
         lam = lams[start:start + chunk, None]
         inv = 1.0 / (basis.gammas + lam)  # d, one row per grid point
         powers = np.empty((len(lam), n, solves))  # W^j, j = 0..t-1
@@ -244,9 +253,11 @@ def _resolvent_scores(kbar: NormalizedGram, ladder) -> np.ndarray:
 def loocv_select_lambda(kbar: NormalizedGram, ladder) -> SelectionResult:
     """Pick the lambda of an S-KMSE, Tikhonov or iterated-Tikhonov ladder by
     LOOCV on K/n ``kbar``, all folds from one eigendecomposition."""
-    _check_loocv(kbar, ladder)
-    scorer = _skmse_scores if isinstance(ladder[0], SKMSE) else _resolvent_scores
-    return _result(ladder, [spec.lam for spec in ladder], scorer(kbar, ladder), "LOOCV")
+    last, lams = _check_loocv(kbar, ladder, (SKMSE, Tikhonov, IteratedTikhonov))
+    if isinstance(last, SKMSE):
+        return _result(ladder, lams, _skmse_scores(kbar, lams), "LOOCV")
+    solves = last.iters if isinstance(last, IteratedTikhonov) else 1
+    return _result(ladder, lams, _resolvent_scores(kbar, lams, solves), "LOOCV")
 
 
 def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
@@ -258,10 +269,7 @@ def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
     and are excluded. Returns the ``ladder`` entry at gamma_m of the argmin.
     """
     n = kbar.n
-    if n < 2:
-        raise InputError("GCV needs at least two points")
-    if len(ladder) == 0:
-        raise InputError("GCV needs at least one candidate")
+    _, thresholds = _check_ladder(ladder, "gcv", (TSVD,))
     eig = kbar.spectrum
     gammas = np.clip(eig.eigenvalues, 0.0, None)
     sq = (eig.eigenvectors.T @ _target(kbar.matrix.values)) ** 2
@@ -270,11 +278,14 @@ def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
     # levels 1..n-1, up to the numerical rank: no valid threshold beyond it
     head = gammas[: n - 1] > 0.0
     levels = np.arange(1, (n - 1 if head.all() else int(np.argmin(head))) + 1)
+    if len(levels) == 0:
+        raise InputError("GCV needs at least two points and a positive eigenvalue of K/n")
     scores = tail[levels] / (1.0 - levels / n) ** 2
     m_star = int(levels[_argmin_first(scores)])
     # tied eigenvalues share one threshold, so a level's ladder index can be lower
-    thresholds = [candidate.threshold for candidate in ladder]
-    chosen = ladder[thresholds.index(float(gammas[m_star - 1]))]
+    chosen = dict(zip(thresholds, ladder)).get(gammas[m_star - 1])
+    if chosen is None:
+        raise InputError(f"no ladder entry has GCV level {m_star}'s threshold {gammas[m_star - 1]}")
     path = [(float(m), float(s)) for m, s in zip(levels, scores)]
     return SelectionResult(chosen=chosen, score_path=path, score_kind="GCV")
 
@@ -285,10 +296,9 @@ def oracle_select(kbar: NormalizedGram, ladder, loss) -> SelectionResult:
     two-term path fits every count of a Landweber or nu-method ladder."""
     if loss is None:
         raise InputError("oracle selection needs a loss callback")
-    if len(ladder) == 0:
-        raise InputError("oracle selection needs at least one candidate")
-    if isinstance(ladder[0], (Landweber, NuMethod)):
-        candidates = two_term_path(kbar.matrix.values, _iteration_steps(ladder))
+    last, _ = _check_ladder(ladder, "oracle", _VARIED)
+    if isinstance(last, _ITERATIONS):
+        candidates = two_term_path(kbar.matrix.values, two_term_steps(last))
     else:
         candidates = (fit_spec(kbar, spec).weights for spec in ladder)
     losses = np.array([loss(w) for w in candidates])
@@ -296,18 +306,16 @@ def oracle_select(kbar: NormalizedGram, ladder, loss) -> SelectionResult:
 
 
 def select(rule: str, kbar: NormalizedGram, ladder, loss=None) -> SelectionResult:
-    """Choose from ``ladder`` on K/n ``kbar`` by ``rule``: "loocv", "gcv" or
-    "oracle", which minimizes ``loss`` of the weights."""
+    """Choose from ``ladder`` on K/n ``kbar`` by ``rule``: "loocv" (lambda or,
+    by the last entry, iteration ladders), "gcv" (TSVD) or "oracle" (any family),
+    which minimizes ``loss``. The rule's selector checks ``ladder`` (``_check_ladder``)."""
     # the selectors are looked up per call, so a wrapped module binding is seen
     if rule == "oracle":
         return oracle_select(kbar, ladder, loss)
-    if rule not in ("loocv", "gcv"):
-        raise InputError(f"unknown selection rule {rule!r}")
-    family = type(ladder[0]) if len(ladder) > 0 else None
-    if rule == "gcv" and family in (TSVD, None):
+    if rule == "gcv":
         return gcv_select_tsvd(kbar, ladder)
-    if rule == "loocv" and family in (Landweber, NuMethod):
+    if rule != "loocv":
+        raise InputError(f"unknown selection rule {rule!r}")
+    if len(ladder) > 0 and isinstance(ladder[-1], _ITERATIONS):
         return loocv_select_iterations(kbar, ladder)
-    if rule == "loocv" and family in (SKMSE, Tikhonov, IteratedTikhonov, None):
-        return loocv_select_lambda(kbar, ladder)
-    raise InputError(f"no {rule} selector for a {family.__name__} ladder")
+    return loocv_select_lambda(kbar, ladder)

@@ -16,6 +16,12 @@ unscoped call would wake scipy's thread pool next to numpy's.
 Two more rules have one site each: ``errors.require_positive`` is the one
 "positive and finite" parameter check, and ``filters.two_term_steps`` is the
 one caller of ``nu_method_coefficients``, the nu-method step schedule.
+
+Selectors read a ladder only through ``selection._check_ladder``: no module
+indexes ``ladder[0]`` to guess a family, and no function in ``selection``
+but the check reads the varied field (``lam``, ``iters`` or ``threshold``)
+of a spec. The one other read is the fixed solve count of an iterated
+Tikhonov ladder, ``last.iters`` in ``loocv_select_lambda``.
 """
 
 import ast
@@ -125,6 +131,63 @@ def test_positive_and_finite_check_written_only_in_errors():
 def test_nu_coefficients_called_only_by_two_term_steps():
     stray = stray_sites({"nu_method_coefficients"}, {("filters.py", "two_term_steps")})
     assert not stray, f"step schedules outside filters.two_term_steps: {', '.join(stray)}"
+
+
+VARIED_FIELDS = {"lam", "iters", "threshold"}
+FIELD_READS_ALLOWED = {("loocv_select_lambda", "iters")}
+
+
+def field_reads(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(enclosing function, field, line) of each ``x.lam``, ``x.iters`` or
+    ``x.threshold`` and of each ``ladder[0]``, listed as field "ladder[0]"."""
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            where = ".".join(scope) or "<module>"
+            if isinstance(child, ast.Attribute) and child.attr in VARIED_FIELDS:
+                reads.append((where, child.attr, child.lineno))
+            if (isinstance(child, ast.Subscript) and _dotted(child.value) == "ladder"
+                    and isinstance(child.slice, ast.Constant) and child.slice.value == 0):
+                reads.append((where, "ladder[0]", child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return reads
+
+
+def test_no_module_guesses_a_family_from_ladder_0():
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        stray += [f"{path.name}:{line} in {scope}"
+                  for scope, field, line in field_reads(tree) if field == "ladder[0]"]
+    assert not stray, f"ladder[0] reads: {', '.join(stray)}"
+
+
+def test_only_the_ladder_check_reads_the_varied_field_in_selection():
+    tree = ast.parse((PACKAGE / "selection.py").read_text(encoding="utf-8"))
+    stray = [f"selection.py:{line} reads {field} in {scope}"
+             for scope, field, line in field_reads(tree)
+             if scope != "_check_ladder" and (scope, field) not in FIELD_READS_ALLOWED]
+    assert not stray, ", ".join(stray)
+
+
+def test_detects_field_reads_and_ladder_0():
+    tree = ast.parse(
+        "def f(ladder, spec):\n"
+        "    first = ladder[0]\n"
+        "    return spec.lam, ladder[-1].threshold, spec.eta\n"
+        "class A:\n"
+        "    def g(self, ladder):\n"
+        "        return [s.iters for s in ladder]\n"
+    )
+    assert field_reads(tree) == [
+        ("f", "ladder[0]", 2), ("f", "lam", 3), ("f", "threshold", 3), ("A.g", "iters", 6)
+    ]
 
 
 def test_detects_calls_in_methods_and_at_module_level():

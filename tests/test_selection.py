@@ -184,6 +184,10 @@ def no_selection(*args):
     raise AssertionError("LOOCV ran before the ladder was checked")
 
 
+def no_scoring(*args):
+    raise AssertionError("a candidate was scored before the ladder was checked")
+
+
 def zero_loss(weights):
     return 0.0
 
@@ -250,6 +254,29 @@ class TestSelectorInputs:
         family = type(ladder[0]).__name__
         with pytest.raises(InputError, match=f"no {rule} selector for a {family} ladder"):
             selection.select(rule, kbar_of(sample_rows()), ladder)
+
+    # (ladder, index of the entry each rule refuses): an entry of another
+    # family or solve count than the last one, or a last entry of a family
+    # the rule cannot score
+    MIXED = [
+        ((IteratedTikhonov(3, 0.1), IteratedTikhonov(1, 1.0)), {"loocv": 0, "gcv": 1, "oracle": 0}),
+        ((SKMSE(0.5), Tikhonov(0.1)), {"loocv": 0, "gcv": 1, "oracle": 0}),
+        ((Tikhonov(0.1), TSVD(0.1)), {"loocv": 1, "gcv": 0, "oracle": 0}),
+        ((TSVD(0.1), Tikhonov(0.2)), {"loocv": 0, "gcv": 1, "oracle": 0}),
+        ((Tikhonov(0.1), Tikhonov(0.2), IteratedTikhonov(1, 0.3)), {"oracle": 0}),
+    ]
+
+    @pytest.mark.parametrize(
+        "rule,ladder,bad",
+        [(rule, ladder, bad) for ladder, bads in MIXED for rule, bad in bads.items()],
+    )
+    def test_mixed_ladder_rejected_before_scoring(self, rule, ladder, bad, monkeypatch):
+        for scorer in ("_skmse_scores", "_resolvent_scores", "_iteration_scores", "_target",
+                       "fit_spec", "two_term_path"):
+            monkeypatch.setattr(selection, scorer, no_scoring)
+        message = re.escape(f"entry {bad} is {ladder[bad]!r}")
+        with pytest.raises(InputError, match=message):
+            selection.select(rule, kbar_of(sample_rows(n=12)), ladder, no_scoring)
 
 
 class TestOracle:
@@ -561,6 +588,17 @@ class TestGcvTsvd:
         assert self.assert_equals_per_level(kbar) == [1.0, 2.0, 3.0, 4.0]
         rows = np.random.default_rng(3).standard_normal((40, 4))  # linear kernel: rank 4
         self.assert_equals_per_level(kbar_of(rows, linear_spec_for(rows)))
+
+    @pytest.mark.parametrize("gammas", [[0.0, 0.0, 0.0, 0.0], [0.5]])
+    def test_no_positive_eigenvalue_or_single_point_rejected(self, gammas):
+        kbar = NormalizedGram(SymMatrix(np.diag(gammas)), kappa_sq=1.0)
+        with pytest.raises(InputError, match="at least two points and a positive eigenvalue"):
+            gcv_select_tsvd(kbar, (TSVD(0.1),))
+
+    def test_ladder_without_the_chosen_threshold_rejected(self):
+        kbar = NormalizedGram(SymMatrix(np.diag([0.5, 0.2, 0.0, 0.0])), kappa_sq=1.0)
+        with pytest.raises(InputError, match="GCV level 2's threshold 0.2"):
+            gcv_select_tsvd(kbar, (TSVD(0.1),))
 
     def test_chosen_threshold_is_positive(self):
         rows = sample_rows(9, n=15)
