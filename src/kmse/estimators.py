@@ -14,17 +14,16 @@ beta = 0.
 ``ESTIMATORS`` registers every estimator with its selection rules, its fixed
 spec and its candidate ladder; ``fit_spec`` turns any spec into weights.
 
-``fit_fixed`` fits a spec chosen without selection. A Tikhonov spec with
-lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is one Cholesky solve of
-(Kbar + lam I) beta = Kbar 1_n, the first step of iterated Tikhonov, so no
-eigendecomposition is made; it agrees with the spectral path to about 1e-12
-relative. Below that floor Cholesky solves lose digits to the conditioning
-of Kbar + lam I, so fixed Tikhonov and iterated Tikhonov fits there are
-spectral. A selected spec is fitted by ``fit_spec``. A selected Tikhonov or
-TSVD spec is applied to the spectrum its selector has already built; a
-selected iterated Tikhonov spec is t Cholesky solves on one factor of
-Kbar + lam I at every lam, below that floor too; Landweber and nu specs run
-their iterations on Kbar.
+An iterated Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is t
+Cholesky solves on one factor of Kbar + lam I; below that floor the solves
+lose digits to the conditioning of Kbar + lam I, so it goes through the
+spectrum. The floor alone picks the path, whatever the selection rule.
+``fit_fixed`` fits a spec chosen without selection: above the floor a
+Tikhonov spec is one such solve, so no eigendecomposition is made; it agrees
+with the spectral path to about 1e-12 relative. A selected spec is fitted by
+``fit_spec``: a selected Tikhonov or TSVD spec is applied to the spectrum its
+selector has already built, and Landweber and nu specs run their iterations
+on Kbar.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from .linalg import spd_factor
 
 STEP_SIZE_SLACK = 1e-12
 DIVERGENCE_FACTOR = 1e6
-#: Smallest lam / kappa^2 at which a fixed Tikhonov or iterated Tikhonov fit
-#: goes through Cholesky solves; below it their error grows like 1/lam
+#: Smallest lam / kappa^2 at which iterated Tikhonov and fixed Tikhonov fits
+#: go through Cholesky solves; below it their error grows like 1/lam
 #: (TestFitFixed in tests/test_estimators.py measures it).
 RESOLVENT_MIN_LAMBDA = 1e-3
 
@@ -248,21 +247,16 @@ def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVe
     return fit_spec(kbar, NuMethod(iters=t, nu=nu, eta_bar=1.0 / kbar.kappa_sq))
 
 
-def _resolvent_iterates(kbar: NormalizedGram, t: int, lam: float) -> np.ndarray:
-    """beta_t of (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from
-    beta_0 = 0, all t solves on one Cholesky factor of Kbar + lam I."""
+def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> WeightVector:
+    """Solve (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from beta_0 = 0,
+    all t solves on one Cholesky factor of Kbar + lam I."""
+    spec = IteratedTikhonov(iters=t, lam=lam)
     target = _target(kbar.matrix.values)
     factor = spd_factor(kbar.matrix, lam)
     beta = np.zeros(kbar.n)
     for _ in range(t):
         beta = factor.solve(target + lam * beta)
-    return beta
-
-
-def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> WeightVector:
-    """Solve (Kbar + lam I) beta_s = Kbar 1_n + lam beta_{s-1} from beta_0 = 0."""
-    spec = IteratedTikhonov(iters=t, lam=lam)
-    return WeightVector(_resolvent_iterates(kbar, t, lam), "itik", spec)
+    return WeightVector(beta, "itik", spec)
 
 
 def tsvd_weights(kbar: NormalizedGram, threshold: float) -> WeightVector:
@@ -275,9 +269,10 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
 
     Tikhonov and TSVD go through the spectrum of K/n (``spectral_weights``),
     which selected fits have already built. Iterated Tikhonov makes its t
-    solves on one Cholesky factor of K/n + lam I at any lam, with no
-    spectrum. Landweber and the nu-method run at the step their spec
-    carries, which must not exceed 1/kappa^2 of ``kbar``.
+    solves on one Cholesky factor of K/n + lam I when lam >=
+    RESOLVENT_MIN_LAMBDA * kappa^2, with no spectrum, and goes through the
+    spectrum below that floor. Landweber and the nu-method run at the step
+    their spec carries, which must not exceed 1/kappa^2 of ``kbar``.
     """
     if isinstance(spec, SKMSE):
         return skmse_weights(kbar.n, spec.lam)
@@ -287,7 +282,7 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
         _validate_step(spec, kbar.kappa_sq)
         path = nu_method_path(kbar.matrix.values, spec.iters, spec.nu, spec.eta_bar)
         return WeightVector(path[-1], "nu", spec)
-    if isinstance(spec, IteratedTikhonov):
+    if isinstance(spec, IteratedTikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
         return iterated_tikhonov_weights(kbar, spec.iters, spec.lam)
     return spectral_weights(kbar, spec)
 
@@ -295,18 +290,13 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
 def fit_fixed(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     """Weights of a spec fitted without parameter selection.
 
-    A Tikhonov or iterated Tikhonov spec with lam below
-    RESOLVENT_MIN_LAMBDA * kappa^2 goes through the spectrum. Above that
-    floor a Tikhonov spec is one solve of (Kbar + lam I) beta = Kbar 1_n on
-    a Cholesky factor, with no eigendecomposition; every other spec goes to
-    ``fit_spec``. The path depends on the spec alone, never on whether the
-    spectrum is cached.
+    A Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is iterated
+    Tikhonov with one solve, on a Cholesky factor of Kbar + lam I, with no
+    eigendecomposition; every other spec goes to ``fit_spec``. The path
+    depends on the spec alone, never on whether the spectrum is cached.
     """
-    if isinstance(spec, (Tikhonov, IteratedTikhonov)):
-        if spec.lam < RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
-            return spectral_weights(kbar, spec)
-        if isinstance(spec, Tikhonov):
-            return WeightVector(_resolvent_iterates(kbar, 1, spec.lam), "tikhonov", spec)
+    if isinstance(spec, Tikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
+        return WeightVector(iterated_tikhonov_weights(kbar, 1, spec.lam).weights, "tikhonov", spec)
     return fit_spec(kbar, spec)
 
 

@@ -216,9 +216,10 @@ def fit_weights(
     which solves a Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 on
     one Cholesky factor instead of an eigendecomposition. Any other rule has
     ``selection.select`` pick an entry of its ``ladder`` (``oracle_loss`` is
-    the "oracle" rule's true loss) and ``estimators.fit_spec`` applies it to
-    the spectrum the selector built. The path depends on the rule alone, so a
-    fit's bits never depend on what another estimator cached on ``kbar``.
+    the "oracle" rule's true loss) and ``estimators.fit_spec`` fits it; that
+    floor alone sends an iterated Tikhonov spec to Cholesky or the spectrum.
+    The path depends on the rule and the spec alone, so a fit's bits never
+    depend on what another estimator cached on ``kbar``.
     ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given
     (kme's uniform weights need neither).
     """

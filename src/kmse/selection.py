@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import _guard, _target, fit_spec, two_term_path
+from .estimators import _guard, _target, _validate_step, fit_spec, two_term_path
 from .filters import SKMSE, TSVD, FilterSpec, IteratedTikhonov, Landweber, NuMethod, Tikhonov
 from .filters import two_term_iterates, two_term_steps
 from .kernels import NormalizedGram
@@ -184,6 +184,7 @@ def loocv_select_iterations(kbar: NormalizedGram, ladder) -> SelectionResult:
     """Pick the iteration count of a Landweber or nu-method ladder, which holds
     t = 1, 2, ... in order, by LOOCV on K/n ``kbar``."""
     last, iters = _check_loocv(kbar, ladder, _ITERATIONS)
+    _validate_step(last, kbar.kappa_sq)
     return _result(ladder, iters, _iteration_scores(kbar, two_term_steps(last)), "LOOCV")
 
 
@@ -297,6 +298,7 @@ def oracle_select(kbar: NormalizedGram, ladder, loss) -> SelectionResult:
     if loss is None:
         raise InputError("oracle selection needs a loss callback")
     last, _ = _check_ladder(ladder, "oracle", _VARIED)
+    _validate_step(last, kbar.kappa_sq)
     if isinstance(last, _ITERATIONS):
         candidates = two_term_path(kbar.matrix.values, two_term_steps(last))
     else:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .data import as_rows
 from .errors import InputError, require_positive
-from .estimators import fit_spec, spectral_weights
-from .filters import IteratedTikhonov, Landweber, NuMethod, Tikhonov
+from .estimators import iterated_tikhonov_weights, landweber_weights
+from .estimators import nu_method_weights, spectral_weights
+from .filters import Tikhonov
 from .kernels import NormalizedGram, gram_matrix, linear_spec_for, normalize_gram
 from .risk import EstimatorConfig, risk_estimate
 from .synthetic import MixtureParams, effective_components
@@ -133,19 +134,20 @@ def verify_spectral_equivalence(
     lam: float = 0.1,
     nu: float = 1.0,
 ) -> float:
-    """Max-abs difference between the iterative and spectral coefficient paths."""
+    """Max-abs difference between the iterative and spectral coefficient paths;
+    iterated Tikhonov is solved by Cholesky at every lam, even below the floor
+    where ``fit_spec`` would take the spectrum and compare it with itself."""
     if t == 0:
         return 0.0  # both paths are identically zero before the first step
-    eta_bar = 1.0 / kbar.kappa_sq
     if algo == "landweber":
-        spec = Landweber(t, eta_bar)
+        iterative = landweber_weights(kbar, t)
     elif algo == "nu":
-        spec = NuMethod(t, nu, eta_bar)
+        iterative = nu_method_weights(kbar, t, nu)
     elif algo == "itik":
-        spec = IteratedTikhonov(t, lam)
+        iterative = iterated_tikhonov_weights(kbar, t, lam)
     else:
         raise InputError(f"unknown iterative algorithm {algo!r}")
-    gap = fit_spec(kbar, spec).weights - spectral_weights(kbar, spec).weights
+    gap = iterative.weights - spectral_weights(kbar, iterative.shrinkage).weights
     return float(np.abs(gap).max())
 
 

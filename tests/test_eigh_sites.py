@@ -5,7 +5,9 @@ one calls a Cholesky factorization.
 a covariance; every other eigendecomposition must go through one of them, so
 the conventions (descending K/n spectrum, one PSD tolerance) live in one
 place each. ``linalg.spd_factor`` is the one Cholesky site, so every SPD
-solve shares its checks and its definiteness error. This parses each module
+solve shares its checks and its definiteness error; its only callers are
+``estimators.iterated_tikhonov_weights``, which also makes the fixed
+Tikhonov solve, and ``linalg.solve_spd``. This parses each module
 under ``src/kmse`` with ``ast`` and lists the function around each call of
 ``eigh`` or ``eigvalsh`` (or of ``cho_factor`` or ``cholesky``).
 
@@ -32,6 +34,7 @@ ALLOWED = {("linalg.py", "sym_eigendecompose"), ("synthetic.py", "psd_eigh")}
 SOLVERS = {"eigh", "eigvalsh"}
 CHOLESKY_ALLOWED = {("linalg.py", "spd_factor")}
 CHOLESKY = {"cho_factor", "cholesky"}
+SPD_FACTOR_ALLOWED = {("estimators.py", "iterated_tikhonov_weights"), ("linalg.py", "solve_spd")}
 
 
 def call_sites(tree: ast.Module, solvers=SOLVERS) -> list[tuple[str, int]]:
@@ -120,6 +123,11 @@ def test_eigensolvers_called_only_by_the_two_factorizations():
 def test_cholesky_called_only_by_spd_factor():
     stray = stray_sites(CHOLESKY, CHOLESKY_ALLOWED)
     assert not stray, f"Cholesky calls outside linalg.spd_factor: {', '.join(stray)}"
+
+
+def test_spd_factor_called_only_by_iterated_tikhonov_and_solve_spd():
+    stray = stray_sites({"spd_factor"}, SPD_FACTOR_ALLOWED)
+    assert not stray, f"spd_factor calls outside its two callers: {', '.join(stray)}"
 
 
 def test_positive_and_finite_check_written_only_in_errors():

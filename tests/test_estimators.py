@@ -246,16 +246,18 @@ class TestFitFixed:
         assert np.array_equal(got.weights, want.weights)
         assert (got.estimator_id, got.shrinkage) == (want.estimator_id, want.shrinkage)
 
+    @pytest.mark.parametrize("fit", [fit_fixed, fit_spec])
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
     @pytest.mark.parametrize("t", [1, 3])
     @pytest.mark.parametrize("ratio", [RESOLVENT_MIN_LAMBDA * 0.999, 1e-6, 1e-12])
-    def test_iterated_tikhonov_below_the_floor_is_spectral(self, kernel, t, ratio):
+    def test_iterated_tikhonov_below_the_floor_is_spectral(self, kernel, t, ratio, fit):
         # the t Cholesky solves lose digits like 1/lam: on 303 normal rows in
         # 5-d with the linear kernel and lam = 1e-15 they missed the spectral
-        # weights by 59% (t=1) and 153% (t=3), relative L2
+        # weights by 59% (t=1) and 153% (t=3), relative L2; the floor, not
+        # the selection rule, picks the path
         kbar = kbar_with_duplicates(kernel, 50)
         spec = IteratedTikhonov(t, ratio * kbar.kappa_sq)
-        got = fit_fixed(kbar, spec)
+        got = fit(kbar, spec)
         want = spectral_weights(kbar, spec)
         assert np.array_equal(got.weights, want.weights)
         assert (got.estimator_id, got.shrinkage) == ("itik", spec)

@@ -497,7 +497,11 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
     lambda_fit = {
         "skmse": lambda lam: skmse_weights(n, lam),
         "tikhonov": lambda lam: spectral_weights(kbar, Tikhonov(lam)),
-        "itik": lambda lam: iterated_tikhonov_weights(kbar, config.itik_iters, lam),
+        # Cholesky solves at the floor and above, the spectrum below it
+        "itik": lambda lam: (
+            iterated_tikhonov_weights(kbar, config.itik_iters, lam)
+            if lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq
+            else spectral_weights(kbar, IteratedTikhonov(config.itik_iters, lam))),
     }
     lambda_spec = {
         "skmse": SKMSE,

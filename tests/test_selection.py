@@ -278,6 +278,23 @@ class TestSelectorInputs:
         with pytest.raises(InputError, match=message):
             selection.select(rule, kbar_of(sample_rows(n=12)), ladder, no_scoring)
 
+    @pytest.mark.parametrize("rule", ["loocv", "oracle"])
+    @pytest.mark.parametrize("family,message", [("landweber", "Landweber step size"),
+                                                ("nu", "accelerated step scale")])
+    def test_step_above_inverse_kappa_sq_rejected_before_scoring(self, rule, family, message,
+                                                                 monkeypatch):
+        # the same error fit_spec raises, before any fold iterate or path
+        for scorer in ("_iteration_scores", "_target", "fit_spec", "two_term_path"):
+            monkeypatch.setattr(selection, scorer, no_scoring)
+        kbar = kbar_of(sample_rows(n=12))
+        eta = 2.0 / kbar.kappa_sq
+        if family == "landweber":
+            ladder = tuple(Landweber(t, eta) for t in range(1, 6))
+        else:
+            ladder = tuple(NuMethod(t, 1.0, eta) for t in range(1, 6))
+        with pytest.raises(ConfigurationError, match=message):
+            selection.select(rule, kbar, ladder, no_scoring)
+
 
 class TestOracle:
     @pytest.mark.parametrize("family", ["landweber", "nu", "tikhonov", "skmse", "itik"])

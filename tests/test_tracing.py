@@ -72,6 +72,7 @@ def test_install_wraps_every_layer_and_uninstall_restores():
          {"risk.fit.itik", "selection.loocv", "estimators.apply", "linalg.eigh"}),
         (["--filter", "landweber", "--select", "loocv"],
          {"risk.fit.landweber", "selection.loocv", "estimators.apply"}),
+        ([], {"risk.fit.tikhonov", "estimators.apply", "linalg.spd"}),
     ],
 )
 def test_fits_are_seen_by_their_layers(tmp_path, flags, spans):
