@@ -62,7 +62,6 @@ from .kernels import (
     NormalizedGram,
     gram_matrix,
     kernel_eval,
-    linear_spec_for,
     median_heuristic_bandwidth,
     normalize_gram,
 )

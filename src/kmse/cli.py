@@ -23,8 +23,8 @@ from .estimators import ESTIMATORS
 from .filters import FilterSpec, check_admissibility
 from .kernels import (
     GaussianRBF,
+    Linear,
     gram_matrix,
-    linear_spec_for,
     median_heuristic_bandwidth,
     normalize_gram,
 )
@@ -89,7 +89,7 @@ def _parse_bandwidth(text: str) -> float | None:
 
 def _resolve_kernel(args, rows):
     if args.kernel == "linear":
-        return linear_spec_for(rows), None
+        return Linear(), None
     sigma_sq = _parse_bandwidth(args.bandwidth)
     if sigma_sq is None:
         sigma_sq = median_heuristic_bandwidth(rows)
@@ -234,6 +234,7 @@ def _cmd_density_fit(args) -> int:
     payload = {
         "dataset": args.input,
         "target_estimator": wv.estimator_id,
+        "shrinkage": _spec_payload(wv.shrinkage) if wv.shrinkage else None,
         "seed": args.seed,
         "nll_train": density.nll(model, train.rows),
         "nll_test": density.nll(model, test.rows),

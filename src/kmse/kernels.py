@@ -2,10 +2,15 @@
 
 Shrinkage filters in this package act on the normalized Gram matrix
 K / n, whose nonzero spectrum coincides with that of the empirical
-covariance operator and therefore lies inside [0, kappa^2]. That keeps the
-Gram-side coefficient formula in exact agreement with the operator-side
-estimate (see ``theory.verify_operator_equivalence``) and makes the fixed
-step size eta = 1/kappa^2 valid for gradient-type filters.
+covariance operator. That keeps the Gram-side coefficient formula in exact
+agreement with the operator-side estimate (see
+``theory.verify_operator_equivalence``).
+
+kappa^2 is measured, not declared: ``normalize_gram`` takes the largest
+K_ii of the Gram matrix it is given (1.0 when every K_ii is 0). K is
+positive semidefinite, so max K_ii >= trace(K)/n >= lambda_max(K/n), the
+spectrum of K/n lies inside [0, kappa^2], and the fixed step size
+eta = 1/kappa^2 stays valid for gradient-type filters.
 """
 
 from __future__ import annotations
@@ -20,29 +25,21 @@ from .data import Dataset, as_rows
 from .errors import DegenerateBandwidthError, InputError, require_positive
 from .linalg import EigenDecomposition, SymMatrix, sym_eigendecompose
 
-DIAGONAL_TOLERANCE = 1e-12
-
 
 @dataclass(frozen=True)
 class GaussianRBF:
-    """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); k(x, x) = 1, so kappa^2 = 1."""
+    """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)). k(x, x) = exp(-0.0) is
+    exactly 1, so the measured kappa^2 of every RBF Gram matrix is 1."""
 
     bandwidth_sq: float
-    kappa_sq: float = 1.0
 
     def __post_init__(self):
         require_positive("bandwidth_sq", self.bandwidth_sq)
-        require_positive("kappa_sq", self.kappa_sq)
 
 
 @dataclass(frozen=True)
 class Linear:
-    """k(x, y) = <x, y>; kappa_sq must upper-bound max ||x||^2 over the data."""
-
-    kappa_sq: float
-
-    def __post_init__(self):
-        require_positive("kappa_sq", self.kappa_sq)
+    """k(x, y) = <x, y>; kappa^2 is the largest ||x||^2 of the sample."""
 
 
 KernelSpec = GaussianRBF | Linear
@@ -69,15 +66,6 @@ class GramMatrix:
     """Raw n x n kernel matrix K with K_ij = k(x_i, x_j)."""
 
     raw: SymMatrix
-    spec: KernelSpec
-
-    def __post_init__(self):
-        diag = np.diagonal(self.raw.values)
-        if np.any(diag > self.spec.kappa_sq + DIAGONAL_TOLERANCE):
-            raise InputError(
-                "kernel diagonal exceeds the declared bound kappa_sq: "
-                f"max k(x,x) = {diag.max():.6g} > {self.spec.kappa_sq:.6g}"
-            )
 
     @property
     def n(self) -> int:
@@ -115,19 +103,20 @@ def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> GramMatrix:
     rows = np.ascontiguousarray(as_rows(points))
     if rows.shape[0] < 1:
         raise InputError("cannot build a Gram matrix from an empty dataset")
-    return GramMatrix(raw=SymMatrix.exact(cross_kernel(spec, rows, rows)), spec=spec)
+    return GramMatrix(raw=SymMatrix.exact(cross_kernel(spec, rows, rows)))
 
 
 def normalize_gram(gram: GramMatrix) -> NormalizedGram:
-    """Scale K to K/n so the spectrum lives in [0, kappa^2].
+    """Scale K to K/n, with kappa^2 = max K_ii (1.0 when every K_ii is 0).
 
     K is exactly symmetric and so is K/n, elementwise; it is not symmetrized
-    again.
+    again. A linear-kernel sample whose ||x||^2 overflows is refused here.
     """
-    return NormalizedGram(
-        matrix=SymMatrix.exact(gram.raw.values / gram.n),
-        kappa_sq=gram.spec.kappa_sq,
-    )
+    kappa_sq = float(np.diagonal(gram.raw.values).max())
+    if kappa_sq == 0.0:
+        kappa_sq = 1.0  # all-zero data: any positive bound is valid
+    require_positive("kernel diagonal max k(x,x)", kappa_sq)
+    return NormalizedGram(matrix=SymMatrix.exact(gram.raw.values / gram.n), kappa_sq=kappa_sq)
 
 
 def median_heuristic_bandwidth(points: Dataset | np.ndarray) -> float:
@@ -148,12 +137,3 @@ def median_heuristic_bandwidth(points: Dataset | np.ndarray) -> float:
             "median pairwise squared distance is zero (too many coincident points)"
         )
     return value
-
-
-def linear_spec_for(points: Dataset | np.ndarray) -> Linear:
-    """Linear kernel spec with kappa_sq = max ||x||^2 over the dataset."""
-    rows = as_rows(points)
-    norm_sq = float(np.max(np.einsum("ij,ij->i", rows, rows)))
-    if norm_sq <= 0.0:
-        norm_sq = 1.0  # all-zero data: any positive bound is valid
-    return Linear(kappa_sq=norm_sq)

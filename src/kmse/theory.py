@@ -20,7 +20,7 @@ from .errors import InputError, require_positive
 from .estimators import iterated_tikhonov_weights, landweber_weights
 from .estimators import nu_method_weights, spectral_weights
 from .filters import Tikhonov
-from .kernels import NormalizedGram, gram_matrix, linear_spec_for, normalize_gram
+from .kernels import Linear, NormalizedGram, gram_matrix, normalize_gram
 from .risk import EstimatorConfig, risk_estimate
 from .synthetic import MixtureParams, effective_components
 
@@ -163,7 +163,7 @@ def verify_operator_equivalence(X, lam: float) -> float:
     n, d = rows.shape
     if d > 20 or n > 200:
         raise InputError("operator-side check is limited to d <= 20, n <= 200")
-    gram = gram_matrix(rows, linear_spec_for(rows))
+    gram = gram_matrix(rows, Linear())
     beta = spectral_weights(normalize_gram(gram), Tikhonov(lam)).weights
     gram_side = gram.raw.values @ beta
 

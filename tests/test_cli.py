@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from kmse.cli import main
+from kmse.estimators import ESTIMATORS
 
 
 def write_sample_csv(path, seed=0, n=25, d=2):
@@ -208,8 +209,23 @@ class TestEstimateThreadIndependence:
         ["--filter", "tikhonov", "--lambda", "0.05"],
         ["--filter", "itik", "--lambda", "0.05"],
     )
+    # the linear kernel's kappa^2 is the largest K_ii of a BLAS-built X X^T,
+    # and Landweber and nu step at 1/kappa^2
+    LINEAR_FITS = (
+        ["--kernel", "linear", "--filter", "landweber", "--iters", "50"],
+        ["--kernel", "linear", "--filter", "nu", "--iters", "50"],
+    )
 
     def test_cholesky_fits_independent_of_blas_threads(self, tmp_path):
+        outputs = self.outputs_per_thread_count(tmp_path, self.FITS)
+        assert outputs["1"] == outputs["2"]
+
+    def test_linear_iteration_fits_independent_of_blas_threads(self, tmp_path):
+        outputs = self.outputs_per_thread_count(tmp_path, self.LINEAR_FITS)
+        assert outputs["1"] == outputs["2"]
+
+    @staticmethod
+    def outputs_per_thread_count(tmp_path, fits):
         data = tmp_path / "data.csv"
         write_sample_csv(data, seed=3, n=200, d=5)
         src = Path(__file__).resolve().parent.parent / "src"
@@ -218,7 +234,7 @@ class TestEstimateThreadIndependence:
             argvs = [
                 ["estimate", "--input", str(data),
                  "--output", str(tmp_path / f"fit_{blas}_{i}.json")] + fit
-                for i, fit in enumerate(self.FITS)
+                for i, fit in enumerate(fits)
             ]
             env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
             env["PYTHONPATH"] = os.pathsep.join(
@@ -232,8 +248,41 @@ class TestEstimateThreadIndependence:
                 env=env, check=True, capture_output=True,
             )
             outputs[blas] = [(tmp_path / f"fit_{blas}_{i}.json").read_bytes()
-                             for i in range(len(self.FITS))]
-        assert outputs["1"] == outputs["2"]
+                             for i in range(len(fits))]
+        return outputs
+
+
+class TestEstimateLinearKernel:
+    # on these rows ||x||^2 summed row by row and the K_ii of the BLAS-built
+    # X X^T can differ by one ulp; kappa^2 is max K_ii, so every fit runs
+    @staticmethod
+    def write_scaled_sample(path):
+        rows = np.random.default_rng(1).standard_normal((40, 3)) * 2000
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",")
+        return rows
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_scaled_sample_fits_with_every_filter(self, tmp_path, name):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "fit.json"
+        self.write_scaled_sample(data)
+        argv = ["estimate", "--input", str(data), "--kernel", "linear", "--filter", name,
+                "--output", str(out)]
+        assert main(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["kernel"] == "linear"
+        assert payload["config"]["bandwidth_sq"] is None
+        assert np.all(np.isfinite(payload["weights"]))
+
+    @pytest.mark.parametrize("name,field", [("landweber", "eta"), ("nu", "eta_bar")])
+    def test_step_is_one_over_the_largest_diagonal_entry(self, tmp_path, name, field):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "fit.json"
+        rows = self.write_scaled_sample(data)
+        assert main(["estimate", "--input", str(data), "--kernel", "linear",
+                     "--filter", name, "--output", str(out)]) == 0
+        K = rows @ rows.T
+        assert json.loads(out.read_text())["shrinkage"][field] == 1.0 / K.diagonal().max()
 
 
 class TestBenchmarkCommand:
@@ -452,6 +501,7 @@ class TestDensityFitCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["target_estimator"] == "kme"
+        assert payload["shrinkage"] is None
         assert payload["config"]["n_train"] == 30
         assert payload["config"]["n_test"] == 10
         assert np.isfinite(payload["nll_test"])
@@ -469,6 +519,8 @@ class TestDensityFitCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["target_estimator"] == target
+        kind = {"tikhonov": "Tikhonov", "landweber": "Landweber", "tsvd": "TSVD"}[target]
+        assert payload["shrinkage"]["kind"] == kind
         assert payload["config"]["target"] == target
         assert np.isfinite(payload["nll_train"]) and np.isfinite(payload["nll_test"])
 
@@ -537,6 +589,8 @@ class TestStrictJsonArtifacts:
                            "--select", "loocv", "--iters", "5", "--output", "{out}"],
         "estimate-gcv": ["estimate", "--input", "{data}", "--filter", "tsvd",
                          "--select", "gcv", "--output", "{out}"],
+        "estimate-linear": ["estimate", "--input", "{data}", "--kernel", "linear",
+                            "--output", "{out}"],
         "benchmark": ["benchmark", "--n", "20", "--d", "2", "--reps", "2", "--json", "{out}"],
         "rates-linear": ["rates", "--json", "{out}"],
         "rates-rbf": ["rates", "--kernel", "rbf", "--n-grid", "10,20", "--reps", "2",

@@ -15,9 +15,11 @@ Every call into ``scipy.linalg`` must also sit inside a ``with
 _ONE_BLAS_THREAD:`` block, which runs scipy's OpenBLAS on one thread; an
 unscoped call would wake scipy's thread pool next to numpy's.
 
-Two more rules have one site each: ``errors.require_positive`` is the one
-"positive and finite" parameter check, and ``filters.two_term_steps`` is the
-one caller of ``nu_method_coefficients``, the nu-method step schedule.
+Three more rules have one site each: ``errors.require_positive`` is the one
+"positive and finite" parameter check, ``filters.two_term_steps`` is the
+one caller of ``nu_method_coefficients``, the nu-method step schedule, and
+``kernels.normalize_gram`` is the one constructor of ``NormalizedGram``, so
+kappa^2, the largest K_ii of the Gram matrix, is measured in one place.
 
 Selectors read a ladder only through ``selection._check_ladder``: no module
 indexes ``ladder[0]`` to guess a family, and no function in ``selection``
@@ -139,6 +141,11 @@ def test_positive_and_finite_check_written_only_in_errors():
 def test_nu_coefficients_called_only_by_two_term_steps():
     stray = stray_sites({"nu_method_coefficients"}, {("filters.py", "two_term_steps")})
     assert not stray, f"step schedules outside filters.two_term_steps: {', '.join(stray)}"
+
+
+def test_normalized_gram_built_only_by_normalize_gram():
+    stray = stray_sites({"NormalizedGram"}, {("kernels.py", "normalize_gram")})
+    assert not stray, f"NormalizedGram built outside kernels.normalize_gram: {', '.join(stray)}"
 
 
 VARIED_FIELDS = {"lam", "iters", "threshold"}

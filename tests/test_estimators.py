@@ -20,9 +20,9 @@ from kmse.estimators import (
 from kmse.filters import IteratedTikhonov, Landweber, NuMethod, SKMSE, TSVD, Tikhonov
 from kmse.kernels import (
     GaussianRBF,
+    Linear,
     NormalizedGram,
     gram_matrix,
-    linear_spec_for,
     median_heuristic_bandwidth,
     normalize_gram,
 )
@@ -196,7 +196,7 @@ def kbar_with_duplicates(kernel, n, seed=0):
     """K/n of n standard normal rows in 3-d whose last row repeats the first."""
     rows = np.random.default_rng(seed).standard_normal((n, 3))
     rows[-1] = rows[0]
-    spec = GaussianRBF(median_heuristic_bandwidth(rows)) if kernel == "rbf" else linear_spec_for(rows)
+    spec = GaussianRBF(median_heuristic_bandwidth(rows)) if kernel == "rbf" else Linear()
     return normalize_gram(gram_matrix(rows, spec))
 
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from kmse.errors import DegenerateBandwidthError, InputError
+from kmse.estimators import fit_spec
+from kmse.filters import Landweber
 from kmse.kernels import (
     GaussianRBF,
     Linear,
     gram_matrix,
     kernel_eval,
-    linear_spec_for,
     median_heuristic_bandwidth,
     normalize_gram,
 )
@@ -24,7 +25,7 @@ class TestKernelEval:
         np.testing.assert_allclose(got, np.exp(-1.0), rtol=1e-12)
 
     def test_linear_dot(self):
-        assert kernel_eval(Linear(kappa_sq=30.0), [1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert kernel_eval(Linear(), [1.0, 2.0], [3.0, 4.0]) == 11.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -35,14 +36,9 @@ class TestKernelEval:
             GaussianRBF(0.0)
 
     @pytest.mark.parametrize("value", [float("inf"), 1e400, float("nan"), -1.0])
-    @pytest.mark.parametrize(
-        "make,name",
-        [(GaussianRBF, "bandwidth_sq"), (lambda v: GaussianRBF(1.0, v), "kappa_sq"),
-         (Linear, "kappa_sq")],
-    )
-    def test_non_finite_or_non_positive_parameter_named(self, make, name, value):
-        with pytest.raises(InputError, match=f"{name} must be positive and finite"):
-            make(value)
+    def test_non_finite_or_non_positive_parameter_named(self, value):
+        with pytest.raises(InputError, match="bandwidth_sq must be positive and finite"):
+            GaussianRBF(value)
 
 
 class TestGramMatrix:
@@ -79,7 +75,7 @@ class TestGramMatrix:
         # gram_matrix skips the (K + K^T)/2 pass, so K must equal it as built
         rows = np.random.default_rng(n).standard_normal((n, 5))
         rows[n // 2:] = rows[: n - n // 2]  # the second half repeats the first
-        spec = GaussianRBF(2.5) if kernel == "rbf" else linear_spec_for(rows)
+        spec = GaussianRBF(2.5) if kernel == "rbf" else Linear()
         K = gram_matrix(rows, spec).raw.values
         assert np.array_equal(K, K.T)
         assert np.array_equal(K, SymMatrix(K).values)
@@ -89,15 +85,8 @@ class TestGramMatrix:
         # need not be symmetric; gram_matrix makes the rows contiguous first
         wide = np.random.default_rng(4).standard_normal((300, 10))
         rows = wide[:, ::2]
-        K = gram_matrix(rows, linear_spec_for(rows)).raw.values
+        K = gram_matrix(rows, Linear()).raw.values
         assert np.array_equal(K, K.T)
-
-    def test_diagonal_bound_enforced_for_linear(self):
-        rows = np.array([[3.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(InputError):
-            gram_matrix(rows, Linear(kappa_sq=1.0))
-        gram = gram_matrix(rows, linear_spec_for(rows))
-        assert gram.spec.kappa_sq == 9.0
 
 
 class TestMedianHeuristic:
@@ -164,9 +153,51 @@ class TestNormalizeGram:
     def test_matrix_is_k_over_n_without_a_second_symmetrization(self, kernel):
         rows = np.random.default_rng(11).standard_normal((40, 3))
         spec = (GaussianRBF(median_heuristic_bandwidth(rows)) if kernel == "rbf"
-                else linear_spec_for(rows))
+                else Linear())
         gram = gram_matrix(rows, spec)
         values = normalize_gram(gram).matrix.values
         assert np.array_equal(values, SymMatrix(gram.raw.values / gram.n).values)
         assert not values.flags.writeable
         assert not np.shares_memory(values, gram.raw.values)
+
+
+class TestMeasuredKappaSq:
+    """kappa^2 is the largest K_ii of the Gram matrix, 1.0 when every K_ii is 0."""
+
+    def test_kernel_specs_declare_no_kappa_sq(self):
+        assert not hasattr(GaussianRBF(1.0), "kappa_sq")
+        assert not hasattr(Linear(), "kappa_sq")
+
+    def test_linear_kappa_sq_is_the_largest_squared_norm(self):
+        rows = np.array([[3.0, 0.0], [0.0, 1.0]])
+        assert normalize_gram(gram_matrix(rows, Linear())).kappa_sq == 9.0
+
+    def test_scaled_linear_samples_take_the_built_diagonal(self):
+        # ||x||^2 summed row by row can differ by one ulp from the K_ii the
+        # matrix product builds; kappa^2 is the latter, so the step 1/kappa^2
+        # is always admissible on the K/n it is applied to
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n, d = int(rng.integers(5, 301)), int(rng.integers(1, 31))
+            rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(0.0, 6.0)
+            gram = gram_matrix(rows, Linear())
+            kbar = normalize_gram(gram)
+            assert kbar.kappa_sq == gram.raw.values.diagonal().max()
+            weights = fit_spec(kbar, Landweber(10, 1.0 / kbar.kappa_sq)).weights
+            assert np.all(np.isfinite(weights))
+
+    def test_rbf_kappa_sq_is_exactly_one(self):
+        rows = np.random.default_rng(6).standard_normal((30, 4)) * 50.0
+        rows[-10:] = rows[:10]
+        for bandwidth_sq in (1e-3, 1.0, median_heuristic_bandwidth(rows), 1e6):
+            assert normalize_gram(gram_matrix(rows, GaussianRBF(bandwidth_sq))).kappa_sq == 1.0
+
+    def test_all_zero_linear_rows_give_one(self):
+        assert normalize_gram(gram_matrix(np.zeros((4, 3)), Linear())).kappa_sq == 1.0
+
+    def test_overflowing_linear_sample_refused(self):
+        rows = np.array([[1e200, 1.0], [2.0, 3.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+            InputError, match=r"max k\(x,x\) must be positive and finite"
+        ):
+            normalize_gram(gram_matrix(rows, Linear()))

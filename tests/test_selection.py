@@ -21,9 +21,9 @@ from kmse.filters import (
 )
 from kmse.kernels import (
     GaussianRBF,
+    Linear,
     NormalizedGram,
     gram_matrix,
-    linear_spec_for,
     median_heuristic_bandwidth,
     normalize_gram,
 )
@@ -395,7 +395,8 @@ def loocv_scores(rows, spec, family, grid, itik_iters, t_max):
 def brute_force_scores(rows, spec, family, grid, itik_iters, t_max):
     K = gram_matrix(rows, spec).raw.values
     if family in ("landweber", "nu"):
-        return brute_force_iteration_scores(K, family, t_max, 1.0 / spec.kappa_sq)
+        eta = 1.0 / kbar_of(rows, spec).kappa_sq
+        return brute_force_iteration_scores(K, family, t_max, eta)
     return brute_force_lambda_scores(K, grid, family, itik_iters)
 
 
@@ -421,7 +422,7 @@ class TestLoocvMatchesPerFoldRefit:
         # repeated rows make K rank-deficient
         repeats = min(duplicates, n - 1)
         rows[n - repeats:] = rows[:repeats]
-        spec = linear_spec_for(rows) if linear else GaussianRBF(1.0 + d)
+        spec = Linear() if linear else GaussianRBF(1.0 + d)
         grid = 10.0 ** np.asarray(log_grid)
         fast = loocv_scores(rows, spec, family, grid, itik_iters, t_max)
         brute = brute_force_scores(rows, spec, family, grid, itik_iters, t_max)
@@ -435,7 +436,7 @@ class TestLoocvMatchesPerFoldRefit:
         rows = sample_rows(11, n=30, d=4)
         rows[-4:] = rows[:4]
         grid = np.geomspace(1e-6, 1e2, 30)
-        for spec in (rbf_spec(rows), linear_spec_for(rows)):
+        for spec in (rbf_spec(rows), Linear()):
             fast = loocv_scores(rows, spec, family, grid, itik_iters, 40)
             brute = brute_force_scores(rows, spec, family, grid, itik_iters, 40)
             assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
@@ -446,7 +447,7 @@ class TestLoocvMatchesPerFoldRefit:
         rows = sample_rows(15, n=8, d=3)
         rows[-2:] = rows[:2]
         grid = default_lambda_grid()[[0, -1]]
-        for spec in (rbf_spec(rows), linear_spec_for(rows)):
+        for spec in (rbf_spec(rows), Linear()):
             fast = loocv_scores(rows, spec, "itik", grid, 64, 1)
             brute = brute_force_scores(rows, spec, "itik", grid, 64, 1)
             assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
@@ -604,7 +605,7 @@ class TestGcvTsvd:
         kbar = NormalizedGram(SymMatrix(np.diag(gammas)), kappa_sq=1.0)
         assert self.assert_equals_per_level(kbar) == [1.0, 2.0, 3.0, 4.0]
         rows = np.random.default_rng(3).standard_normal((40, 4))  # linear kernel: rank 4
-        self.assert_equals_per_level(kbar_of(rows, linear_spec_for(rows)))
+        self.assert_equals_per_level(kbar_of(rows, Linear()))
 
     @pytest.mark.parametrize("gammas", [[0.0, 0.0, 0.0, 0.0], [0.5]])
     def test_no_positive_eigenvalue_or_single_point_rejected(self, gammas):

@@ -154,10 +154,10 @@ class TestEquivalences:
         assert diff <= 1e-12
         from kmse.estimators import spectral_weights
         from kmse.filters import Tikhonov
-        from kmse.kernels import linear_spec_for
+        from kmse.kernels import Linear
 
         rows = np.array([[1.0]])
-        kbar = normalize_gram(gram_matrix(rows, linear_spec_for(rows)))
+        kbar = normalize_gram(gram_matrix(rows, Linear()))
         beta = spectral_weights(kbar, Tikhonov(1.0)).weights
         value = float(((rows @ rows.T) @ beta)[0])
         np.testing.assert_allclose(value, 0.5, atol=1e-14)
