@@ -56,7 +56,6 @@ from .filters import (
 )
 from .kernels import (
     GaussianRBF,
-    GramMatrix,
     KernelSpec,
     Linear,
     NormalizedGram,
@@ -65,7 +64,7 @@ from .kernels import (
     median_heuristic_bandwidth,
     normalize_gram,
 )
-from .linalg import EigenDecomposition, SymMatrix, solve_spd, sym_eigendecompose
+from .linalg import EigenDecomposition, SymMatrix, sym_eigendecompose
 from .risk import (
     EstimatorConfig,
     RiskReport,

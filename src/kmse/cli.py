@@ -9,6 +9,7 @@ and identical (argv, seed) pairs produce byte-identical outputs. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -38,19 +39,29 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None):
+    """``path`` opened for writing; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _json_dump(payload, path: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as handle:
+        with _output(path) as handle:
             handle.write(text + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     """One header line, then one line per row; floats are written as their
     shortest round-trip repr."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

@@ -77,10 +77,6 @@ class WeightVector:
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
 
 class EstimatorKind(NamedTuple):
     """The filter family an estimator fits (None for the empirical mean), the

@@ -1,4 +1,4 @@
-"""Kernels, Gram matrices, bandwidth selection, and spectrum normalization.
+"""Kernels, Gram matrices (``SymMatrix``), bandwidth selection, and K / n.
 
 Shrinkage filters in this package act on the normalized Gram matrix
 K / n, whose nonzero spectrum coincides with that of the empirical
@@ -61,17 +61,6 @@ def cross_kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y.T
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Raw n x n kernel matrix K with K_ij = k(x_i, x_j)."""
-
-    raw: SymMatrix
-
-    @property
-    def n(self) -> int:
-        return self.raw.dim
-
-
 @dataclass(eq=False)
 class NormalizedGram:
     """K/n together with its (lazily computed, cached) eigendecomposition."""
@@ -93,8 +82,8 @@ class NormalizedGram:
         return self._spectrum
 
 
-def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> GramMatrix:
-    """Pairwise kernel matrix over a dataset.
+def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> SymMatrix:
+    """Pairwise kernel matrix K over a dataset, as a ``SymMatrix``.
 
     K is exactly symmetric as built, so it is not symmetrized again: ``cdist``
     squares the same differences for (i, j) and (j, i), and numpy computes
@@ -103,20 +92,20 @@ def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> GramMatrix:
     rows = np.ascontiguousarray(as_rows(points))
     if rows.shape[0] < 1:
         raise InputError("cannot build a Gram matrix from an empty dataset")
-    return GramMatrix(raw=SymMatrix.exact(cross_kernel(spec, rows, rows)))
+    return SymMatrix.exact(cross_kernel(spec, rows, rows))
 
 
-def normalize_gram(gram: GramMatrix) -> NormalizedGram:
+def normalize_gram(gram: SymMatrix) -> NormalizedGram:
     """Scale K to K/n, with kappa^2 = max K_ii (1.0 when every K_ii is 0).
 
     K is exactly symmetric and so is K/n, elementwise; it is not symmetrized
     again. A linear-kernel sample whose ||x||^2 overflows is refused here.
     """
-    kappa_sq = float(np.diagonal(gram.raw.values).max())
+    kappa_sq = float(np.diagonal(gram.values).max())
     if kappa_sq == 0.0:
         kappa_sq = 1.0  # all-zero data: any positive bound is valid
     require_positive("kernel diagonal max k(x,x)", kappa_sq)
-    return NormalizedGram(matrix=SymMatrix.exact(gram.raw.values / gram.n), kappa_sq=kappa_sq)
+    return NormalizedGram(matrix=SymMatrix.exact(gram.values / gram.dim), kappa_sq=kappa_sq)
 
 
 def median_heuristic_bandwidth(points: Dataset | np.ndarray) -> float:

@@ -194,13 +194,3 @@ def spd_factor(matrix: SymMatrix | np.ndarray, shift: float = 0.0) -> SpdFactor:
         raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
     return SpdFactor(factor)
 
-
-def solve_spd(matrix: SymMatrix | np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for symmetric positive definite M via Cholesky."""
-    sym = _as_sym(matrix)
-    vec = np.asarray(b, dtype=float)
-    if vec.ndim != 1 or vec.shape[0] != sym.dim:
-        raise InputError(
-            f"right-hand side has length {vec.shape}, expected ({sym.dim},)"
-        )
-    return spd_factor(sym).solve(vec)

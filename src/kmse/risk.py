@@ -132,7 +132,7 @@ def loss(
     if not isinstance(spec, GaussianRBF):
         raise InputError("the analytic loss requires the Gaussian RBF kernel")
     rows, w = _rows_and_weights(X, beta)
-    K = gram_matrix(rows, spec).raw.values
+    K = gram_matrix(rows, spec).values
     z = mixture_mean_inners(rows, params, spec.bandwidth_sq)
     return _rkhs_loss(w, K, z, mixture_mean_sq_norm(params, spec.bandwidth_sq))
 
@@ -189,13 +189,11 @@ class EstimatorConfig:
 
 @dataclass(frozen=True, eq=False)
 class RiskReport:
-    """Monte-Carlo risk of one estimator, with a config echo."""
+    """Monte-Carlo risk of one estimator: mean loss and its standard error."""
 
     estimator_id: str
     mean_loss: float
     stderr: float
-    replications: int
-    config: dict
 
 
 def improvement_percent(risk_base: float, risk_est: float) -> float:
@@ -287,7 +285,7 @@ def replication_losses(
             kspec = GaussianRBF(sigma_sq)
             gram = gram_matrix(X, kspec)
             kbar = normalize_gram(gram)
-            K = gram.raw.values
+            K = gram.values
             z = mixture_mean_inners(X, folded, sigma_sq)
             msn = mixture_mean_sq_norm(folded, sigma_sq)
 
@@ -328,26 +326,11 @@ def risk_estimate(
     losses = replication_losses(
         configs, n, d, m, seed, redraw_params=redraw_params, bandwidth=bandwidth
     )
-    reports = []
-    for config, column in zip(configs, losses.T):
-        echo = {
-            "estimator": config.name,
-            "selection": config.resolved_selection(),
-            "n": n,
-            "d": d,
-            "m": m,
-            "seed": seed,
-            "kernel": "rbf",
-            "bandwidth": "median" if bandwidth is None else bandwidth,
-            "redraw_params": redraw_params,
-        }
-        reports.append(
-            RiskReport(
-                estimator_id=config.name,
-                mean_loss=float(column.mean()),
-                stderr=float(column.std(ddof=1) / np.sqrt(m)),
-                replications=m,
-                config=echo,
-            )
+    return [
+        RiskReport(
+            estimator_id=config.name,
+            mean_loss=float(column.mean()),
+            stderr=float(column.std(ddof=1) / np.sqrt(m)),
         )
-    return reports
+        for config, column in zip(configs, losses.T)
+    ]

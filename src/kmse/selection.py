@@ -51,6 +51,7 @@ ladder)``, checks it with ``_check_ladder`` and scores the values it returns.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ class _FoldBasis:
     """The eigenbasis of A = K/(n-1) shared by all n leave-one-out folds.
 
     Column i of ``ut`` is u_i and column i of ``targets`` is fold i's target
-    U^T b_i.
+    U^T b_i. ``_fold_basis`` builds one per K/n for all its LOOCV selectors.
     """
 
     m: int
@@ -165,9 +166,21 @@ class _FoldBasis:
         return self._score_parts(X)[2]
 
 
+#: The fold basis of each live K/n; an entry goes when its K/n is collected.
+_FOLD_BASES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _fold_basis(kbar: NormalizedGram) -> _FoldBasis:
+    """The fold basis of ``kbar``, built on first use and shared afterwards."""
+    basis = _FOLD_BASES.get(kbar)
+    if basis is None:
+        basis = _FOLD_BASES[kbar] = _FoldBasis.of(kbar)
+    return basis
+
+
 def _iteration_scores(kbar: NormalizedGram, steps) -> np.ndarray:
     """Mean held-out squared RKHS distance after each step of ``steps``."""
-    basis = _FoldBasis.of(kbar)
+    basis = _fold_basis(kbar)
     scores = []
 
     def apply(X):  # every iterate is applied once; its score comes along
@@ -217,7 +230,7 @@ def _resolvent_scores(kbar: NormalizedGram, lams: np.ndarray, solves: int) -> np
     Toeplitz solve per fold, and the sum over s is a third product. Grid
     points are stacked in chunks of at most about ``_CHUNK_DOUBLES``.
     """
-    basis = _FoldBasis.of(kbar)
+    basis = _fold_basis(kbar)
     n = kbar.n
     u_targets = basis.ut * basis.targets
     u_sq = basis.ut * basis.ut

@@ -165,7 +165,7 @@ def verify_operator_equivalence(X, lam: float) -> float:
         raise InputError("operator-side check is limited to d <= 20, n <= 200")
     gram = gram_matrix(rows, Linear())
     beta = spectral_weights(normalize_gram(gram), Tikhonov(lam)).weights
-    gram_side = gram.raw.values @ beta
+    gram_side = gram.values @ beta
 
     cov = rows.T @ rows / n
     xbar = rows.mean(axis=0)

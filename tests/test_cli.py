@@ -580,6 +580,19 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+@pytest.mark.parametrize("where,reason", [("missing/out", "No such file or directory"),
+                                          ("", "Is a directory")])  # "" names tmp_path
+@pytest.mark.parametrize("command,flag", [("estimate", "--output"), ("benchmark", "--out"),
+                                          ("benchmark", "--json")])
+def test_unwritable_output_exits_one_naming_it(tmp_path, capsys, command, flag, where, reason):
+    data, out = tmp_path / "data.csv", tmp_path / where
+    write_sample_csv(data)
+    args = (["--input", str(data)] if command == "estimate" else
+            ["--n", "10", "--d", "2", "--reps", "2", "--filters", "kme"])
+    assert main([command, *args, flag, str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
+
 class TestStrictJsonArtifacts:
     """Every command's JSON artifact is strict JSON: no NaN or Infinity."""
 

@@ -5,11 +5,11 @@ one calls a Cholesky factorization.
 a covariance; every other eigendecomposition must go through one of them, so
 the conventions (descending K/n spectrum, one PSD tolerance) live in one
 place each. ``linalg.spd_factor`` is the one Cholesky site, so every SPD
-solve shares its checks and its definiteness error; its only callers are
+solve shares its checks and its definiteness error; its only caller is
 ``estimators.iterated_tikhonov_weights``, which also makes the fixed
-Tikhonov solve, and ``linalg.solve_spd``. This parses each module
-under ``src/kmse`` with ``ast`` and lists the function around each call of
-``eigh`` or ``eigvalsh`` (or of ``cho_factor`` or ``cholesky``).
+Tikhonov solve. This parses each module under ``src/kmse`` with ``ast``
+and lists the function around each call of ``eigh`` or ``eigvalsh`` (or of
+``cho_factor`` or ``cholesky``).
 
 Every call into ``scipy.linalg`` must also sit inside a ``with
 _ONE_BLAS_THREAD:`` block, which runs scipy's OpenBLAS on one thread; an
@@ -36,7 +36,7 @@ ALLOWED = {("linalg.py", "sym_eigendecompose"), ("synthetic.py", "psd_eigh")}
 SOLVERS = {"eigh", "eigvalsh"}
 CHOLESKY_ALLOWED = {("linalg.py", "spd_factor")}
 CHOLESKY = {"cho_factor", "cholesky"}
-SPD_FACTOR_ALLOWED = {("estimators.py", "iterated_tikhonov_weights"), ("linalg.py", "solve_spd")}
+SPD_FACTOR_ALLOWED = {("estimators.py", "iterated_tikhonov_weights")}
 
 
 def call_sites(tree: ast.Module, solvers=SOLVERS) -> list[tuple[str, int]]:
@@ -127,9 +127,9 @@ def test_cholesky_called_only_by_spd_factor():
     assert not stray, f"Cholesky calls outside linalg.spd_factor: {', '.join(stray)}"
 
 
-def test_spd_factor_called_only_by_iterated_tikhonov_and_solve_spd():
+def test_spd_factor_called_only_by_iterated_tikhonov():
     stray = stray_sites({"spd_factor"}, SPD_FACTOR_ALLOWED)
-    assert not stray, f"spd_factor calls outside its two callers: {', '.join(stray)}"
+    assert not stray, f"spd_factor calls outside its one caller: {', '.join(stray)}"
 
 
 def test_positive_and_finite_check_written_only_in_errors():

@@ -41,19 +41,19 @@ class TestKernelEval:
             GaussianRBF(value)
 
 
-class TestGramMatrix:
+class TestGram:
     def test_single_point(self):
         gram = gram_matrix(np.array([[3.0]]), GaussianRBF(1.0))
-        np.testing.assert_allclose(gram.raw.values, [[1.0]])
+        np.testing.assert_allclose(gram.values, [[1.0]])
 
     def test_duplicate_points_all_ones(self):
         gram = gram_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]), GaussianRBF(0.7))
-        np.testing.assert_allclose(gram.raw.values, np.ones((2, 2)))
+        np.testing.assert_allclose(gram.values, np.ones((2, 2)))
 
     def test_three_points_on_line(self):
         # points 0, 1, 2 with sigma^2 = 0.5: K13 = exp(-4 / (2 * 0.5)) = e^-4
         gram = gram_matrix(np.array([[0.0], [1.0], [2.0]]), GaussianRBF(0.5))
-        np.testing.assert_allclose(gram.raw.values[0, 2], np.exp(-4.0), rtol=1e-12)
+        np.testing.assert_allclose(gram.values[0, 2], np.exp(-4.0), rtol=1e-12)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
@@ -66,7 +66,7 @@ class TestGramMatrix:
             d = int(rng.integers(1, 6))
             rows = rng.standard_normal((n, d))
             gram = gram_matrix(rows, GaussianRBF(median_heuristic_bandwidth(rows)))
-            evals = np.linalg.eigvalsh(gram.raw.values)
+            evals = np.linalg.eigvalsh(gram.values)
             assert evals.min() >= -1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 50, 2000])
@@ -76,7 +76,7 @@ class TestGramMatrix:
         rows = np.random.default_rng(n).standard_normal((n, 5))
         rows[n // 2:] = rows[: n - n // 2]  # the second half repeats the first
         spec = GaussianRBF(2.5) if kernel == "rbf" else Linear()
-        K = gram_matrix(rows, spec).raw.values
+        K = gram_matrix(rows, spec).values
         assert np.array_equal(K, K.T)
         assert np.array_equal(K, SymMatrix(K).values)
 
@@ -85,7 +85,7 @@ class TestGramMatrix:
         # need not be symmetric; gram_matrix makes the rows contiguous first
         wide = np.random.default_rng(4).standard_normal((300, 10))
         rows = wide[:, ::2]
-        K = gram_matrix(rows, Linear()).raw.values
+        K = gram_matrix(rows, Linear()).values
         assert np.array_equal(K, K.T)
 
 
@@ -156,9 +156,9 @@ class TestNormalizeGram:
                 else Linear())
         gram = gram_matrix(rows, spec)
         values = normalize_gram(gram).matrix.values
-        assert np.array_equal(values, SymMatrix(gram.raw.values / gram.n).values)
+        assert np.array_equal(values, SymMatrix(gram.values / gram.dim).values)
         assert not values.flags.writeable
-        assert not np.shares_memory(values, gram.raw.values)
+        assert not np.shares_memory(values, gram.values)
 
 
 class TestMeasuredKappaSq:
@@ -182,7 +182,7 @@ class TestMeasuredKappaSq:
             rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(0.0, 6.0)
             gram = gram_matrix(rows, Linear())
             kbar = normalize_gram(gram)
-            assert kbar.kappa_sq == gram.raw.values.diagonal().max()
+            assert kbar.kappa_sq == gram.values.diagonal().max()
             weights = fit_spec(kbar, Landweber(10, 1.0 / kbar.kappa_sq)).weights
             assert np.all(np.isfinite(weights))
 

@@ -313,10 +313,8 @@ class TestRiskHarness:
         spread = 3 * (large.std(ddof=1) / np.sqrt(m)) / small.mean()
         assert abs(ratio - 0.5) <= spread + 0.02
 
-    def test_risk_report_echoes_config(self):
+    def test_risk_report_stderr_is_non_negative(self):
         (report,) = risk_estimate([EstimatorConfig("kme")], 15, 2, 3, seed=23)
-        assert report.config["n"] == 15
-        assert report.config["estimator"] == "kme"
         assert report.stderr >= 0.0
 
     def test_one_report_per_config_in_order(self):

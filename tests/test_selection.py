@@ -1,5 +1,7 @@
+import gc
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -383,8 +385,7 @@ def assert_scores_match(fast, brute, K):
 FAMILIES = ("skmse", "tikhonov", "itik", "landweber", "nu")
 
 
-def loocv_scores(rows, spec, family, grid, itik_iters, t_max):
-    kbar = kbar_of(rows, spec)
+def loocv_scores(kbar, family, grid, itik_iters, t_max):
     if family in ("landweber", "nu"):
         result = loocv_select_iterations(kbar, iteration_ladder(kbar, family, t_max))
     else:
@@ -393,7 +394,7 @@ def loocv_scores(rows, spec, family, grid, itik_iters, t_max):
 
 
 def brute_force_scores(rows, spec, family, grid, itik_iters, t_max):
-    K = gram_matrix(rows, spec).raw.values
+    K = gram_matrix(rows, spec).values
     if family in ("landweber", "nu"):
         eta = 1.0 / kbar_of(rows, spec).kappa_sq
         return brute_force_iteration_scores(K, family, t_max, eta)
@@ -424,9 +425,9 @@ class TestLoocvMatchesPerFoldRefit:
         rows[n - repeats:] = rows[:repeats]
         spec = Linear() if linear else GaussianRBF(1.0 + d)
         grid = 10.0 ** np.asarray(log_grid)
-        fast = loocv_scores(rows, spec, family, grid, itik_iters, t_max)
+        fast = loocv_scores(kbar_of(rows, spec), family, grid, itik_iters, t_max)
         brute = brute_force_scores(rows, spec, family, grid, itik_iters, t_max)
-        assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
+        assert_scores_match(fast, brute, gram_matrix(rows, spec).values)
 
     @pytest.mark.parametrize(
         "family,itik_iters",
@@ -437,9 +438,9 @@ class TestLoocvMatchesPerFoldRefit:
         rows[-4:] = rows[:4]
         grid = np.geomspace(1e-6, 1e2, 30)
         for spec in (rbf_spec(rows), Linear()):
-            fast = loocv_scores(rows, spec, family, grid, itik_iters, 40)
+            fast = loocv_scores(kbar_of(rows, spec), family, grid, itik_iters, 40)
             brute = brute_force_scores(rows, spec, family, grid, itik_iters, 40)
-            assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
+            assert_scores_match(fast, brute, gram_matrix(rows, spec).values)
             assert np.argmin(fast) == np.argmin(brute)
 
     def test_itik_with_more_solves_than_points(self):
@@ -448,9 +449,9 @@ class TestLoocvMatchesPerFoldRefit:
         rows[-2:] = rows[:2]
         grid = default_lambda_grid()[[0, -1]]
         for spec in (rbf_spec(rows), Linear()):
-            fast = loocv_scores(rows, spec, "itik", grid, 64, 1)
+            fast = loocv_scores(kbar_of(rows, spec), "itik", grid, 64, 1)
             brute = brute_force_scores(rows, spec, "itik", grid, 64, 1)
-            assert_scores_match(fast, brute, gram_matrix(rows, spec).raw.values)
+            assert_scores_match(fast, brute, gram_matrix(rows, spec).values)
 
     def test_itik_working_memory_is_a_few_gram_matrices(self):
         # the scorer keeps four n x n arrays (the fold basis and its products
@@ -493,14 +494,36 @@ class TestLoocvMatchesPerFoldRefit:
 
         monkeypatch.setattr(kernels, "sym_eigendecompose", counting)
         rows = sample_rows(13, n=15)
-        loocv_scores(rows, rbf_spec(rows), family, [0.01, 0.1, 1.0], 3, 10)
+        loocv_scores(kbar_of(rows), family, [0.01, 0.1, 1.0], 3, 10)
         assert len(calls) == (0 if family == "skmse" else 1)
+
+    def test_one_fold_basis_per_replication_kept_no_longer(self, monkeypatch):
+        # a replication's LOOCV estimators share the basis of its K/n, and
+        # the basis does not keep that K/n alive
+        build, builds = selection._FoldBasis.of, []
+        monkeypatch.setattr(selection._FoldBasis, "of",
+                            staticmethod(lambda kbar: builds.append(kbar) or build(kbar)))
+        risk.replication_losses([risk.EstimatorConfig(f) for f in FAMILIES], 15, 2, 3, seed=5)
+        assert len({id(kbar) for kbar in builds}) == len(builds) == 3
+        refs = [weakref.ref(kbar) for kbar in builds]
+        del builds[:]
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "skmse"])
+    def test_shared_fold_basis_scores_equal_a_fresh_one(self, family):
+        rows, grid = sample_rows(15, n=16), [0.01, 0.1, 1.0]
+        shared = kbar_of(rows)
+        for other in FAMILIES:  # every selector reads the shared basis first
+            loocv_scores(shared, other, grid, 3, 12)
+        fresh = loocv_scores(kbar_of(rows), family, grid, 3, 12)
+        assert np.array_equal(loocv_scores(shared, family, grid, 3, 12), fresh)
 
     @pytest.mark.parametrize("algo", ["landweber", "nu"])
     def test_step_above_inverse_kappa_sq_trips_the_guard(self, algo):
         # kbar claims kappa^2 = 0.05, so eta = 20 far exceeds 2 / gamma_max
         rows = sample_rows(14, n=12)
-        K = gram_matrix(rows, rbf_spec(rows)).raw.values
+        K = gram_matrix(rows, rbf_spec(rows)).values
         kbar = NormalizedGram(SymMatrix(K / 12), kappa_sq=0.05)
         with pytest.raises(ConfigurationError, match="diverged"):
             loocv_select_iterations(kbar, iteration_ladder(kbar, algo, 50))
