@@ -12,7 +12,10 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -47,6 +50,24 @@ def _output(path: str, newline: str | None = None):
             yield handle
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work and
+    without creating it: a directory, a path whose parent directory is
+    missing, or a parent without write access. None and "-" are stdout."""
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise InputError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _json_dump(payload, path: str | None) -> None:
@@ -323,7 +344,10 @@ def _cmd_verify(args) -> int:
     return 0 if verdict["pass"] else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kmse`` parser, built once per process; ``parse_args`` leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = _Parser(prog="kmse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -404,6 +428,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for path in (getattr(args, name, None) for name in ("output", "out", "json")):
+            _check_writable(path)
         return args.func(args)
     except KmseError as exc:
         # a replication that failed on bad input is still a usage error

@@ -191,11 +191,12 @@ def _target(kbar_values: np.ndarray) -> np.ndarray:
 def _guard(beta: np.ndarray, n: int) -> None:
     # beta is one length-n weight vector, or one per column; no column may
     # have a norm above DIVERGENCE_FACTOR / sqrt(n), compared squared
-    if beta.ndim == 1:
-        sq_norms = beta @ beta
-    else:
-        sq_norms = np.einsum("ij,ij->j", beta, beta)
-    if np.max(sq_norms) > DIVERGENCE_FACTOR**2 / n:
+    _guard_norms(beta @ beta if beta.ndim == 1 else np.einsum("ij,ij->j", beta, beta), n)
+
+
+def _guard_norms(sq_norms: np.ndarray, n: int) -> None:
+    # squared weight norms above DIVERGENCE_FACTOR^2 / n, NaN or inf fail
+    if not np.all(sq_norms <= DIVERGENCE_FACTOR**2 / n):
         raise ConfigurationError(
             "iteration diverged (weights exceeded guard); step size too large"
         )

@@ -14,32 +14,43 @@ is a diagonal plus a rank-one term along u_i = U[i, :]:
 
     U^T P_i A beta = Gamma x - u_i (U Gamma x)_i.
 
-Column i of one n x n coefficient matrix X holds fold i, so one step for all
-folds together costs O(n^2):
-
-* Landweber and the nu-method run the shared two-term iteration
-  (``filters.two_term_iterates``) with that operator against the fold
-  targets U^T b_i, b_i = P_i A (1_n - e_i) / (n-1), which is (K_i/(n-1)^2) 1
-  embedded; each application of the operator also scores the iterate, and
-  the divergence guard is applied to every column.
-* Tikhonov (one solve) and iterated Tikhonov (t solves) use the fold
-  resolvent. By the Schur complement, (A_i + lam)^{-1} embedded is
-  C - c_i c_i^T / C_ii with C = (A + lam)^{-1} = U diag(1/(gamma + lam)) U^T
-  and c_i = C e_i, again a diagonal plus a rank-one term in the eigenbasis.
-  The t solves are unrolled: the rank-one multipliers of all solves follow
-  from two matrix products and a lower-triangular Toeplitz recursion per
-  fold, and a third product assembles the fit, so no grid point loops over
-  solves (O(n^2 t + n t^2) per grid point).
-* S-KMSE's fold fit is the uniform vector scaled by 1/(1+lam), so its score
-  needs only the column sums of K.
-
 With m = n - 1 and beta_i = 0, fold i's score is
 
     beta^T K_i beta - 2 k_i^T beta + K_ii
-        = m sum_k gamma_k x_k^2 - 2 m (U Gamma x)_i + K_ii.
+        = m sum_k gamma_k x_k^2 - 2 m (U Gamma x)_i + K_ii,
 
-The work is one eigendecomposition plus O(n^2) per iteration or grid point
-(times t for iterated Tikhonov, in matrix products).
+and its target is T_i = U^T b_i, b_i = P_i A (1_n - e_i) / (n-1), which is
+(K_i/(n-1)^2) 1 embedded. Column i of an n x n matrix holds fold i. Each
+family has one scorer:
+
+* Tikhonov (``_tikhonov_scores``): by the Schur complement, (A_i + lam)^{-1}
+  embedded is C - c_i c_i^T / C_ii with C = (A + lam)^{-1} = U diag(1/(gamma
+  + lam)) U^T and c_i = C e_i, a diagonal plus a rank-one term in the
+  eigenbasis. Each fold's score then needs only sums over k of fold
+  moments: three (grid x n) @ (n x n) products against v∘v, u∘v and u∘u,
+  with v_i = (U^T 1_n - u_i)/m. No fold fit is formed.
+* Landweber (``_landweber_scores``): the fold residuals r_q follow a
+  diagonal-plus-rank-one recursion whose rank-one coefficients a_q obey a
+  lower-triangular Toeplitz recursion in moments of w^q, w = 1 - eta gamma.
+  The fold operator is symmetric on u_i's complement, so r_j^T Gamma r_l and
+  r_j^T r_l depend on j + l alone. The score and the norm the divergence
+  guard checks then read off for every t from 2T - 1 such inner products
+  per fold, four (2T - 1) x n x n products in all.
+* Iterated Tikhonov (``_resolvent_scores``, t solves): the same resolvent,
+  with the t solves unrolled. The rank-one multipliers of all solves follow
+  from two matrix products and a Toeplitz recursion per fold, and a third
+  product assembles the fits X, which are scored directly (O(n^2 t + n t^2)
+  per grid point).
+* The nu-method (``_iteration_scores``) runs the shared two-term iteration
+  (``filters.two_term_iterates``) with the fold operator on all columns of X
+  at once; each application of the operator also scores the iterate, and the
+  divergence guard is applied to every column.
+* S-KMSE's fold fit is the uniform vector scaled by 1/(1+lam), so its score
+  needs only the column sums of K.
+
+The work is one eigendecomposition plus a few n x n matrix products per
+ladder (Tikhonov, Landweber), per grid point (iterated Tikhonov, times t)
+or per iteration (nu).
 Iterative methods are scored along their whole iteration path (the path
 comes for free); lambda methods are scored on a grid. TSVD truncation levels
 are picked by GCV on the projection residual. Ties always break toward the
@@ -57,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import _guard, _target, _validate_step, fit_spec, two_term_path
+from .estimators import _guard, _guard_norms, _target, _validate_step, fit_spec, two_term_path
 from .filters import SKMSE, TSVD, FilterSpec, IteratedTikhonov, Landweber, NuMethod, Tikhonov
 from .filters import two_term_iterates, two_term_steps
 from .kernels import NormalizedGram
@@ -198,7 +209,11 @@ def loocv_select_iterations(kbar: NormalizedGram, ladder) -> SelectionResult:
     t = 1, 2, ... in order, by LOOCV on K/n ``kbar``."""
     last, iters = _check_loocv(kbar, ladder, _ITERATIONS)
     _validate_step(last, kbar.kappa_sq)
-    return _result(ladder, iters, _iteration_scores(kbar, two_term_steps(last)), "LOOCV")
+    if isinstance(last, Landweber):
+        scores = _landweber_scores(kbar, last.eta, len(iters))
+    else:
+        scores = _iteration_scores(kbar, two_term_steps(last))
+    return _result(ladder, iters, scores, "LOOCV")
 
 
 def _skmse_scores(kbar: NormalizedGram, lams: np.ndarray) -> np.ndarray:
@@ -214,9 +229,92 @@ def _skmse_scores(kbar: NormalizedGram, lams: np.ndarray) -> np.ndarray:
     return (shrink**2 * quad - 2.0 * shrink * cross + trace) / n
 
 
+def _tikhonov_scores(kbar: NormalizedGram, lams: np.ndarray) -> np.ndarray:
+    """Scores of one Tikhonov solve from beta = 0 per lambda in ``lams``.
+
+    With d = 1/(gamma + lam), s = U^T 1_n and v_i = (s - u_i)/m, fold i's
+    target is T_i = Gamma v_i - c_i u_i, c_i = ((A 1_n)_i - A_ii)/m. Its fit
+    x_i = d T_i - alpha d u_i has (U x_i)_i = 0; folding c_i into alpha,
+
+        x_i = d (Gamma v_i - b_i u_i),   b_i = sum gamma d u v / sum d u^2,
+        quad_i = sum gamma^3 d^2 v^2 - 2 b_i sum gamma^2 d^2 u v + b_i^2 sum gamma d^2 u^2,
+        held_i = sum gamma^2 d u v - b_i sum gamma d u^2,
+
+    sums over k. Each sum is one (grid x n) @ (n x n) product against v∘v,
+    u∘v or u∘u, so no fold fit is formed. T and c_i never enter: expanded
+    in T instead, the terms cancel where gamma/lam spans many decades, and
+    ``TestLoocvMatchesPerFoldRefit::test_cancellation_region`` fails.
+    """
+    basis = _fold_basis(kbar)
+    gammas, ut = basis.gammas, basis.ut
+    v = (ut.sum(axis=1)[:, None] - ut) / basis.m
+    inv = 1.0 / (gammas + lams[:, None])  # d, one row per grid point
+    gd = gammas * inv
+    # (term, grid point, fold) sums against u∘v and u∘u
+    uv = (np.vstack([gd, gd * gd, gammas * gd]) @ (ut * v)).reshape(3, len(lams), -1)
+    uu = (np.vstack([inv, gd * inv, gd]) @ (ut * ut)).reshape(3, len(lams), -1)
+    b = uv[0] / uu[0]
+    quad = (gammas * gd * gd) @ (v * v) - 2.0 * b * uv[1] + b * b * uu[1]
+    held = uv[2] - b * uu[2]
+    return (basis.m * (quad - 2.0 * held) + basis.k_diag).sum(axis=1) / kbar.n
+
+
+def _landweber_scores(kbar: NormalizedGram, eta: float, steps: int) -> np.ndarray:
+    """Scores of Landweber iterates t = 1..``steps`` at step ``eta``.
+
+    Fold i's residual r_q = T_i - U^T P_i A beta_q runs r_{q+1} = W r_q +
+    eta u_i a_q with W = I - eta Gamma and a_q = u_i^T Gamma r_q, and x_t =
+    eta sum_{j<t} r_j. On u_i's complement the fold operator is symmetric,
+    both plainly and in the Gamma inner product, so r_j^T Gamma r_l and
+    r_j^T r_l depend on j + l = q alone. With w = 1 - eta gamma, per fold,
+
+        a_q   = e_q + eta sum_{s<q} h_{q-1-s} a_s,
+        mu_q  = f_q + eta sum_{s<q} e_{q-1-s} a_s,
+        rho_q = g_q + eta sum_{s<q} ehat_{q-1-s} a_s,
+
+    for q < 2 steps - 1, with the moments e_q = sum gamma w^q u T, h_q = sum
+    gamma w^q u^2, ehat_q = sum w^q u T, g_q = sum w^q T^2 and f_q = sum
+    gamma w^q T^2 over k: (q x n) @ (n x n) products. With N_t(q) = max(0,
+    min(q + 1, 2t - 1 - q)) pairs j, l < t summing to q, every t reads off at
+    once: x_t^T Gamma x_t = eta^2 sum_q N_t(q) mu_q, (U Gamma x_t)_i = eta
+    sum_{j<t} a_j and ||x_t||^2 = eta^2 sum_q N_t(q) rho_q, which the
+    divergence guard checks for every fold and t. A step above 2/gamma_max
+    can overflow the moments; inf and NaN fail the guard.
+    """
+    basis = _fold_basis(kbar)
+    gammas, ut, targets, n = basis.gammas, basis.ut, basis.targets, kbar.n
+    lags = 2 * steps - 1
+    t = np.arange(1, steps + 1)[:, None]
+    q = np.arange(lags)
+    pairs = eta**2 * np.maximum(0, np.minimum(q + 1, 2 * t - 1 - q))  # eta^2 N_t(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.empty((lags, n))  # w^q
+        powers[0] = 1.0
+        np.cumprod(np.broadcast_to(1.0 - eta * gammas, (lags - 1, n)), axis=0, out=powers[1:])
+        weighted = gammas * powers
+        u_targets, sq_targets = (ut * targets).T, (targets * targets).T
+        # (fold, moment, q): h, e and ehat, each convolved with a below
+        moments = np.empty((n, 3, lags))
+        moments[:, 0] = (ut * ut).T @ weighted.T
+        moments[:, 1] = u_targets @ weighted.T
+        moments[:, 2] = u_targets @ powers.T
+        lagged = np.ascontiguousarray(moments[..., ::-1])  # lag j at lags - 1 - j
+        sums = np.zeros((n, 3, lags))  # eta sum_{s<q} moment_{q-1-s} a_s
+        a = moments[:, 1].copy()
+        for lag in range(1, lags):
+            sums[..., lag] = eta * np.einsum("ijs,is->ij", lagged[..., lags - lag:], a[:, :lag])
+            a[:, lag] += sums[:, 0, lag]
+        mu = weighted @ sq_targets.sum(axis=0) + sums[:, 1].sum(axis=0)
+        rho = sq_targets @ powers.T + sums[:, 2]
+        _guard_norms(rho @ pairs.T, basis.m)
+    quad = pairs @ mu
+    held = eta * np.cumsum(a[:, :steps].sum(axis=0))
+    return (basis.m * (quad - 2.0 * held) + basis.k_diag.sum()) / n
+
+
 def _resolvent_scores(kbar: NormalizedGram, lams: np.ndarray, solves: int) -> np.ndarray:
-    """Scores of t = ``solves`` Tikhonov solves from beta = 0 per lambda in
-    ``lams``: one solve is Tikhonov, t solves are iterated Tikhonov.
+    """Scores of t = ``solves`` iterated Tikhonov solves from beta = 0 per
+    lambda in ``lams``.
 
     With d = 1/(gamma + lam) and W = lam d, solve s of fold i is
     X_s = W X_{s-1} + d T_i - alpha_s d u_i, where alpha_s makes
@@ -270,8 +368,9 @@ def loocv_select_lambda(kbar: NormalizedGram, ladder) -> SelectionResult:
     last, lams = _check_loocv(kbar, ladder, (SKMSE, Tikhonov, IteratedTikhonov))
     if isinstance(last, SKMSE):
         return _result(ladder, lams, _skmse_scores(kbar, lams), "LOOCV")
-    solves = last.iters if isinstance(last, IteratedTikhonov) else 1
-    return _result(ladder, lams, _resolvent_scores(kbar, lams, solves), "LOOCV")
+    if isinstance(last, Tikhonov):
+        return _result(ladder, lams, _tikhonov_scores(kbar, lams), "LOOCV")
+    return _result(ladder, lams, _resolvent_scores(kbar, lams, last.iters), "LOOCV")
 
 
 def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:

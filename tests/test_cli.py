@@ -593,6 +593,81 @@ def test_unwritable_output_exits_one_naming_it(tmp_path, capsys, command, flag, 
     assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
 
 
+
+def never_reached(*args, **kwargs):
+    raise AssertionError("the run started before its output path was checked")
+
+
+@pytest.mark.parametrize("command,flag", [("estimate", "--output"), ("benchmark", "--out"),
+                                          ("benchmark", "--json")])
+@pytest.mark.parametrize("where,reason", [("missing/out", "No such file or directory"),
+                                          ("", "Is a directory"),
+                                          ("locked/out", "Permission denied")])
+def test_unwritable_output_refused_before_the_run(tmp_path, capsys, monkeypatch, command, flag,
+                                                  where, reason):
+    from kmse import cli, risk
+
+    monkeypatch.setattr(risk, "fit_weights", never_reached)
+    monkeypatch.setattr(risk, "risk_estimate", never_reached)
+    (tmp_path / "locked").mkdir()
+    access = os.access  # root may write anywhere, so "locked" is made unwritable here
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: access(path, mode)
+                        and not path.endswith("locked"))
+    data, out = tmp_path / "data.csv", tmp_path / where
+    write_sample_csv(data)
+    args = (["--input", str(data)] if command == "estimate" else
+            ["--n", "10", "--d", "2", "--reps", "2", "--filters", "kme"])
+    assert main([command, *args, flag, str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert not os.path.exists(tmp_path / "missing") and os.listdir(tmp_path / "locked") == []
+
+
+def test_output_checked_without_creating_or_truncating_it(tmp_path, capsys):
+    out = tmp_path / "weights.json"
+    out.write_text("kept\n", encoding="utf-8")
+    # the input is missing, so the run fails after the path check passed
+    assert main(["estimate", "--input", str(tmp_path / "none.csv"), "--output", str(out)]) == 1
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    assert main(["estimate", "--input", str(tmp_path / "none.csv"),
+                 "--output", str(tmp_path / "new.json")]) == 1
+    assert not (tmp_path / "new.json").exists()
+    capsys.readouterr()
+
+
+def test_dash_output_is_stdout(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_sample_csv(data)
+    assert main(["estimate", "--input", str(data), "--output", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimator_id"] == "tikhonov"
+
+
+def test_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    from kmse import cli
+
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "kmse":
+                built.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+    try:
+        data = tmp_path / "data.csv"
+        write_sample_csv(data)
+        argv = ["estimate", "--input", str(data), "--output", str(tmp_path / "w.json")]
+        assert main(argv) == 0 and main(argv) == 0
+        assert len(built) == 1
+        # a usage error after a successful call still exits 1
+        assert main(["estimate", "--filter", "ridge", "--input", str(data)]) == 1
+        assert main(["estimate"]) == 1
+        assert "invalid choice: 'ridge'" in capsys.readouterr().err
+    finally:
+        cli.build_parser.cache_clear()
+
+
 class TestStrictJsonArtifacts:
     """Every command's JSON artifact is strict JSON: no NaN or Infinity."""
 

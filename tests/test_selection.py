@@ -273,8 +273,9 @@ class TestSelectorInputs:
         [(rule, ladder, bad) for ladder, bads in MIXED for rule, bad in bads.items()],
     )
     def test_mixed_ladder_rejected_before_scoring(self, rule, ladder, bad, monkeypatch):
-        for scorer in ("_skmse_scores", "_resolvent_scores", "_iteration_scores", "_target",
-                       "fit_spec", "two_term_path"):
+        for scorer in ("_skmse_scores", "_tikhonov_scores", "_resolvent_scores",
+                       "_landweber_scores", "_iteration_scores", "_target", "fit_spec",
+                       "two_term_path"):
             monkeypatch.setattr(selection, scorer, no_scoring)
         message = re.escape(f"entry {bad} is {ladder[bad]!r}")
         with pytest.raises(InputError, match=message):
@@ -286,7 +287,8 @@ class TestSelectorInputs:
     def test_step_above_inverse_kappa_sq_rejected_before_scoring(self, rule, family, message,
                                                                  monkeypatch):
         # the same error fit_spec raises, before any fold iterate or path
-        for scorer in ("_iteration_scores", "_target", "fit_spec", "two_term_path"):
+        for scorer in ("_landweber_scores", "_iteration_scores", "_target", "fit_spec",
+                       "two_term_path"):
             monkeypatch.setattr(selection, scorer, no_scoring)
         kbar = kbar_of(sample_rows(n=12))
         eta = 2.0 / kbar.kappa_sq
@@ -382,6 +384,14 @@ def assert_scores_match(fast, brute, K):
     )
 
 
+def assert_same_choice(fast, brute, K):
+    # the brute-force argmin, or a candidate whose brute-force score ties the
+    # minimum within the tolerance of assert_scores_match
+    chosen, best = np.argmin(fast), np.argmin(brute)
+    scale = max(abs(brute[best]), np.mean(np.diag(K)))
+    assert chosen == best or brute[chosen] - brute[best] <= 1e-12 * scale, (chosen, best)
+
+
 FAMILIES = ("skmse", "tikhonov", "itik", "landweber", "nu")
 
 
@@ -442,6 +452,24 @@ class TestLoocvMatchesPerFoldRefit:
             brute = brute_force_scores(rows, spec, family, grid, itik_iters, 40)
             assert_scores_match(fast, brute, gram_matrix(rows, spec).values)
             assert np.argmin(fast) == np.argmin(brute)
+
+    @pytest.mark.parametrize("family", ["tikhonov", "landweber"])
+    @pytest.mark.parametrize("n", [3, 20, 60])
+    def test_cancellation_region(self, family, n):
+        # gamma / lam spans up to 21 decades: K near the identity (narrow RBF),
+        # near rank one (wide RBF) or of rank d (linear), with repeated rows.
+        # At n = 3 with the narrow RBF the Landweber scores reach 1.0 by t = 26
+        # and then differ in the last bit, so there the argmin is a tie.
+        rows = sample_rows(18 + n, n=n, d=3)
+        rows[-2:] = rows[:2]
+        grid = np.geomspace(1e-9, 1e3, 40)
+        median = median_heuristic_bandwidth(rows)
+        for spec in (GaussianRBF(1e-3 * median), GaussianRBF(1e4 * median), Linear()):
+            fast = loocv_scores(kbar_of(rows, spec), family, grid, 1, 50)
+            brute = brute_force_scores(rows, spec, family, grid, 1, 50)
+            K = gram_matrix(rows, spec).values
+            assert_scores_match(fast, brute, K)
+            assert_same_choice(fast, brute, K)
 
     def test_itik_with_more_solves_than_points(self):
         # the solve recursion runs past the dimension of the folds
@@ -527,6 +555,17 @@ class TestLoocvMatchesPerFoldRefit:
         kbar = NormalizedGram(SymMatrix(K / 12), kappa_sq=0.05)
         with pytest.raises(ConfigurationError, match="diverged"):
             loocv_select_iterations(kbar, iteration_ladder(kbar, algo, 50))
+
+    @pytest.mark.parametrize("understated", [1e3, 1e4])
+    def test_overflowing_moments_trip_the_guard(self, understated):
+        # with kappa^2 understated, w = 1 - eta gamma reaches -7e2 or -7e3: the
+        # fold norms reach 1e282 (1e3), or the moments of w^q overflow to inf
+        # and NaN (1e4); either must raise, never come back as NaN scores
+        rows = sample_rows(14, n=12)
+        true = kbar_of(rows)
+        kbar = NormalizedGram(true.matrix, kappa_sq=true.kappa_sq / understated)
+        with pytest.raises(ConfigurationError, match="diverged"):
+            loocv_select_iterations(kbar, iteration_ladder(kbar, "landweber", 50))
 
 
 class TestGcvTsvd:
