@@ -43,8 +43,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _output(path: str, newline: str | None = None):
-    """``path`` opened for writing; an unwritable path is a usage error."""
+def _output(path: str | None, newline: str | None = None):
+    """``path`` opened for writing (stdout for None and "-"); unwritable is a usage error."""
+    if path is None or path == "-":
+        yield sys.stdout
+        return
     try:
         with open(path, "w", encoding="utf-8", newline=newline) as handle:
             yield handle
@@ -71,12 +74,8 @@ def _check_writable(path: str | None) -> None:
 
 
 def _json_dump(payload, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None or path == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with _output(path) as handle:
-            handle.write(text + "\n")
+    with _output(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

@@ -84,7 +84,7 @@ class EstimatorKind(NamedTuple):
     under selection "none", ``fixed(config, kappa_sq)``, and the ordered
     candidates the other rules choose from, ``ladder(config, kbar)``, where
     ``config`` is a ``risk.EstimatorConfig``. Each row builds its own specs;
-    the oracle rule and LOOCV score that ladder and GCV picks from it."""
+    LOOCV and the oracle rule (fitting none) score that ladder; GCV picks from it."""
 
     spec_type: type | None
     selections: tuple[str, ...]

@@ -22,8 +22,9 @@ component fully shrunk to the target). Implemented families:
 
 Retention factors are evaluated through dedicated closed forms rather than
 as a literal product g * gamma, so they stay finite and accurate down to
-gamma = 0 (where every residual equals 1). ``filter_values`` divides them by
-gamma and takes each family's limit at gamma = 0. ``residual_values`` forms
+gamma = 0 (where every residual equals 1), each written once, for a whole
+ladder, in ``retention_matrix``. ``filter_values`` divides them by gamma and
+takes each family's limit at gamma = 0. ``residual_values`` forms
 r without cancellation near retention 1: lam / (gamma + lam) for Tikhonov,
 (lam / (gamma + lam))^t for iterated Tikhonov, (1 - eta gamma)^t for Landweber.
 ``two_term_steps`` is the one (omega_t, kappa_t) schedule of a Landweber or
@@ -33,7 +34,7 @@ nu-method spec; the filter polynomials, weight paths and LOOCV all run it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,6 +118,10 @@ class SKMSE:
 
 FilterSpec = Tikhonov | Landweber | NuMethod | IteratedTikhonov | TSVD | SKMSE
 
+#: The shrinkage parameter of each family, the one field its ladders vary.
+SHRINKAGE_FIELD = {SKMSE: "lam", Tikhonov: "lam", IteratedTikhonov: "lam", TSVD: "threshold",
+                   Landweber: "iters", NuMethod: "iters"}
+
 
 def qualification(spec: FilterSpec) -> float:
     """The largest smoothness order the filter can exploit (metadata only)."""
@@ -189,14 +194,6 @@ def two_term_iterates(coefficients, target: np.ndarray, apply):
         residual = target - apply(curr)
 
 
-def _nu_polynomial(spec: NuMethod, gammas: np.ndarray) -> np.ndarray:
-    """p_t(gamma), the last iterate of the two-term recursion with A = gamma and
-    b = 1: p_t = p_{t-1} + omega_t (p_{t-1} - p_{t-2}) + kappa_t (1 - gamma p_{t-1})."""
-    for p in two_term_iterates(two_term_steps(spec), np.ones_like(gammas), lambda x: gammas * x):
-        pass
-    return p
-
-
 def _check_gammas(gammas: np.ndarray) -> np.ndarray:
     g = np.asarray(gammas, dtype=float)
     if np.any(g < 0):
@@ -218,18 +215,29 @@ def residual_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
     return 1.0 - retention_values(spec, g)
 
 
-def retention_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
-    """gamma * g(gamma), evaluated in closed form (finite at gamma = 0)."""
+def retention_matrix(spec: FilterSpec, params, gammas: np.ndarray) -> np.ndarray:
+    """gamma * g(gamma) of ``spec`` with its ``SHRINKAGE_FIELD`` set to each of
+    ``params``, a row each; nu runs one two-term recursion on A = gamma, b = 1."""
     g = _check_gammas(gammas)
+    p = np.asarray(params, dtype=float)[:, None]
     if isinstance(spec, Tikhonov):
-        return g / (g + spec.lam)
-    if isinstance(spec, (Landweber, IteratedTikhonov)):
-        return 1.0 - residual_values(spec, g)
+        return g / (g + p)
+    if isinstance(spec, Landweber):  # int powers: w ** 2 is numpy's square, not pow()
+        return 1.0 - np.array([(1.0 - spec.eta * g) ** int(t) for t in p[:, 0]])
+    if isinstance(spec, IteratedTikhonov):
+        return 1.0 - (p / (g + p)) ** spec.iters
     if isinstance(spec, TSVD):
-        return np.where(g >= spec.threshold, 1.0, 0.0)
+        return np.where(g >= p, 1.0, 0.0)
     if isinstance(spec, SKMSE):
-        return np.where(g > 0, 1.0 / (1.0 + spec.lam), 0.0)
-    return g * _nu_polynomial(spec, g)
+        return np.where(g > 0, 1.0 / (1.0 + p), 0.0)
+    steps = two_term_steps(replace(spec, iters=int(p.max())))
+    polynomials = np.array(list(two_term_iterates(steps, np.ones_like(g), lambda x: g * x)))
+    return g * polynomials[p[:, 0].astype(int) - 1]
+
+
+def retention_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
+    """gamma * g(gamma) of one spec: its row of ``retention_matrix``."""
+    return retention_matrix(spec, [getattr(spec, SHRINKAGE_FIELD[type(spec)])], gammas)[0]
 
 
 def _value_at_zero(spec: FilterSpec) -> float:
@@ -241,8 +249,9 @@ def _value_at_zero(spec: FilterSpec) -> float:
         return spec.eta * spec.iters
     if isinstance(spec, IteratedTikhonov):
         return spec.iters / spec.lam
-    if isinstance(spec, NuMethod):
-        return float(_nu_polynomial(spec, np.zeros(1))[0])
+    if isinstance(spec, NuMethod):  # p_t(0): the recursion with A = 0 and b = 1
+        *_, last = two_term_iterates(two_term_steps(spec), np.ones(1), np.zeros_like)
+        return float(last[0])
     return 0.0  # TSVD and SKMSE
 
 

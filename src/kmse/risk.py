@@ -206,16 +206,16 @@ def fit_weights(
     X: np.ndarray,
     kspec: KernelSpec,
     kbar: NormalizedGram | None = None,
-    oracle_loss=None,
+    truth: tuple[np.ndarray, float] | None = None,
 ) -> WeightVector:
     """Fit one estimator on a sample, running its parameter selection.
 
     "none" fits the estimator's ``fixed`` spec with ``estimators.fit_fixed``,
     which solves a Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 on
     one Cholesky factor instead of an eigendecomposition. Any other rule has
-    ``selection.select`` pick an entry of its ``ladder`` (``oracle_loss`` is
-    the "oracle" rule's true loss) and ``estimators.fit_spec`` fits it; that
-    floor alone sends an iterated Tikhonov spec to Cholesky or the spectrum.
+    ``selection.select`` pick an entry of its ``ladder`` (the "oracle" rule
+    against ``truth`` = (z, ||mu_P||^2)) and ``estimators.fit_spec`` fits it;
+    that floor alone sends an iterated Tikhonov spec to Cholesky or the spectrum.
     The path depends on the rule and the spec alone, so a fit's bits never
     depend on what another estimator cached on ``kbar``.
     ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given
@@ -229,7 +229,7 @@ def fit_weights(
     selection = config.resolved_selection()
     if selection == "none":
         return fit_fixed(kbar, kind.fixed(config, kbar.kappa_sq))
-    return fit_spec(kbar, select(selection, kbar, kind.ladder(config, kbar), oracle_loss).chosen)
+    return fit_spec(kbar, select(selection, kbar, kind.ladder(config, kbar), truth).chosen)
 
 
 def _worker_count() -> int:
@@ -286,17 +286,13 @@ def replication_losses(
             gram = gram_matrix(X, kspec)
             kbar = normalize_gram(gram)
             K = gram.values
-            z = mixture_mean_inners(X, folded, sigma_sq)
-            msn = mixture_mean_sq_norm(folded, sigma_sq)
-
-            def loss_of(w: np.ndarray) -> float:
-                return _rkhs_loss(w, K, z, msn)
-
+            truth = (mixture_mean_inners(X, folded, sigma_sq),
+                     mixture_mean_sq_norm(folded, sigma_sq))
             losses = []
             for config in configs:
                 estimator = config.name
-                wv = fit_weights(config, X, kspec, kbar, oracle_loss=loss_of)
-                losses.append(loss_of(wv.weights))
+                wv = fit_weights(config, X, kspec, kbar, truth=truth)
+                losses.append(_rkhs_loss(wv.weights, K, *truth))
             return losses
         except KmseError as exc:
             raise ReplicationError(r, exc, estimator) from exc

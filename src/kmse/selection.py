@@ -50,14 +50,14 @@ family has one scorer:
 
 The work is one eigendecomposition plus a few n x n matrix products per
 ladder (Tikhonov, Landweber), per grid point (iterated Tikhonov, times t)
-or per iteration (nu).
-Iterative methods are scored along their whole iteration path (the path
-comes for free); lambda methods are scored on a grid. TSVD truncation levels
-are picked by GCV on the projection residual. Ties always break toward the
-smaller parameter. The oracle rule, where the true loss is known, keeps the
-candidate of least loss. Every selector takes K/n and a ladder, one family
-varying one field (``lam``, ``iters`` = 1..T or ``threshold``), as ``(kbar,
-ladder)``, checks it with ``_check_ladder`` and scores the values it returns.
+or per iteration (nu). TSVD truncation levels are picked by GCV on the
+projection residual. The oracle rule keeps the candidate of least true loss,
+scored from the spectrum of K/n and the ground truth. Exact ties break toward
+the smaller parameter; scores equal only in exact arithmetic, as on a
+converged Landweber plateau, differ in their last bits and rounding picks.
+Every selector takes K/n and a ladder, one family varying one field (``lam``,
+``iters`` = 1..T or ``threshold``), as ``(kbar, ladder)``, checks it with
+``_check_ladder`` and scores the values it returns.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import _guard, _guard_norms, _target, _validate_step, fit_spec, two_term_path
-from .filters import SKMSE, TSVD, FilterSpec, IteratedTikhonov, Landweber, NuMethod, Tikhonov
-from .filters import two_term_iterates, two_term_steps
+from .estimators import _guard, _guard_norms, _target, _validate_step
+from .filters import SHRINKAGE_FIELD, SKMSE, TSVD, FilterSpec, IteratedTikhonov, Landweber
+from .filters import NuMethod, Tikhonov, retention_matrix, two_term_iterates, two_term_steps
 from .kernels import NormalizedGram
 
 #: Doubles the resolvent scorer stacks per chunk of grid points, g n (n + t):
@@ -88,13 +88,10 @@ class SelectionResult:
 
 
 def _argmin_first(scores: np.ndarray) -> int:
-    # np.argmin returns the first occurrence, i.e. the smaller parameter
+    # np.argmin's first occurrence: the smaller parameter of an exact tie only
     return int(np.argmin(scores))
 
 
-#: The field each family's ladder varies; its entries agree on every other one.
-_VARIED = {SKMSE: "lam", Tikhonov: "lam", IteratedTikhonov: "lam", TSVD: "threshold",
-           Landweber: "iters", NuMethod: "iters"}
 _ITERATIONS = (Landweber, NuMethod)
 
 
@@ -108,7 +105,7 @@ def _check_ladder(ladder, rule: str, families) -> tuple[FilterSpec, np.ndarray]:
     if type(last) not in families:
         raise InputError(f"no {rule} selector for a {type(last).__name__} ladder: "
                          f"entry {len(ladder) - 1} is {last!r}")
-    field = _VARIED[type(last)]
+    field = SHRINKAGE_FIELD[type(last)]
     counts = field == "iters"
     values = range(1, len(ladder) + 1) if counts else [getattr(s, field, None) for s in ladder]
     for i, (spec, value) in enumerate(zip(ladder, values)):
@@ -403,29 +400,31 @@ def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
     return SelectionResult(chosen=chosen, score_path=path, score_kind="GCV")
 
 
-def oracle_select(kbar: NormalizedGram, ladder, loss) -> SelectionResult:
-    """Pick the ladder entry whose weights on K/n ``kbar`` have the smallest
-    true loss ``loss(weights)``; the path holds (index, loss) per entry. One
-    two-term path fits every count of a Landweber or nu-method ladder."""
-    if loss is None:
-        raise InputError("oracle selection needs a loss callback")
-    last, _ = _check_ladder(ladder, "oracle", _VARIED)
+def oracle_select(kbar: NormalizedGram, ladder, truth) -> SelectionResult:
+    """Pick the ladder entry of least true loss against ``truth`` = (z,
+    ||mu_P||^2), z_i = <k(x_i, .), mu_P>, fitting none; the path holds (index,
+    loss) per entry. With K/n = U Gamma U^T and c = U^T 1_n, retention rho has
+    loss n sum gamma rho^2 c^2 - 2 sum rho c U^T z + ||mu_P||^2."""
+    if truth is None:
+        raise InputError("oracle selection needs the ground truth (z, ||mu_P||^2)")
+    last, params = _check_ladder(ladder, "oracle", SHRINKAGE_FIELD)
     _validate_step(last, kbar.kappa_sq)
-    if isinstance(last, _ITERATIONS):
-        candidates = two_term_path(kbar.matrix.values, two_term_steps(last))
-    else:
-        candidates = (fit_spec(kbar, spec).weights for spec in ladder)
-    losses = np.array([loss(w) for w in candidates])
+    eig = kbar.spectrum
+    gammas = np.clip(eig.eigenvalues, 0.0, None)
+    coeff = eig.eigenvectors.T @ np.full(kbar.n, 1.0 / kbar.n)
+    kept = retention_matrix(last, params, gammas)
+    losses = (kept * kept) @ (kbar.n * gammas * coeff**2) + truth[1]
+    losses -= 2.0 * kept @ (coeff * (eig.eigenvectors.T @ truth[0]))
     return _result(ladder, range(len(ladder)), losses, "oracle")
 
 
-def select(rule: str, kbar: NormalizedGram, ladder, loss=None) -> SelectionResult:
+def select(rule: str, kbar: NormalizedGram, ladder, truth=None) -> SelectionResult:
     """Choose from ``ladder`` on K/n ``kbar`` by ``rule``: "loocv" (lambda or,
-    by the last entry, iteration ladders), "gcv" (TSVD) or "oracle" (any family),
-    which minimizes ``loss``. The rule's selector checks ``ladder`` (``_check_ladder``)."""
+    by the last entry, iteration ladders), "gcv" (TSVD) or "oracle" (any family,
+    against ``truth``). The rule's selector checks ``ladder`` (``_check_ladder``)."""
     # the selectors are looked up per call, so a wrapped module binding is seen
     if rule == "oracle":
-        return oracle_select(kbar, ladder, loss)
+        return oracle_select(kbar, ladder, truth)
     if rule == "gcv":
         return gcv_select_tsvd(kbar, ladder)
     if rule != "loocv":

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -398,6 +399,20 @@ class TestBenchmarkCommand:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected["sha256"]
 
+    def test_oracle_command_matches_recorded_digest(self, tmp_path):
+        # every shrinkage family under the oracle rule; the digest is that of
+        # the CSV written when each candidate was fitted and then scored
+        out = tmp_path / "oracle.csv"
+        code = main(
+            ["benchmark", "--n", "50", "--d", "20", "--reps", "20", "--seed", "42",
+             "--filters", "skmse,tikhonov,landweber,nu,itik,tsvd", "--select", "oracle",
+             "--out", str(out), "--json", str(tmp_path / "oracle.json")]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "edaea23b47b2ac5e65d5b2f945a4fa9f1ce13c255c29bef15da79112b9ffa521"
+        )
+
 
 class TestRatesCommand:
     def test_exact_linear_rates(self, tmp_path):
@@ -639,6 +654,16 @@ def test_dash_output_is_stdout(tmp_path, capsys):
     write_sample_csv(data)
     assert main(["estimate", "--input", str(data), "--output", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["estimator_id"] == "tikhonov"
+
+
+def test_dash_csv_is_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    js = tmp_path / "rates.json"
+    assert main(["rates", "--n-grid", "10,20", "--out", "-", "--json", str(js)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["n", "risk", "stderr", "kme_risk"]
+    assert [int(row[0]) for row in rows[1:]] == [10, 20]
+    assert sorted(os.listdir(tmp_path)) == ["rates.json"]
 
 
 def test_one_parser_per_process(tmp_path, capsys, monkeypatch):

@@ -21,6 +21,15 @@ one caller of ``nu_method_coefficients``, the nu-method step schedule, and
 ``kernels.normalize_gram`` is the one constructor of ``NormalizedGram``, so
 kappa^2, the largest K_ii of the Gram matrix, is measured in one place.
 
+Each family's closed-form retention is written once, in
+``filters.retention_matrix``: no other function of the filter modules
+(``filters``, ``estimators``, ``selection``) writes a ratio x / (x + y), a
+complement of a power 1 - w ** t or a ``where(comparison, value, 0.0)``.
+``theory``'s scalar rate formulas are not filters and are not checked.
+``selection`` fits no candidate: it neither imports nor calls
+``estimators.fit_spec`` or ``estimators.two_term_path``, so the oracle scores
+a ladder from the spectrum alone.
+
 Selectors read a ladder only through ``selection._check_ladder``: no module
 indexes ``ladder[0]`` to guess a family, and no function in ``selection``
 but the check reads the varied field (``lam``, ``iters`` or ``threshold``)
@@ -262,3 +271,78 @@ def test_detects_unscoped_scipy_linalg_calls():
     )
     assert unscoped_scipy_linalg_calls(tree) == [10, 11, 13, 15]
 
+
+
+FILTER_MODULES = ("filters.py", "estimators.py", "selection.py")
+RETENTION_ALLOWED = {("filters.py", "retention_matrix")}
+
+
+def retention_forms(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(enclosing function, form, line) of each closed-form retention: a
+    "ratio" x / (x + y) with x a name or attribute (a numeric numerator is a
+    resolvent or a shrink factor), a "complement" 1 - w ** t, or a "where"
+    of a comparison whose last argument is the constant 0.0."""
+    forms = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            where = ".".join(scope) or "<module>"
+            if isinstance(child, ast.BinOp):
+                left, right = child.left, child.right
+                if (isinstance(child.op, ast.Div) and isinstance(left, (ast.Name, ast.Attribute))
+                        and isinstance(right, ast.BinOp) and isinstance(right.op, ast.Add)
+                        and ast.dump(right.left) == ast.dump(left)):
+                    forms.append((where, "ratio", child.lineno))
+                if (isinstance(child.op, ast.Sub) and isinstance(left, ast.Constant)
+                        and left.value == 1 and isinstance(right, ast.BinOp)
+                        and isinstance(right.op, ast.Pow)):
+                    forms.append((where, "complement", child.lineno))
+            if (isinstance(child, ast.Call) and len(child.args) == 3
+                    and _dotted(child.func) in ("where", "np.where")
+                    and isinstance(child.args[0], ast.Compare)
+                    and isinstance(child.args[2], ast.Constant) and child.args[2].value == 0.0):
+                forms.append((where, "where", child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return forms
+
+
+def test_retention_written_only_in_retention_matrix():
+    stray = []
+    for name in FILTER_MODULES:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        stray += [f"{name}:{line} {form} in {scope}" for scope, form, line in retention_forms(tree)
+                  if (name, scope) not in RETENTION_ALLOWED]
+    assert not stray, f"closed-form retention outside filters.retention_matrix: {', '.join(stray)}"
+
+
+def test_selection_fits_no_candidate():
+    tree = ast.parse((PACKAGE / "selection.py").read_text(encoding="utf-8"))
+    fits = {"fit_spec", "two_term_path"}
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name in fits]
+    assert not imported and not call_sites(tree, fits), (imported, call_sites(tree, fits))
+
+
+def test_detects_retention_forms():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def f(g, p, s, w):\n"
+        "    a = g / (g + p)\n"
+        "    b = s.lam / (g + s.lam)\n"
+        "    c = 1.0 / (1.0 + p)\n"
+        "    d = 1.0 - (1.0 - s.eta * g) ** s.iters\n"
+        "    e = (1.0 - g / p) ** 2\n"
+        "    return np.where(g >= p, 1.0, 0.0), np.where(w, 1.0, 0.0)\n"
+        "class A:\n"
+        "    def g(self, x, y):\n"
+        "        return 1 - (x / (x + y)) ** 3\n"
+    )
+    assert retention_forms(tree) == [
+        ("f", "ratio", 3), ("f", "complement", 6), ("f", "where", 8),
+        ("A.g", "complement", 11), ("A.g", "ratio", 11),
+    ]

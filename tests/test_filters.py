@@ -4,6 +4,7 @@ from scipy.special import eval_jacobi
 
 from kmse.errors import InputError, require_positive
 from kmse.filters import (
+    SHRINKAGE_FIELD,
     IteratedTikhonov,
     Landweber,
     NuMethod,
@@ -17,8 +18,10 @@ from kmse.filters import (
     qualification,
     residual,
     residual_values,
+    retention_matrix,
     retention_values,
     scalar_filter,
+    two_term_iterates,
     two_term_steps,
 )
 
@@ -216,6 +219,56 @@ class TestResidual:
         np.testing.assert_array_equal(
             residual_values(spec, GRID), 1.0 - retention_values(spec, GRID)
         )
+
+
+def nu_last_iterate(spec, gammas):
+    """gamma p_t(gamma) from a recursion run for this spec's t alone."""
+    *_, p = two_term_iterates(two_term_steps(spec), np.ones_like(gammas), lambda x: gammas * x)
+    return gammas * p
+
+
+# one spec's closed-form retention, written as the per-spec formula
+CLOSED_RETENTION = {
+    Tikhonov: lambda s, g: g / (g + s.lam),
+    Landweber: lambda s, g: 1.0 - (1.0 - s.eta * g) ** s.iters,
+    IteratedTikhonov: lambda s, g: 1.0 - (s.lam / (g + s.lam)) ** s.iters,
+    TSVD: lambda s, g: np.where(g >= s.threshold, 1.0, 0.0),
+    SKMSE: lambda s, g: np.where(g > 0, 1.0 / (1.0 + s.lam), 0.0),
+    NuMethod: nu_last_iterate,
+}
+
+
+class TestRetentionMatrix:
+    GAMMAS = np.concatenate([[0.0, 0.0], np.geomspace(1e-13, 1.0, 97), [0.5, 0.5]])
+    LAMS = [0.0, *default_lambda_grid(), 1e-17, 3e4]
+    LADDERS = {
+        "tikhonov": [Tikhonov(lam) for lam in LAMS[1:]],
+        "landweber": [Landweber(t, 0.999) for t in range(1, 61)],
+        "nu": [NuMethod(t, 1.5, 0.999) for t in range(1, 41)],
+        "itik": [IteratedTikhonov(3, lam) for lam in LAMS[1:]],
+        "itik-2": [IteratedTikhonov(2, lam) for lam in LAMS[1:]],
+        "tsvd": [TSVD(float(g)) for g in GAMMAS[GAMMAS > 0]],
+        "skmse": [SKMSE(lam) for lam in LAMS],
+    }
+
+    @pytest.mark.parametrize("family", LADDERS)
+    def test_rows_are_bit_identical_to_each_spec_alone(self, family):
+        # a whole ladder in one matrix gives each spec's retention bits,
+        # which spectral_weights (selected Tikhonov and TSVD, itik below the
+        # Cholesky floor) turns into weights
+        ladder = self.LADDERS[family]
+        params = [getattr(s, SHRINKAGE_FIELD[type(s)]) for s in ladder]
+        kept = retention_matrix(ladder[-1], params, self.GAMMAS)
+        assert kept.shape == (len(ladder), len(self.GAMMAS))
+        for row, spec in zip(kept, ladder):
+            np.testing.assert_array_equal(row, retention_values(spec, self.GAMMAS))
+            np.testing.assert_array_equal(row, CLOSED_RETENTION[type(spec)](spec, self.GAMMAS))
+
+    def test_nu_rows_in_any_order(self):
+        spec = NuMethod(9, 1.0, 0.9)
+        kept = retention_matrix(spec, [4, 1, 9, 4], GRID)
+        for row, t in zip(kept, (4, 1, 9, 4)):
+            np.testing.assert_array_equal(row, retention_values(NuMethod(t, 1.0, 0.9), GRID))
 
 
 class TestNuMethod:

@@ -29,6 +29,7 @@ from kmse.kernels import (
 from kmse.linalg import SymMatrix
 from kmse.risk import (
     EstimatorConfig,
+    _rkhs_loss,
     component_mean_inners,
     fit_weights,
     improvement_percent,
@@ -485,13 +486,15 @@ class TestEstimatorConfig:
             EstimatorConfig("ridge")
 
 
-def _oracle_argmin(candidates, oracle_loss):
-    return candidates[int(np.argmin([oracle_loss(c.weights) for c in candidates]))]
-
-
-def reference_fit(config, X, kspec, kbar, oracle_loss):
-    """fit_weights written out from the public primitives, rule by rule."""
+def reference_fit(config, X, kspec, kbar, truth):
+    """fit_weights written out from the public primitives, rule by rule; the
+    oracle fits every candidate and scores its weights against ``truth``."""
     name, rule, n = config.name, config.resolved_selection(), kbar.n
+    K = gram_matrix(X, kspec).values
+
+    def oracle_argmin(candidates):
+        return candidates[int(np.argmin([_rkhs_loss(c.weights, K, *truth) for c in candidates]))]
+
     lambda_fit = {
         "skmse": lambda lam: skmse_weights(n, lam),
         "tikhonov": lambda lam: spectral_weights(kbar, Tikhonov(lam)),
@@ -520,8 +523,7 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
         if rule == "loocv":
             ladder = tuple(lambda_spec[name](float(lam)) for lam in config.lambda_grid)
             return lambda_fit[name](loocv_select_lambda(kbar, ladder).chosen.lam)
-        return _oracle_argmin([lambda_fit[name](float(lam)) for lam in config.lambda_grid],
-                              oracle_loss)
+        return oracle_argmin([lambda_fit[name](float(lam)) for lam in config.lambda_grid])
     if name in ("landweber", "nu"):
         counts = range(1, config.t_max + 1)
         if name == "landweber":
@@ -538,10 +540,7 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
                 path = landweber_path(values, config.t_max, eta)
             else:
                 path = nu_method_path(values, config.t_max, config.nu, eta)
-            return _oracle_argmin(
-                [WeightVector(row, name, spec) for row, spec in zip(path, specs)],
-                oracle_loss,
-            )
+            return oracle_argmin([WeightVector(row, name, spec) for row, spec in zip(path, specs)])
         if name == "landweber":
             return landweber_weights(kbar, t)
         return nu_method_weights(kbar, t, config.nu)
@@ -552,7 +551,7 @@ def reference_fit(config, X, kspec, kbar, oracle_loss):
         return spectral_weights(kbar, gcv_select_tsvd(kbar, tsvd_ladder(kbar)).chosen)
     gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
     thresholds = dict.fromkeys(float(g) for g in gammas if g > 0)
-    return _oracle_argmin([spectral_weights(kbar, TSVD(g)) for g in thresholds], oracle_loss)
+    return oracle_argmin([spectral_weights(kbar, TSVD(g)) for g in thresholds])
 
 
 class TestFitWeights:
@@ -565,18 +564,18 @@ class TestFitWeights:
         X = sample_mixture(params, 18, gen).rows
         kspec = GaussianRBF(median_heuristic_bandwidth(X))
         folded = effective_components(params)
-        return X, kspec, normalize_gram(gram_matrix(X, kspec)), (
-            lambda w: loss(w, X, folded, kspec)
-        )
+        truth = (mixture_mean_inners(X, folded, kspec.bandwidth_sq),
+                 mixture_mean_sq_norm(folded, kspec.bandwidth_sq))
+        return X, kspec, normalize_gram(gram_matrix(X, kspec)), truth
 
     @pytest.mark.parametrize("seed", [5, 23])
     @pytest.mark.parametrize(
         "config", ALL_PAIRS, ids=lambda c: f"{c.name}-{c.selection}"
     )
     def test_bit_identical_to_reference(self, config, seed):
-        X, kspec, kbar, oracle_loss = self.sample(seed)
-        got = fit_weights(config, X, kspec, kbar, oracle_loss=oracle_loss)
-        want = reference_fit(config, X, kspec, kbar, oracle_loss)
+        X, kspec, kbar, truth = self.sample(seed)
+        got = fit_weights(config, X, kspec, kbar, truth=truth)
+        want = reference_fit(config, X, kspec, kbar, truth)
         assert np.array_equal(got.weights, want.weights)
         assert got.estimator_id == want.estimator_id == config.name
         assert got.shrinkage == want.shrinkage
@@ -639,8 +638,8 @@ class TestFitWeights:
         ids=["empty-grid", "t-max-0", "zero-spectrum"],
     )
     def test_empty_ladder_rejected_under_oracle(self, config, zero_gram, message):
-        X, kspec, kbar, oracle_loss = self.sample(5)
+        X, kspec, kbar, truth = self.sample(5)
         if zero_gram:
             kbar = NormalizedGram(SymMatrix(np.zeros((kbar.n, kbar.n))), kappa_sq=1.0)
         with pytest.raises(InputError, match=message):
-            fit_weights(config, X, kspec, kbar, oracle_loss=oracle_loss)
+            fit_weights(config, X, kspec, kbar, truth=truth)

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmse import kernels, risk, selection
+from kmse import estimators, kernels, risk, selection
 from kmse.errors import ConfigurationError, InputError
-from kmse.estimators import fit_spec, landweber_path, nu_method_path, tsvd_ladder
+from kmse.estimators import RESOLVENT_MIN_LAMBDA, fit_spec, landweber_path, nu_method_path
+from kmse.estimators import tsvd_ladder
 from kmse.filters import (
     SKMSE,
     IteratedTikhonov,
@@ -36,6 +37,7 @@ from kmse.selection import (
     loocv_select_lambda,
     oracle_select,
 )
+from kmse.synthetic import RngStream, draw_mixture_params, effective_components, sample_mixture
 
 
 def sample_rows(seed=0, n=20, d=3):
@@ -190,8 +192,10 @@ def no_scoring(*args):
     raise AssertionError("a candidate was scored before the ladder was checked")
 
 
-def zero_loss(weights):
-    return 0.0
+def zero_truth(n):
+    """The ground truth (z, ||mu_P||^2) of the zero measure on n points; the
+    tests that pass it expect an error before any candidate is scored."""
+    return np.zeros(n), 0.0
 
 
 class TestSelectorInputs:
@@ -201,9 +205,10 @@ class TestSelectorInputs:
     ]
     EMPTY_LADDER_ONLY = [
         (gcv_select_tsvd, (TSVD(0.1),)),
-        (lambda kbar, ladder: oracle_select(kbar, ladder, zero_loss), (Tikhonov(0.1),)),
+        (lambda kbar, ladder: oracle_select(kbar, ladder, zero_truth(kbar.n)), (Tikhonov(0.1),)),
         *[
-            (lambda kbar, ladder, rule=rule: selection.select(rule, kbar, ladder, zero_loss), ())
+            (lambda kbar, ladder, rule=rule: selection.select(rule, kbar, ladder,
+                                                              zero_truth(kbar.n)), ())
             for rule in ("loocv", "gcv", "oracle")
         ],
     ]
@@ -222,10 +227,10 @@ class TestSelectorInputs:
     @pytest.mark.parametrize("rule", ["none", "default", "LOOCV", "bogus"])
     def test_unknown_rule_rejected(self, rule):
         with pytest.raises(InputError, match="unknown selection rule"):
-            selection.select(rule, kbar_of(sample_rows()), (Tikhonov(0.1),), zero_loss)
+            selection.select(rule, kbar_of(sample_rows()), (Tikhonov(0.1),), zero_truth(20))
 
-    def test_oracle_needs_a_loss(self):
-        with pytest.raises(InputError, match="loss callback"):
+    def test_oracle_needs_the_ground_truth(self):
+        with pytest.raises(InputError, match="needs the ground truth"):
             selection.select("oracle", kbar_of(sample_rows()), (Tikhonov(0.1),))
 
     @pytest.mark.parametrize("rule", ["loocv", "oracle"])
@@ -246,7 +251,7 @@ class TestSelectorInputs:
         kbar = kbar_of(sample_rows(n=12))
         message = re.escape(f"iteration ladder entry {bad} is {ladder[bad]!r}")
         with pytest.raises(InputError, match=message):
-            selection.select(rule, kbar, ladder, zero_loss)
+            selection.select(rule, kbar, ladder, zero_truth(kbar.n))
 
     @pytest.mark.parametrize(
         "rule,ladder",
@@ -274,21 +279,19 @@ class TestSelectorInputs:
     )
     def test_mixed_ladder_rejected_before_scoring(self, rule, ladder, bad, monkeypatch):
         for scorer in ("_skmse_scores", "_tikhonov_scores", "_resolvent_scores",
-                       "_landweber_scores", "_iteration_scores", "_target", "fit_spec",
-                       "two_term_path"):
+                       "_landweber_scores", "_iteration_scores", "_target", "retention_matrix"):
             monkeypatch.setattr(selection, scorer, no_scoring)
         message = re.escape(f"entry {bad} is {ladder[bad]!r}")
         with pytest.raises(InputError, match=message):
-            selection.select(rule, kbar_of(sample_rows(n=12)), ladder, no_scoring)
+            selection.select(rule, kbar_of(sample_rows(n=12)), ladder, zero_truth(12))
 
     @pytest.mark.parametrize("rule", ["loocv", "oracle"])
     @pytest.mark.parametrize("family,message", [("landweber", "Landweber step size"),
                                                 ("nu", "accelerated step scale")])
     def test_step_above_inverse_kappa_sq_rejected_before_scoring(self, rule, family, message,
                                                                  monkeypatch):
-        # the same error fit_spec raises, before any fold iterate or path
-        for scorer in ("_landweber_scores", "_iteration_scores", "_target", "fit_spec",
-                       "two_term_path"):
+        # the same error fit_spec raises, before any fold iterate or retention
+        for scorer in ("_landweber_scores", "_iteration_scores", "_target", "retention_matrix"):
             monkeypatch.setattr(selection, scorer, no_scoring)
         kbar = kbar_of(sample_rows(n=12))
         eta = 2.0 / kbar.kappa_sq
@@ -297,29 +300,60 @@ class TestSelectorInputs:
         else:
             ladder = tuple(NuMethod(t, 1.0, eta) for t in range(1, 6))
         with pytest.raises(ConfigurationError, match=message):
-            selection.select(rule, kbar, ladder, no_scoring)
+            selection.select(rule, kbar, ladder, zero_truth(kbar.n))
 
 
 class TestOracle:
-    @pytest.mark.parametrize("family", ["landweber", "nu", "tikhonov", "skmse", "itik"])
-    def test_path_holds_the_loss_of_every_entry(self, family):
-        rows = sample_rows(17, n=15)
-        kbar = kbar_of(rows)
+    """The oracle's path is the true RKHS loss of every candidate, as fitting
+    it with ``fit_spec`` and scoring the weights with ``risk._rkhs_loss``
+    gives it."""
+
+    @staticmethod
+    def problem(seed, n=15, d=3):
+        """K, K/n and the ground truth (z, ||mu_P||^2) of a mixture sample."""
+        params = draw_mixture_params(d, RngStream(seed, 0))
+        X = sample_mixture(params, n, RngStream(seed, 1).generator()).rows
+        kspec = rbf_spec(X)
+        folded = effective_components(params)
+        truth = (risk.mixture_mean_inners(X, folded, kspec.bandwidth_sq),
+                 risk.mixture_mean_sq_norm(folded, kspec.bandwidth_sq))
+        gram = gram_matrix(X, kspec)
+        return gram.values, normalize_gram(gram), truth
+
+    @staticmethod
+    def ladder(family, kbar):
         if family in ("landweber", "nu"):
-            ladder = iteration_ladder(kbar, family, 12)
-        else:
-            ladder = lambda_ladder(family, default_lambda_grid(9))
-        target = np.linspace(0.2, -0.1, kbar.n)  # a loss with an interior minimum
+            return iteration_ladder(kbar, family, 40)
+        if family == "tsvd":
+            return tsvd_ladder(kbar)
+        if family == "itik":
+            # straddles the floor: Cholesky solves above it, the spectrum below
+            floor = RESOLVENT_MIN_LAMBDA * kbar.kappa_sq
+            return lambda_ladder(family, floor * np.geomspace(1e-3, 1e3, 13))
+        return lambda_ladder(family, default_lambda_grid())
 
-        def loss(weights):
-            return float(np.sum((weights - target) ** 2))
-
-        result = selection.select("oracle", kbar, ladder, loss)
-        want = [loss(fit_spec(kbar, spec).weights) for spec in ladder]
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("family", ["skmse", "tikhonov", "landweber", "nu", "itik", "tsvd"])
+    def test_path_holds_the_loss_of_every_entry(self, family, seed):
+        K, kbar, truth = self.problem(seed)
+        ladder = self.ladder(family, kbar)
+        result = selection.select("oracle", kbar, ladder, truth)
+        want = [risk._rkhs_loss(fit_spec(kbar, spec).weights, K, *truth) for spec in ladder]
         assert [i for i, _ in result.score_path] == list(range(len(ladder)))
-        np.testing.assert_allclose([s for _, s in result.score_path], want, rtol=1e-12)
+        np.testing.assert_allclose(path_scores(result), want, rtol=1e-10)
         assert result.chosen == ladder[int(np.argmin(want))]
         assert result.score_kind == "oracle"
+
+    @pytest.mark.parametrize("family", ["skmse", "tikhonov", "landweber", "nu", "itik", "tsvd"])
+    def test_fits_no_candidate(self, family, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the oracle fitted a candidate")
+
+        for fit in ("fit_spec", "skmse_weights", "spectral_weights", "iterated_tikhonov_weights",
+                    "two_term_path", "landweber_weights"):
+            monkeypatch.setattr(estimators, fit, no_fit)
+        _, kbar, truth = self.problem(3)
+        selection.select("oracle", kbar, self.ladder(family, kbar), truth)
 
 
 def brute_force_iteration_scores(K, algo, t_max, eta, nu=1.0):
