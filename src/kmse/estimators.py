@@ -206,10 +206,10 @@ def two_term_path(kbar_values: np.ndarray, coefficients) -> np.ndarray:
     """Iterates beta^1..beta^T of the two-term recursion on K/n toward
     Kbar 1_n, one per (omega, kappa) pair, shape (T, n); every iterate must
     pass the divergence guard."""
-    n = kbar_values.shape[0]
-    path = np.empty((len(coefficients), n))
+    n, steps = kbar_values.shape[0], len(coefficients)
+    path = np.empty((steps, n))
     iterates = two_term_iterates(coefficients, _target(kbar_values), kbar_values.__matmul__)
-    for step, beta in enumerate(iterates):
+    for step, beta in zip(range(steps), iterates):  # range first: K/n never sees beta^T
         _guard(beta, n)
         path[step] = beta
     return path

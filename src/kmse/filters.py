@@ -182,9 +182,10 @@ def two_term_iterates(coefficients, target: np.ndarray, apply):
         x_t = x_{t-1} + omega_t (x_{t-1} - x_{t-2}) + kappa_t (b - A x_{t-1}),
 
     run from x_0 = x_{-1} = 0, one step per (omega_t, kappa_t) pair.
-    ``target`` is b and ``apply(x)`` returns A x. Each iterate is applied once,
-    the last one included, when the generator resumes after yielding it, so a
-    consumer that raises on an iterate never applies A to it.
+    ``target`` is b and ``apply(x)`` returns A x. An iterate is applied when
+    the generator resumes after yielding it, the last one included, so a
+    consumer that raises on an iterate, or stops after the last one without
+    resuming, never applies A to it.
     """
     prev = curr = np.zeros_like(target)
     residual = target  # b - A x_0

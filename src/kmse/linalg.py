@@ -6,30 +6,34 @@ eigenvalues sorted descending (so truncation indices read as "top-m
 components"), and explicit failure types. All values are immutable after
 construction and every operation is a pure function.
 
-One BLAS thread pool. The numpy and scipy wheels each vendor their own
-OpenBLAS, and each copy keeps its own thread pool. After a threaded call an
-OpenBLAS worker spins for a while before it sleeps, so once both pools have
-run, their spinning workers and the calling thread contend for the cores.
-The Cholesky factorization and its solves (``spd_factor``,
-``SpdFactor.solve``) are the package's only calls into scipy's LAPACK, and
-they run inside ``_ONE_BLAS_THREAD``, which sets scipy's OpenBLAS to one
-thread; numpy's pool keeps the machine's threads. On one thread the factor
-is also the same bits whatever OPENBLAS_NUM_THREADS says, which a threaded
-``potrf`` is not for n >= 128.
+One BLAS thread inside the replications. The numpy and scipy wheels each
+vendor their own OpenBLAS, and each copy keeps its own thread pool. After a
+threaded call an OpenBLAS worker spins for a while before it sleeps, so once
+both pools have run, their spinning workers and the calling thread contend
+for the cores. ``_ONE_BLAS_THREAD`` sets both copies to one thread while any
+thread is inside it. The Monte-Carlo harness (``risk.replication_losses``)
+runs its replications inside it, since there the replications are the unit
+of parallelism (``KMSE_THREADS``); so do the Cholesky factorization and its
+solves (``spd_factor``, ``SpdFactor.solve``), the package's only calls into
+scipy's LAPACK. Elsewhere numpy's pool keeps the machine's threads, so
+``estimate`` runs its large ``eigh`` on every core. On one thread a BLAS or
+LAPACK call gives the same bits whatever OPENBLAS_NUM_THREADS says, which a
+threaded ``potrf`` is not for n >= 128, nor the harness's losses from
+n ~ 150.
 
-``CHOLESKY_PINNED`` says whether that pin is in force. It is False when
-scipy's LAPACK is not an OpenBLAS of scipy's own Linux wheel (MKL,
-Accelerate, a system OpenBLAS shared with numpy) or that OpenBLAS lacks
-``openblas_set_num_threads_local``. Then nothing is pinned, and the
-factorization runs on as many threads as that library chooses. OpenBLAS
-built with pthreads keeps the thread count per process, not per thread, so
-the scope counts the threads inside it: the first to enter sets one thread
-and the last to leave restores the count the first one found.
+``CHOLESKY_PINNED`` says whether scipy's copy is pinned, and
+``NUMPY_BLAS_PINNED`` whether numpy's is. A flag is False when that
+package's BLAS is not an OpenBLAS of its own Linux wheel (MKL, Accelerate, a
+system OpenBLAS shared by both) or that OpenBLAS lacks
+``openblas_set_num_threads_local``. Then nothing of that copy is pinned, and
+it runs on as many threads as the library chooses. The wheels' OpenBLAS is
+built with pthreads and keeps the thread count per process, not per thread,
+so the scope counts the threads inside it: the first to enter sets one
+thread and the last to leave restores the counts the first one found.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import os
 import threading
@@ -42,11 +46,11 @@ import scipy.linalg
 from .errors import ConvergenceError, DefinitenessError, InputError
 
 
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS that scipy's wheel vendors, if ``scipy.linalg`` has loaded
-    it and it exports ``openblas_set_num_threads_local``."""
-    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    for path in sorted(libs.glob("libscipy_openblas-*.so")):
+def _vendored_openblas(package, pattern: str) -> ctypes.CDLL | None:
+    """The OpenBLAS that ``package``'s wheel vendors as ``<package>.libs/<pattern>``,
+    if the process has loaded it and it exports ``openblas_set_num_threads_local``."""
+    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+    for path in sorted(libs.glob(pattern)):
         try:  # RTLD_NOLOAD: only a copy this process has loaded already
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
         except OSError:
@@ -59,34 +63,38 @@ def _scipy_openblas() -> ctypes.CDLL | None:
 
 
 class _OneThreadScope:
-    """Holds scipy's OpenBLAS at one thread while any thread is inside."""
+    """Holds the OpenBLAS copies whose setters it is given at one thread while
+    any thread is inside."""
 
-    def __init__(self, set_threads):
-        self._set_threads = set_threads
+    def __init__(self, setters):
+        self._setters = tuple(setters)
         self._lock = threading.Lock()
         self._inside = 0
-        self._found = 1
+        self._found = ()
 
     def __enter__(self):
         with self._lock:
             if self._inside == 0:
-                self._found = self._set_threads(1)
+                self._found = tuple(set_threads(1) for set_threads in self._setters)
             self._inside += 1
 
     def __exit__(self, *exc_info):
         with self._lock:
             self._inside -= 1
             if self._inside == 0:
-                self._set_threads(self._found)
+                for set_threads, found in zip(self._setters, self._found):
+                    set_threads(found)
         return False
 
 
-_SCIPY_OPENBLAS = _scipy_openblas()
+_SCIPY_OPENBLAS = _vendored_openblas(scipy, "libscipy_openblas-*.so")
+_NUMPY_OPENBLAS = _vendored_openblas(np, "libscipy_openblas64_-*.so")
 CHOLESKY_PINNED = _SCIPY_OPENBLAS is not None
-_ONE_BLAS_THREAD = (
-    _OneThreadScope(_SCIPY_OPENBLAS.openblas_set_num_threads_local)
-    if CHOLESKY_PINNED
-    else contextlib.nullcontext()
+NUMPY_BLAS_PINNED = _NUMPY_OPENBLAS is not None
+_ONE_BLAS_THREAD = _OneThreadScope(
+    lib.openblas_set_num_threads_local
+    for lib in (_SCIPY_OPENBLAS, _NUMPY_OPENBLAS)
+    if lib is not None
 )
 
 

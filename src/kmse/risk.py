@@ -19,7 +19,8 @@ oracles in the test suite before any benchmark relies on them). Both are one
 integral, ``_gaussian_inners``: ||mu_P||^2 evaluates it at x = theta_j with
 mean theta_l and covariance Sigma_j + Sigma_l. Determinants and quadratic
 forms come from ``synthetic.psd_eigh`` factors, so rank-deficient covariances
-are handled symmetrically; z reads the factors the mixture already holds.
+are handled symmetrically; z reads the factors the mixture already holds, and
+||mu_P||^2 the pairwise factors it computes once per parameter set.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .kernels import (
     median_heuristic_bandwidth,
     normalize_gram,
 )
+from .linalg import _ONE_BLAS_THREAD
 from .selection import select
 from .synthetic import (
     MixtureParams,
@@ -110,8 +112,9 @@ def mixture_mean_sq_norm(params: MixtureParams, sigma_sq: float) -> float:
     total = 0.0
     for j in range(k):
         for l in range(j, k):
-            factor = psd_eigh(params.covariances[j] + params.covariances[l])
-            inner = _gaussian_inners(params.means[j : j + 1], params.means[l], factor, sigma_sq)
+            inner = _gaussian_inners(
+                params.means[j : j + 1], params.means[l], params.pair_factors[j, l], sigma_sq
+            )
             term = params.weights[j] * params.weights[l] * inner[0]
             total += term if j == l else 2.0 * term
     return float(total)
@@ -260,7 +263,9 @@ def replication_losses(
     ``redraw_params`` is set. Within a replication every estimator is fitted
     on the same sample, Gram matrix and K/n (so on one cached spectrum) and
     scored against the same ground truth, each built once. Results are
-    independent of execution order and of which other configs are fitted.
+    independent of execution order and of which other configs are fitted,
+    and, with BLAS held at one thread (``linalg._ONE_BLAS_THREAD``), of
+    OPENBLAS_NUM_THREADS and KMSE_THREADS.
     """
     configs = tuple(configs)
     if m < 1:
@@ -297,10 +302,14 @@ def replication_losses(
         except KmseError as exc:
             raise ReplicationError(r, exc, estimator) from exc
 
-    if workers == 1:
-        return np.asarray([one(r) for r in range(1, m + 1)])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.asarray(list(pool.map(one, range(1, m + 1))))
+    # replications are the unit of parallelism, so BLAS gets one thread; the
+    # count is per process, so one pin covers every worker and is restored
+    # once, after the last replication
+    with _ONE_BLAS_THREAD:
+        if workers == 1:
+            return np.asarray([one(r) for r in range(1, m + 1)])
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return np.asarray(list(pool.map(one, range(1, m + 1))))
 
 
 def risk_estimate(

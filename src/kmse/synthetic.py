@@ -3,10 +3,12 @@ covariances, plus seeded RNG streams for order-independent replications.
 
 ``psd_eigh`` is the one PSD check and covariance eigendecomposition. Each
 ``MixtureParams`` keeps it per component as ``factors``, which sampling and
-the analytic loss in ``risk`` share."""
+the analytic loss in ``risk`` share, and per pair of components as
+``pair_factors``, which ||mu_P||^2 reads."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,6 +76,14 @@ class MixtureParams:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariances", cov)
+
+    @functools.cached_property
+    def pair_factors(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """psd_eigh of Sigma_j + Sigma_l for every pair j <= l, computed on
+        first use and kept."""
+        cov = self.covariances
+        return {(j, l): psd_eigh(cov[j] + cov[l])
+                for j in range(self.k) for l in range(j, self.k)}
 
     @property
     def k(self) -> int:

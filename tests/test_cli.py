@@ -288,24 +288,26 @@ class TestEstimateLinearKernel:
 
 class TestBenchmarkCommand:
     def test_csv_independent_of_thread_counts(self, tmp_path):
-        # BLAS threads and harness workers must not change a single byte
+        # BLAS threads and harness workers must not change a single byte; at
+        # n = 150 a threaded BLAS inside the replications did
         src = Path(__file__).resolve().parent.parent / "src"
-        digests = {}
-        for blas in ("1", "2"):
-            for workers in ("1", "4"):
-                out = tmp_path / f"risk_{blas}_{workers}.csv"
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, KMSE_THREADS=workers)
-                env["PYTHONPATH"] = os.pathsep.join(
-                    [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
-                )
-                subprocess.run(
-                    [sys.executable, "-m", "kmse.cli", "benchmark", "--n", "30",
-                     "--d", "3", "--reps", "6", "--seed", "5", "--filters", "all",
-                     "--out", str(out)],
-                    env=env, check=True, capture_output=True,
-                )
-                digests[blas, workers] = out.read_bytes()
-        assert len(set(digests.values())) == 1
+        for n, d, reps in (("30", "3", "6"), ("150", "5", "3")):
+            digests = {}
+            for blas in ("1", "2"):
+                for workers in ("1", "4"):
+                    out = tmp_path / f"risk_{n}_{blas}_{workers}.csv"
+                    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, KMSE_THREADS=workers)
+                    env["PYTHONPATH"] = os.pathsep.join(
+                        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+                    )
+                    subprocess.run(
+                        [sys.executable, "-m", "kmse.cli", "benchmark", "--n", n,
+                         "--d", d, "--reps", reps, "--seed", "5", "--filters", "all",
+                         "--out", str(out)],
+                        env=env, check=True, capture_output=True,
+                    )
+                    digests[blas, workers] = out.read_bytes()
+            assert len(set(digests.values())) == 1, f"n = {n}"
 
     def test_csv_schema_and_determinism(self, tmp_path):
         out_a = tmp_path / "risk_a.csv"

@@ -16,8 +16,18 @@ from kmse.estimators import (
     skmse_weights,
     spectral_weights,
     tsvd_weights,
+    two_term_path,
 )
-from kmse.filters import IteratedTikhonov, Landweber, NuMethod, SKMSE, TSVD, Tikhonov
+from kmse.filters import (
+    IteratedTikhonov,
+    Landweber,
+    NuMethod,
+    SKMSE,
+    TSVD,
+    Tikhonov,
+    two_term_iterates,
+    two_term_steps,
+)
 from kmse.kernels import (
     GaussianRBF,
     Linear,
@@ -155,6 +165,30 @@ class TestIterativePaths:
             best_nu = np.minimum.accumulate(res_nu)
             assert best_nu[14] <= res_lw[14] + 1e-15
             assert best_nu[29] <= 0.75 * res_lw[29]
+
+    @pytest.mark.parametrize("spec", [Landweber(10, 1.0), NuMethod(10, 1.0, 1.0)])
+    def test_two_term_path_applies_kbar_once_per_step_but_the_last(self, spec):
+        # beta^T is the last weight vector; K/n beta^T would only feed a step
+        # the path does not take
+        kbar, _ = random_kbar(np.random.default_rng(16))
+        kv = kbar.matrix.values
+
+        class CountingKbar:
+            shape = kv.shape
+            products = 0
+
+            def mean(self, axis):
+                return kv.mean(axis=axis)
+
+            def __matmul__(self, x):
+                CountingKbar.products += 1
+                return kv @ x
+
+        steps = two_term_steps(spec)
+        path = two_term_path(CountingKbar(), steps)
+        assert CountingKbar.products == 9
+        every_iterate = list(two_term_iterates(steps, kv.mean(axis=1), kv.__matmul__))
+        assert np.array_equal(path, np.array(every_iterate))
 
     def test_fit_spec_runs_nu_at_its_step(self):
         kbar, _ = random_kbar(np.random.default_rng(14))

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kmse import linalg
-from kmse.errors import DefinitenessError, InputError
+from kmse import linalg, risk
+from kmse.errors import DefinitenessError, InputError, ReplicationError
 from kmse.linalg import (
     SymMatrix,
     spd_factor,
     sym_eigendecompose,
 )
+from kmse.risk import EstimatorConfig, replication_losses
 
 
 def random_psd(rng, dim, entry_bound=10.0):
@@ -161,14 +162,48 @@ def scipy_blas_threads() -> int:
     return linalg._SCIPY_OPENBLAS.scipy_openblas_get_num_threads()
 
 
+def numpy_blas_threads() -> int:
+    """Thread count of numpy's vendored OpenBLAS, read without changing it."""
+    return linalg._NUMPY_OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+def blas_threads() -> tuple[int, int]:
+    return scipy_blas_threads(), numpy_blas_threads()
+
+
 @pytest.fixture
-def two_scipy_blas_threads():
-    """Set scipy's OpenBLAS to two threads for the test, then put back the
-    count it had."""
-    set_threads = linalg._SCIPY_OPENBLAS.openblas_set_num_threads_local
-    found = set_threads(2)
+def two_blas_threads():
+    """Set every vendored OpenBLAS the package found to two threads for the
+    test, then put back the counts they had."""
+    setters = [lib.openblas_set_num_threads_local
+               for lib in (linalg._SCIPY_OPENBLAS, linalg._NUMPY_OPENBLAS) if lib is not None]
+    found = [set_threads(2) for set_threads in setters]
     yield
-    set_threads(found)
+    for set_threads, count in zip(setters, found):
+        set_threads(count)
+
+
+both_pinned = pytest.mark.skipif(
+    not (linalg.CHOLESKY_PINNED and linalg.NUMPY_BLAS_PINNED),
+    reason="numpy's or scipy's BLAS is not pinned",
+)
+REPLICATION_CONFIGS = [EstimatorConfig("tikhonov", selection="none", lam=0.5),
+                       EstimatorConfig("landweber")]
+
+
+@pytest.fixture
+def record_replication_blas_threads(monkeypatch):
+    """(scipy, numpy) thread counts seen at the start of every fit inside
+    ``replication_losses``."""
+    seen = []
+    original = risk.fit_weights
+
+    def recorded(*args, **kwargs):
+        seen.append(blas_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "fit_weights", recorded)
+    return seen
 
 
 @pytest.fixture
@@ -194,9 +229,20 @@ class TestOneBlasThread:
             pytest.skip(f"scipy uses {blas}, which has no pin")
         assert linalg.CHOLESKY_PINNED
 
+    def test_numpy_pinned_when_its_wheel_vendors_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy uses {blas}, which has no pin")
+        assert linalg.NUMPY_BLAS_PINNED
+
+    def test_unpinned_copies_have_no_setter(self):
+        # a copy that was not found is left alone: the scope sets only what it holds
+        pinned = [linalg.CHOLESKY_PINNED, linalg.NUMPY_BLAS_PINNED]
+        assert len(linalg._ONE_BLAS_THREAD._setters) == sum(pinned)
+
     @pytest.mark.skipif(not linalg.CHOLESKY_PINNED, reason="scipy's BLAS is not pinned")
     def test_factor_and_solve_run_on_one_thread_then_restore(
-        self, two_scipy_blas_threads, record_scipy_blas_threads
+        self, two_blas_threads, record_scipy_blas_threads
     ):
         rng = np.random.default_rng(10)
         factor = spd_factor(random_psd(rng, 150) + np.eye(150))
@@ -207,7 +253,7 @@ class TestOneBlasThread:
 
     @pytest.mark.skipif(not linalg.CHOLESKY_PINNED, reason="scipy's BLAS is not pinned")
     def test_restores_after_a_definiteness_error(
-        self, two_scipy_blas_threads, record_scipy_blas_threads
+        self, two_blas_threads, record_scipy_blas_threads
     ):
         with pytest.raises(DefinitenessError):
             spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
@@ -216,7 +262,7 @@ class TestOneBlasThread:
 
     @pytest.mark.skipif(not linalg.CHOLESKY_PINNED, reason="scipy's BLAS is not pinned")
     def test_concurrent_factorizations_share_the_pin(
-        self, two_scipy_blas_threads, record_scipy_blas_threads
+        self, two_blas_threads, record_scipy_blas_threads
     ):
         # the count is process-wide: a thread leaving while another is inside
         # must not restore it, and the last to leave must
@@ -245,3 +291,49 @@ class TestOneBlasThread:
         assert set(record_scipy_blas_threads) == {1}
         assert scipy_blas_threads() == 2
 
+    @both_pinned
+    def test_replications_run_on_one_thread_then_restore(
+        self, two_blas_threads, record_replication_blas_threads
+    ):
+        assert blas_threads() == (2, 2)
+        replication_losses(REPLICATION_CONFIGS, 20, 2, 3, seed=12)
+        assert record_replication_blas_threads == [(1, 1)] * 6
+        assert blas_threads() == (2, 2)
+
+    @both_pinned
+    def test_restores_after_a_replication_error(
+        self, two_blas_threads, record_replication_blas_threads
+    ):
+        with pytest.raises(ReplicationError):
+            replication_losses(REPLICATION_CONFIGS, 20, 2, 3, seed=12, bandwidth=-1.0)
+        with pytest.raises(ReplicationError):
+            replication_losses(
+                [EstimatorConfig("kme"), EstimatorConfig("tikhonov", selection="none", lam=-1.0)],
+                20, 2, 3, seed=12,
+            )
+        assert set(record_replication_blas_threads) == {(1, 1)}
+        assert blas_threads() == (2, 2)
+
+    @both_pinned
+    def test_workers_share_one_pin_restored_once(
+        self, two_blas_threads, record_replication_blas_threads, monkeypatch
+    ):
+        # four workers, each nesting the Cholesky scope inside the harness one:
+        # each copy is set to one thread once and restored once
+        calls = []
+
+        def recording(index, set_threads):
+            def wrapped(count):
+                calls.append((index, count))
+                return set_threads(count)
+            return wrapped
+
+        scope = linalg._ONE_BLAS_THREAD
+        monkeypatch.setattr(scope, "_setters", tuple(
+            recording(index, set_threads) for index, set_threads in enumerate(scope._setters)
+        ))
+        monkeypatch.setenv("KMSE_THREADS", "4")
+        replication_losses(REPLICATION_CONFIGS, 20, 2, 8, seed=12)
+        assert record_replication_blas_threads == [(1, 1)] * 16
+        assert calls == [(0, 1), (1, 1), (0, 2), (1, 2)]
+        assert blas_threads() == (2, 2)
