@@ -52,6 +52,7 @@ from .kernels import KernelSpec, NormalizedGram, cross_kernel
 from .linalg import spd_factor
 
 STEP_SIZE_SLACK = 1e-12
+#: A path with a weight norm above DIVERGENCE_FACTOR / sqrt(n) fails ``_guard_norms``.
 DIVERGENCE_FACTOR = 1e6
 #: Smallest lam / kappa^2 at which iterated Tikhonov and fixed Tikhonov fits
 #: go through Cholesky solves; below it their error grows like 1/lam
@@ -188,14 +189,9 @@ def _target(kbar_values: np.ndarray) -> np.ndarray:
     return kbar_values.mean(axis=1)
 
 
-def _guard(beta: np.ndarray, n: int) -> None:
-    # beta is one length-n weight vector, or one per column; no column may
-    # have a norm above DIVERGENCE_FACTOR / sqrt(n), compared squared
-    _guard_norms(beta @ beta if beta.ndim == 1 else np.einsum("ij,ij->j", beta, beta), n)
-
-
 def _guard_norms(sq_norms: np.ndarray, n: int) -> None:
-    # squared weight norms above DIVERGENCE_FACTOR^2 / n, NaN or inf fail
+    """Refuse squared weight norms above DIVERGENCE_FACTOR^2 / n, and NaN and inf:
+    a path's norms come all at once, after a diverging run has overflowed."""
     if not np.all(sq_norms <= DIVERGENCE_FACTOR**2 / n):
         raise ConfigurationError(
             "iteration diverged (weights exceeded guard); step size too large"
@@ -204,14 +200,16 @@ def _guard_norms(sq_norms: np.ndarray, n: int) -> None:
 
 def two_term_path(kbar_values: np.ndarray, coefficients) -> np.ndarray:
     """Iterates beta^1..beta^T of the two-term recursion on K/n toward
-    Kbar 1_n, one per (omega, kappa) pair, shape (T, n); every iterate must
-    pass the divergence guard."""
+    Kbar 1_n, one per (omega, kappa) pair, shape (T, n). The divergence
+    guard checks the T norms once the path is filled, so a diverging run
+    overflows to inf or NaN before it fails."""
     n, steps = kbar_values.shape[0], len(coefficients)
     path = np.empty((steps, n))
     iterates = two_term_iterates(coefficients, _target(kbar_values), kbar_values.__matmul__)
-    for step, beta in zip(range(steps), iterates):  # range first: K/n never sees beta^T
-        _guard(beta, n)
-        path[step] = beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, beta in zip(range(steps), iterates):  # range first: K/n never sees beta^T
+            path[step] = beta
+        _guard_norms(np.einsum("ij,ij->i", path, path), n)
     return path
 
 
@@ -233,10 +231,7 @@ def landweber_weights(
     kbar: NormalizedGram, t: int, eta: float | None = None
 ) -> WeightVector:
     """Run t gradient steps from beta = 0; eta defaults to 1/kappa^2."""
-    spec = Landweber(iters=t, eta=1.0 / kbar.kappa_sq if eta is None else eta)
-    _validate_step(spec, kbar.kappa_sq)
-    path = landweber_path(kbar.matrix.values, t, spec.eta)
-    return WeightVector(path[-1], "landweber", spec)
+    return fit_spec(kbar, Landweber(iters=t, eta=1.0 / kbar.kappa_sq if eta is None else eta))
 
 
 def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVector:
@@ -273,12 +268,13 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     """
     if isinstance(spec, SKMSE):
         return skmse_weights(kbar.n, spec.lam)
-    if isinstance(spec, Landweber):
-        return landweber_weights(kbar, spec.iters, spec.eta)
-    if isinstance(spec, NuMethod):
+    if isinstance(spec, (Landweber, NuMethod)):
         _validate_step(spec, kbar.kappa_sq)
-        path = nu_method_path(kbar.matrix.values, spec.iters, spec.nu, spec.eta_bar)
-        return WeightVector(path[-1], "nu", spec)
+        if isinstance(spec, Landweber):
+            path = landweber_path(kbar.matrix.values, spec.iters, spec.eta)
+        else:
+            path = nu_method_path(kbar.matrix.values, spec.iters, spec.nu, spec.eta_bar)
+        return WeightVector(path[-1], _FILTER_IDS[type(spec)], spec)
     if isinstance(spec, IteratedTikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
         return iterated_tikhonov_weights(kbar, spec.iters, spec.lam)
     return spectral_weights(kbar, spec)

@@ -184,8 +184,8 @@ def two_term_iterates(coefficients, target: np.ndarray, apply):
     run from x_0 = x_{-1} = 0, one step per (omega_t, kappa_t) pair.
     ``target`` is b and ``apply(x)`` returns A x. An iterate is applied when
     the generator resumes after yielding it, the last one included, so a
-    consumer that raises on an iterate, or stops after the last one without
-    resuming, never applies A to it.
+    consumer that stops after the last one without resuming never applies A
+    to it.
     """
     prev = curr = np.zeros_like(target)
     residual = target  # b - A x_0
@@ -231,9 +231,12 @@ def retention_matrix(spec: FilterSpec, params, gammas: np.ndarray) -> np.ndarray
         return np.where(g >= p, 1.0, 0.0)
     if isinstance(spec, SKMSE):
         return np.where(g > 0, 1.0 / (1.0 + p), 0.0)
-    steps = two_term_steps(replace(spec, iters=int(p.max())))
-    polynomials = np.array(list(two_term_iterates(steps, np.ones_like(g), lambda x: g * x)))
-    return g * polynomials[p[:, 0].astype(int) - 1]
+    counts = p[:, 0].astype(int)  # only the requested steps are kept
+    polynomials = np.empty((len(counts),) + g.shape)
+    steps = two_term_steps(replace(spec, iters=int(counts.max())))
+    for t, poly in enumerate(two_term_iterates(steps, np.ones_like(g), lambda x: g * x), 1):
+        polynomials[counts == t] = poly
+    return g * polynomials
 
 
 def retention_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:

@@ -88,11 +88,16 @@ def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> SymMatrix:
     K is exactly symmetric as built, so it is not symmetrized again: ``cdist``
     squares the same differences for (i, j) and (j, i), and numpy computes
     X X^T of one contiguous X with a symmetric rank-k update and mirrors it.
+
+    Overflow is no error: an RBF exponent of -inf gives the right entry 0, and
+    by Cauchy-Schwarz an overflowed linear K_ij (inf, or NaN as inf - inf)
+    comes with an overflowed K_ii or K_jj, which ``normalize_gram`` refuses.
     """
     rows = np.ascontiguousarray(as_rows(points))
     if rows.shape[0] < 1:
         raise InputError("cannot build a Gram matrix from an empty dataset")
-    return SymMatrix.exact(cross_kernel(spec, rows, rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SymMatrix.exact(cross_kernel(spec, rows, rows))
 
 
 def normalize_gram(gram: SymMatrix) -> NormalizedGram:

@@ -43,8 +43,8 @@ family has one scorer:
   per grid point).
 * The nu-method (``_iteration_scores``) runs the shared two-term iteration
   (``filters.two_term_iterates``) with the fold operator on all columns of X
-  at once; each application of the operator also scores the iterate, and the
-  divergence guard is applied to every column.
+  at once; each application of the operator also scores the iterate and
+  takes its column norms, which the divergence guard checks once per run.
 * S-KMSE's fold fit is the uniform vector scaled by 1/(1+lam), so its score
   needs only the column sums of K.
 
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import _guard, _guard_norms, _target, _validate_step
+from .estimators import _guard_norms, _target, _validate_step
 from .filters import SHRINKAGE_FIELD, SKMSE, TSVD, FilterSpec, IteratedTikhonov, Landweber
 from .filters import NuMethod, Tikhonov, retention_matrix, two_term_iterates, two_term_steps
 from .kernels import NormalizedGram
@@ -187,7 +187,8 @@ def _fold_basis(kbar: NormalizedGram) -> _FoldBasis:
 
 
 def _iteration_scores(kbar: NormalizedGram, steps) -> np.ndarray:
-    """Mean held-out squared RKHS distance after each step of ``steps``."""
+    """Mean held-out squared RKHS distance after each step of ``steps``; every
+    step's fold norms are checked once at the end, so a diverging run overflows first."""
     basis = _fold_basis(kbar)
     scores = []
 
@@ -196,8 +197,9 @@ def _iteration_scores(kbar: NormalizedGram, steps) -> np.ndarray:
         scores.append(score)
         return applied
 
-    for X in two_term_iterates(steps, basis.targets, apply):
-        _guard(X, basis.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterates = two_term_iterates(steps, basis.targets, apply)
+        _guard_norms(np.array([np.einsum("ij,ij->j", X, X) for X in iterates]), basis.m)
     return np.array(scores) / kbar.n
 
 

@@ -100,6 +100,30 @@ class TestEstimateCommand:
         assert code == 1
         assert "line 4: non-finite cell" in capsys.readouterr().err
 
+    def test_overflowing_rbf_exponent_is_a_silent_zero(self, tmp_path, capsys):
+        # every off-diagonal distance / (2 * 1e-300) overflows; exp(-inf) = 0
+        data = tmp_path / "data.csv"
+        out = tmp_path / "w.json"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((20, 2)) * 1e5, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--input", str(data), "--bandwidth", "1e-300",
+                         "--output", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(json.loads(out.read_text())["weights"]))
+
+    def test_overflowing_linear_kernel_exits_one_with_one_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.random.default_rng(0).standard_normal((20, 2)) * 1e200, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--input", str(data), "--kernel", "linear",
+                         "--output", str(tmp_path / "w.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: kernel diagonal max k(x,x) must be positive and finite, got inf\n")
+
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["estimate", "--bogus", "x"]) == 1
 

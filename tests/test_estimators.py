@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from kmse import estimators
 from kmse.errors import ConfigurationError, InputError
 from kmse.estimators import (
     DIVERGENCE_FACTOR,
     RESOLVENT_MIN_LAMBDA,
-    _guard,
+    _guard_norms,
     empirical_kme_weights,
     evaluate_estimate,
     fit_fixed,
@@ -318,27 +321,48 @@ class TestFitFixed:
 
 
 class TestDivergenceGuard:
-    """No column of the iterate may have a norm above DIVERGENCE_FACTOR/sqrt(n)."""
+    """No weight vector may have a norm above DIVERGENCE_FACTOR/sqrt(n)."""
 
     N = 4
     BOUND = DIVERGENCE_FACTOR / np.sqrt(N)
 
-    def column(self, scale):
-        # norm BOUND * scale, spread over every entry so the sum of squares counts
-        return np.full(self.N, self.BOUND * scale / np.sqrt(self.N))
+    def sq_norms(self, scale):
+        # a path's squared norms: the zero vector, one at BOUND * scale, and 1
+        return np.array([0.0, (self.BOUND * scale) ** 2, 1.0])
 
-    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.inf])
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.inf, np.nan])
     def test_over_the_bound_raises(self, scale):
-        col = self.column(scale)
-        matrix = np.column_stack([np.zeros(self.N), col, np.ones(self.N)])
-        for beta in (col, matrix):
-            with pytest.raises(ConfigurationError, match="diverged"):
-                _guard(beta, self.N)
+        with pytest.raises(ConfigurationError, match="diverged"):
+            _guard_norms(self.sq_norms(scale), self.N)
 
     def test_just_under_the_bound_passes(self):
-        col = self.column(1.0 - 1e-9)
-        _guard(col, self.N)
-        _guard(np.column_stack([col, -col, np.zeros(self.N)]), self.N)
+        _guard_norms(self.sq_norms(1.0 - 1e-9), self.N)
+
+    @pytest.mark.parametrize("family", ["landweber", "nu"])
+    def test_a_path_that_overflows_raises_without_warnings(self, family):
+        # with kappa^2 understated 1e4 times, the step reaches about 1e4 / gamma_max
+        # and the 200 iterates overflow to inf and NaN
+        kbar, _ = random_kbar(np.random.default_rng(17))
+        eta = 1e4 / kbar.kappa_sq
+        spec = Landweber(200, eta) if family == "landweber" else NuMethod(200, 1.0, eta)
+        steps = two_term_steps(spec)
+        kv = kbar.matrix.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            *_, last = two_term_iterates(steps, kv.mean(axis=1), kv.__matmul__)
+        assert not np.all(np.isfinite(last))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="diverged"):
+                two_term_path(kv, steps)
+
+    def test_one_check_per_path(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimators, "_guard_norms", lambda *args: calls.append(args))
+        kbar, _ = random_kbar(np.random.default_rng(18))
+        for spec in (Landweber(30, 1.0 / kbar.kappa_sq), NuMethod(30, 1.0, 1.0 / kbar.kappa_sq)):
+            two_term_path(kbar.matrix.values, two_term_steps(spec))
+            fit_spec(kbar, spec)
+        assert [norms.shape for norms, _ in calls] == [(30,)] * 4
 
 
 class TestTsvdWeights:

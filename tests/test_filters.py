@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi
@@ -269,6 +271,19 @@ class TestRetentionMatrix:
         kept = retention_matrix(spec, [4, 1, 9, 4], GRID)
         for row, t in zip(kept, (4, 1, 9, 4)):
             np.testing.assert_array_equal(row, retention_values(NuMethod(t, 1.0, 0.9), GRID))
+
+    def test_nu_keeps_only_the_requested_steps(self):
+        # the 500 steps' polynomials would take 500 rows; about ten rows of
+        # working arrays and the step schedule (under two rows) remain
+        gammas = np.linspace(0.0, 1.0, 4001)
+        retention_values(NuMethod(5), gammas)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            retention_values(NuMethod(500), gammas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * gammas.nbytes, peak / gammas.nbytes
 
 
 class TestNuMethod:

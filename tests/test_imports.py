@@ -1,9 +1,11 @@
-"""Every module of the package and every test module uses each name it imports.
+"""Every module of the package and every test module uses each name it imports,
+and every private module-level name of the package is read in the package.
 
 No linter ships with the project, so this stands in for an unused-import
 check: it parses each module under ``src/kmse`` (except ``__init__.py``,
 whose imports are the package's re-exports) and under ``tests`` and collects
-the names the module reads.
+the names the module reads. A private helper (``_x``) that no module of the
+package reads any more has outlived its last caller.
 """
 
 import ast
@@ -49,3 +51,56 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom a.b import c, d as e\nfrom __future__ import x\ne()\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "c"}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private name (``_x``, not dunder) bound at module level -> line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            bound = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [leaf.id for target in bound for leaf in ast.walk(target)
+                       if isinstance(leaf, ast.Name)]
+        else:
+            continue
+        names.update({name: node.lineno for name in targets
+                      if name.startswith("_") and not name.startswith("__")})
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names a module loads, imports from another module or reads as an attribute."""
+    return (
+        {node.id for node in ast.walk(tree)
+         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+           for alias in node.names}
+    )
+
+
+def test_no_unread_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in PACKAGE.glob("*.py")}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    dead = sorted(f"{name}:{line} {private}" for name, tree in trees.items()
+                  for private, line in private_definitions(tree).items() if private not in read)
+    assert not dead, f"private names nothing in src/kmse reads: {', '.join(dead)}"
+
+
+def test_detects_an_unread_private_name():
+    tree = ast.parse(
+        "def _dead(x):\n    return x\n"
+        "def _used():\n    pass\n"
+        "_CONST, _other = 1, 2\n"
+        "_TABLE: dict = {}\n"
+        "class _Kept:\n    def _method(self):\n        pass\n"
+        "__all__ = []\n"
+        "_used()\nmod._CONST\n"
+    )
+    other = ast.parse("from .m import _Kept\n")
+    read = read_names(tree) | read_names(other)
+    assert {name for name in private_definitions(tree) if name not in read} == {
+        "_dead", "_other", "_TABLE"}

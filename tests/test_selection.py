@@ -1,6 +1,7 @@
 import gc
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -590,16 +591,28 @@ class TestLoocvMatchesPerFoldRefit:
         with pytest.raises(ConfigurationError, match="diverged"):
             loocv_select_iterations(kbar, iteration_ladder(kbar, algo, 50))
 
+    @pytest.mark.parametrize("algo", ["landweber", "nu"])
     @pytest.mark.parametrize("understated", [1e3, 1e4])
-    def test_overflowing_moments_trip_the_guard(self, understated):
+    def test_overflowing_moments_trip_the_guard(self, understated, algo):
         # with kappa^2 understated, w = 1 - eta gamma reaches -7e2 or -7e3: the
-        # fold norms reach 1e282 (1e3), or the moments of w^q overflow to inf
-        # and NaN (1e4); either must raise, never come back as NaN scores
+        # fold norms reach 1e282 (1e3), or the moments of w^q, and the nu
+        # iterates, overflow to inf and NaN (1e4); either must raise, with no
+        # warning, never come back as NaN scores
         rows = sample_rows(14, n=12)
         true = kbar_of(rows)
         kbar = NormalizedGram(true.matrix, kappa_sq=true.kappa_sq / understated)
-        with pytest.raises(ConfigurationError, match="diverged"):
-            loocv_select_iterations(kbar, iteration_ladder(kbar, "landweber", 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="diverged"):
+                loocv_select_iterations(kbar, iteration_ladder(kbar, algo, 50))
+
+    @pytest.mark.parametrize("algo", ["landweber", "nu"])
+    def test_one_guard_check_per_selection(self, algo, monkeypatch):
+        calls = []
+        monkeypatch.setattr(selection, "_guard_norms", lambda *args: calls.append(args))
+        kbar = kbar_of(sample_rows(14, n=12))
+        loocv_select_iterations(kbar, iteration_ladder(kbar, algo, 20))
+        assert [norms.size for norms, _ in calls] == [20 * 12]  # every fold at every t
 
 
 class TestGcvTsvd:
