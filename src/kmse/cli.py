@@ -57,14 +57,14 @@ def _output(path: str | None, newline: str | None = None):
 
 def _check_writable(path: str | None) -> None:
     """Refuse an output path that cannot be written, before any work and
-    without creating it: a directory, a path whose parent directory is
-    missing, or a parent without write access. None and "-" are stdout."""
+    without creating it: an empty path, a directory, a missing parent
+    directory, or a parent without write access. None and "-" are stdout."""
     if path is None or path == "-":
         return
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not path or not os.path.isdir(parent):
         code = errno.ENOENT
     elif not os.access(parent, os.W_OK):
         code = errno.EACCES

@@ -109,10 +109,10 @@ def load_csv(path: str) -> Dataset:
     """Load a CSV of numeric rows; a non-numeric first line is treated as a header.
 
     Every cell must be a finite number; NaN and infinite cells are rejected
-    with their line number.
+    with their line number. A UTF-8 byte-order mark is dropped, not parsed.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             raw = handle.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

@@ -172,13 +172,12 @@ def _validate_step(spec: FilterSpec, kappa_sq: float) -> None:
 def spectral_weights(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     """Canonical spectral path: beta = U diag(g(gamma) gamma) U^T 1_n.
 
-    Eigenvalues are clamped at zero before the filter is applied; retention
-    factors are evaluated in closed form so near-null components stay finite.
+    Retention factors are evaluated in closed form on the spectrum of K/n,
+    clamped at zero, so near-null components stay finite.
     """
     _validate_step(spec, kbar.kappa_sq)
     eig = kbar.spectrum
-    gammas = np.clip(eig.eigenvalues, 0.0, None)
-    kept = retention_values(spec, gammas)
+    kept = retention_values(spec, eig.eigenvalues)
     ones = np.full(kbar.n, 1.0 / kbar.n)
     beta = eig.eigenvectors @ (kept * (eig.eigenvectors.T @ ones))
     return WeightVector(beta, _FILTER_IDS[type(spec)], spec)

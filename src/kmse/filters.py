@@ -24,9 +24,8 @@ Retention factors are evaluated through dedicated closed forms rather than
 as a literal product g * gamma, so they stay finite and accurate down to
 gamma = 0 (where every residual equals 1), each written once, for a whole
 ladder, in ``retention_matrix``. ``filter_values`` divides them by gamma and
-takes each family's limit at gamma = 0. ``residual_values`` forms
-r without cancellation near retention 1: lam / (gamma + lam) for Tikhonov,
-(lam / (gamma + lam))^t for iterated Tikhonov, (1 - eta gamma)^t for Landweber.
+takes each family's limit at gamma = 0. ``residual_values`` forms r in
+closed form where 1 - retention would cancel near retention 1.
 ``two_term_steps`` is the one (omega_t, kappa_t) schedule of a Landweber or
 nu-method spec; the filter polynomials, weight paths and LOOCV all run it.
 """
@@ -202,18 +201,21 @@ def _check_gammas(gammas: np.ndarray) -> np.ndarray:
     return g
 
 
+#: r(gamma) in closed form where 1 - retention would cancel; TSVD and S-KMSE
+#: retention is exact, and the nu residual is 1 - gamma p_t(gamma)
+_CLOSED_RESIDUALS = {
+    Tikhonov: lambda spec, g: spec.lam / (g + spec.lam),
+    Landweber: lambda spec, g: (1.0 - spec.eta * g) ** spec.iters,
+    IteratedTikhonov: lambda spec, g: (spec.lam / (g + spec.lam)) ** spec.iters,
+}
+
+
 def residual_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
     """r(gamma) = 1 - gamma * g(gamma), in closed form where 1 - retention
-    would cancel; TSVD and S-KMSE retention is exact, and the nu filter's
-    residual is 1 - gamma p_t(gamma)."""
+    would cancel (``_CLOSED_RESIDUALS``)."""
     g = _check_gammas(gammas)
-    if isinstance(spec, Tikhonov):
-        return spec.lam / (g + spec.lam)
-    if isinstance(spec, Landweber):
-        return (1.0 - spec.eta * g) ** spec.iters
-    if isinstance(spec, IteratedTikhonov):
-        return (spec.lam / (g + spec.lam)) ** spec.iters
-    return 1.0 - retention_values(spec, g)
+    closed = _CLOSED_RESIDUALS.get(type(spec))
+    return 1.0 - retention_values(spec, g) if closed is None else closed(spec, g)
 
 
 def retention_matrix(spec: FilterSpec, params, gammas: np.ndarray) -> np.ndarray:
@@ -314,7 +316,9 @@ def check_admissibility(
     grid = np.linspace(0.0, kappa_sq, grid_size)
     if 0.0 <= lam <= kappa_sq:
         grid = np.append(grid, lam)
-    res = residual_values(spec, grid)
+    kept = retention_values(spec, grid)  # one nu recursion serves both suprema
+    closed = _CLOSED_RESIDUALS.get(type(spec))
+    res = 1.0 - kept if closed is None else closed(spec, grid)
     bounds = []
     for eta in eta_list:
         try:  # lam**eta underflows to 0 or overflows for extreme lambda
@@ -329,7 +333,7 @@ def check_admissibility(
             )
         bounds.append((float(eta), bound))
     return AdmissibilityReport(
-        sup_gamma_g=float(np.max(np.abs(retention_values(spec, grid)))),
+        sup_gamma_g=float(np.max(np.abs(kept))),
         sup_residual=float(np.max(np.abs(res))),
         residual_eta_bounds=bounds,
         grid_size=grid_size,

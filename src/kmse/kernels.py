@@ -77,8 +77,12 @@ class NormalizedGram:
 
     @property
     def spectrum(self) -> EigenDecomposition:
+        """Eigenpairs of K/n; it is PSD, so its eigenvalues are clamped at zero."""
         if self._spectrum is None:
-            self._spectrum = sym_eigendecompose(self.matrix)
+            eig = sym_eigendecompose(self.matrix)
+            gammas = np.clip(eig.eigenvalues, 0.0, None)
+            gammas.setflags(write=False)
+            self._spectrum = dataclasses.replace(eig, eigenvalues=gammas)
         return self._spectrum
 
 

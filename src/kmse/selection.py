@@ -50,14 +50,15 @@ family has one scorer:
 
 The work is one eigendecomposition plus a few n x n matrix products per
 ladder (Tikhonov, Landweber), per grid point (iterated Tikhonov, times t)
-or per iteration (nu). TSVD truncation levels are picked by GCV on the
-projection residual. The oracle rule keeps the candidate of least true loss,
-scored from the spectrum of K/n and the ground truth. Exact ties break toward
-the smaller parameter; scores equal only in exact arithmetic, as on a
+or per iteration (nu). GCV scores each entry of a TSVD ladder by the
+projection residual of the components its threshold keeps; an entry that
+keeps all n scores +inf. The oracle rule keeps the candidate of least true
+loss, scored from the spectrum of K/n and the ground truth. Exact ties break
+toward the smaller parameter; scores equal only in exact arithmetic, as on a
 converged Landweber plateau, differ in their last bits and rounding picks.
 Every selector takes K/n and a ladder, one family varying one field (``lam``,
 ``iters`` = 1..T or ``threshold``), as ``(kbar, ladder)``, checks it with
-``_check_ladder`` and scores the values it returns.
+``_check_ladder``, scores each entry and picks through ``_result``.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ class SelectionResult:
     chosen: FilterSpec
     score_path: list[tuple[float, float]]
     score_kind: str
-
-
-def _argmin_first(scores: np.ndarray) -> int:
-    # np.argmin's first occurrence: the smaller parameter of an exact tie only
-    return int(np.argmin(scores))
 
 
 _ITERATIONS = (Landweber, NuMethod)
@@ -123,9 +119,8 @@ def _check_loocv(kbar: NormalizedGram, ladder, families) -> tuple[FilterSpec, np
 
 def _result(ladder, params, scores: np.ndarray, kind: str) -> SelectionResult:
     path = [(float(p), float(s)) for p, s in zip(params, scores)]
-    return SelectionResult(
-        chosen=ladder[_argmin_first(scores)], score_path=path, score_kind=kind
-    )
+    # np.argmin's first occurrence: the smaller parameter of an exact tie only
+    return SelectionResult(chosen=ladder[int(np.argmin(scores))], score_path=path, score_kind=kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +142,7 @@ class _FoldBasis:
         m = kbar.n - 1
         scale = kbar.n / m  # K/n -> K/(n-1)
         eig = kbar.spectrum
-        gammas = np.clip(eig.eigenvalues, 0.0, None) * scale
+        gammas = eig.eigenvalues * scale
         ut = np.ascontiguousarray(eig.eigenvectors.T)
         a_diag = np.diagonal(kbar.matrix.values) * scale
         a_rows = kbar.matrix.values.sum(axis=1) * scale
@@ -373,33 +368,24 @@ def loocv_select_lambda(kbar: NormalizedGram, ladder) -> SelectionResult:
 
 
 def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
-    """Pick the TSVD truncation level by generalized cross-validation.
+    """Pick the threshold of a TSVD ladder by generalized cross-validation.
 
-    With H_m the projector onto the top-m eigenvectors of Kbar,
-    GCV(m) = ||(I - H_m) Kbar 1_n||^2 / (1 - m/n)^2; GCV(n) is +inf by
-    definition. Levels whose eigenvalue is zero are not valid thresholds
-    and are excluded. Returns the ``ladder`` entry at gamma_m of the argmin.
+    An entry keeps the m components of Kbar whose eigenvalue is at least its
+    threshold. With H_m the projector onto them, it scores GCV(m) =
+    ||(I - H_m) Kbar 1_n||^2 / (1 - m/n)^2, and an entry that keeps all n
+    components scores +inf, GCV(n) by definition. The path holds (threshold,
+    score) per entry; at least one score must be finite.
     """
-    n = kbar.n
     _, thresholds = _check_ladder(ladder, "gcv", (TSVD,))
     eig = kbar.spectrum
-    gammas = np.clip(eig.eigenvalues, 0.0, None)
     sq = (eig.eigenvectors.T @ _target(kbar.matrix.values)) ** 2
-    # residual^2 after keeping the top m components, for m = 1..n
-    tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])  # tail[m] = sum_{i>m} sq
-    # levels 1..n-1, up to the numerical rank: no valid threshold beyond it
-    head = gammas[: n - 1] > 0.0
-    levels = np.arange(1, (n - 1 if head.all() else int(np.argmin(head))) + 1)
-    if len(levels) == 0:
-        raise InputError("GCV needs at least two points and a positive eigenvalue of K/n")
-    scores = tail[levels] / (1.0 - levels / n) ** 2
-    m_star = int(levels[_argmin_first(scores)])
-    # tied eigenvalues share one threshold, so a level's ladder index can be lower
-    chosen = dict(zip(thresholds, ladder)).get(gammas[m_star - 1])
-    if chosen is None:
-        raise InputError(f"no ladder entry has GCV level {m_star}'s threshold {gammas[m_star - 1]}")
-    path = [(float(m), float(s)) for m, s in zip(levels, scores)]
-    return SelectionResult(chosen=chosen, score_path=path, score_kind="GCV")
+    # tail[m] = sum_{i>m} sq for m < n; tail[n] = inf makes GCV(n) inf / 0 = inf
+    tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [np.inf]])
+    kept = np.searchsorted(-eig.eigenvalues, -thresholds, side="right")  # gammas >= threshold
+    scores = tail[kept] / (1.0 - kept / kbar.n) ** 2
+    if np.isinf(scores).all():
+        raise InputError("GCV needs a ladder entry that keeps fewer than all n components of K/n")
+    return _result(ladder, thresholds, scores, "GCV")
 
 
 def oracle_select(kbar: NormalizedGram, ladder, truth) -> SelectionResult:
@@ -412,10 +398,9 @@ def oracle_select(kbar: NormalizedGram, ladder, truth) -> SelectionResult:
     last, params = _check_ladder(ladder, "oracle", SHRINKAGE_FIELD)
     _validate_step(last, kbar.kappa_sq)
     eig = kbar.spectrum
-    gammas = np.clip(eig.eigenvalues, 0.0, None)
     coeff = eig.eigenvectors.T @ np.full(kbar.n, 1.0 / kbar.n)
-    kept = retention_matrix(last, params, gammas)
-    losses = (kept * kept) @ (kbar.n * gammas * coeff**2) + truth[1]
+    kept = retention_matrix(last, params, eig.eigenvalues)
+    losses = (kept * kept) @ (kbar.n * eig.eigenvalues * coeff**2) + truth[1]
     losses -= 2.0 * kept @ (coeff * (eig.eigenvectors.T @ truth[0]))
     return _result(ladder, range(len(ladder)), losses, "oracle")
 

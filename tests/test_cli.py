@@ -663,6 +663,20 @@ def test_unwritable_output_refused_before_the_run(tmp_path, capsys, monkeypatch,
     assert not os.path.exists(tmp_path / "missing") and os.listdir(tmp_path / "locked") == []
 
 
+@pytest.mark.parametrize("command,flag", [("estimate", "--output"), ("benchmark", "--out"),
+                                          ("benchmark", "--json")])
+def test_empty_output_path_refused_before_the_run(tmp_path, capsys, monkeypatch, command, flag):
+    from kmse import cli, risk
+
+    for module, name in ((cli, "load_csv"), (risk, "fit_weights"), (risk, "risk_estimate")):
+        monkeypatch.setattr(module, name, never_reached)
+    args = (["--input", str(tmp_path / "data.csv")] if command == "estimate" else
+            ["--n", "10", "--d", "2", "--reps", "2", "--filters", "kme"])
+    assert main([command, *args, flag, ""]) == 1
+    assert capsys.readouterr().err == "error: cannot write : No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_output_checked_without_creating_or_truncating_it(tmp_path, capsys):
     out = tmp_path / "weights.json"
     out.write_text("kept\n", encoding="utf-8")

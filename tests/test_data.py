@@ -107,6 +107,14 @@ class TestLoadCsv:
             load_csv(str(path))
         assert info.value.line_number == 1
 
+    @pytest.mark.parametrize("header", ["", "a,b\n"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        # a kept mark makes "\ufeff1.0" unparseable, and row 1 passed for a header
+        path = tmp_path / "bom.csv"
+        path.write_text(header + "1.0,2\n3,4\n5,6\n7,8\n", encoding="utf-8-sig")
+        data = load_csv(str(path))
+        np.testing.assert_array_equal(data.rows, [[1, 2], [3, 4], [5, 6], [7, 8]])
+
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "header_only.csv"
         path.write_text("a,b\n")

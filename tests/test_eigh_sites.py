@@ -15,11 +15,15 @@ Every call into ``scipy.linalg`` must also sit inside a ``with
 _ONE_BLAS_THREAD:`` block, which runs scipy's OpenBLAS on one thread; an
 unscoped call would wake scipy's thread pool next to numpy's.
 
-Three more rules have one site each: ``errors.require_positive`` is the one
+Five more rules have one site each: ``errors.require_positive`` is the one
 "positive and finite" parameter check, ``filters.two_term_steps`` is the
 one caller of ``nu_method_coefficients``, the nu-method step schedule, and
 ``kernels.normalize_gram`` is the one constructor of ``NormalizedGram``, so
 kappa^2, the largest K_ii of the Gram matrix, is measured in one place.
+``selection._result`` is the one constructor of ``SelectionResult``, so every
+selector picks the first least score of the ladder it was given, and
+``kernels.NormalizedGram.spectrum`` is the one place that clamps eigenvalues
+of K/n at zero (a ``clip`` or ``maximum`` call reading ``eigenvalues``).
 
 Each family's closed-form retention is written once, in
 ``filters.retention_matrix``: no other function of the filter modules
@@ -48,8 +52,9 @@ CHOLESKY = {"cho_factor", "cholesky"}
 SPD_FACTOR_ALLOWED = {("estimators.py", "iterated_tikhonov_weights")}
 
 
-def call_sites(tree: ast.Module, solvers=SOLVERS) -> list[tuple[str, int]]:
-    """(enclosing function qualified name, line) of each call of ``solvers``."""
+def call_sites(tree: ast.Module, solvers=SOLVERS, accept=None) -> list[tuple[str, int]]:
+    """(enclosing function qualified name, line) of each call of ``solvers``
+    for which ``accept(call)`` holds, when ``accept`` is given."""
     sites = []
 
     def visit(node, scope):
@@ -60,7 +65,7 @@ def call_sites(tree: ast.Module, solvers=SOLVERS) -> list[tuple[str, int]]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in solvers:
+                if name in solvers and (accept is None or accept(child)):
                     sites.append((".".join(scope) or "<module>", child.lineno))
             visit(child, scope)
 
@@ -68,11 +73,11 @@ def call_sites(tree: ast.Module, solvers=SOLVERS) -> list[tuple[str, int]]:
     return sites
 
 
-def stray_sites(solvers, allowed) -> list[str]:
+def stray_sites(solvers, allowed, accept=None) -> list[str]:
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for scope, line in call_sites(tree, solvers):
+        for scope, line in call_sites(tree, solvers, accept):
             if (path.name, scope) not in allowed:
                 stray.append(f"{path.name}:{line} in {scope}")
     return stray
@@ -155,6 +160,53 @@ def test_nu_coefficients_called_only_by_two_term_steps():
 def test_normalized_gram_built_only_by_normalize_gram():
     stray = stray_sites({"NormalizedGram"}, {("kernels.py", "normalize_gram")})
     assert not stray, f"NormalizedGram built outside kernels.normalize_gram: {', '.join(stray)}"
+
+
+def test_selection_result_built_only_by_result():
+    stray = stray_sites({"SelectionResult"}, {("selection.py", "_result")})
+    assert not stray, f"SelectionResult built outside selection._result: {', '.join(stray)}"
+
+
+def test_detects_selection_result_constructions():
+    tree = ast.parse(
+        "from kmse import selection\n"
+        "def _result(ladder, scores):\n"
+        "    return SelectionResult(ladder[0], [], 'LOOCV')\n"
+        "def gcv(ladder):\n"
+        "    return selection.SelectionResult(chosen=ladder[-1], score_path=[], score_kind='GCV')\n"
+        "isinstance(None, SelectionResult)\n"
+    )
+    assert call_sites(tree, {"SelectionResult"}) == [("_result", 3), ("gcv", 5)]
+
+
+CLAMPS = {"clip", "maximum"}
+
+
+def reads_eigenvalues(call: ast.Call) -> bool:
+    """Whether a call reads an ``eigenvalues`` attribute, as argument or receiver."""
+    return any(isinstance(node, ast.Attribute) and node.attr == "eigenvalues"
+               for node in ast.walk(call))
+
+
+def test_eigenvalues_clamped_only_in_the_spectrum():
+    allowed = {("kernels.py", "NormalizedGram.spectrum")}
+    stray = stray_sites(CLAMPS, allowed, reads_eigenvalues)
+    assert not stray, f"eigenvalues clamped outside NormalizedGram.spectrum: {', '.join(stray)}"
+
+
+def test_detects_eigenvalue_clamps():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "class NormalizedGram:\n"
+        "    def spectrum(self, eig):\n"
+        "        return np.clip(eig.eigenvalues, 0.0, None)\n"
+        "def f(kbar, evals):\n"
+        "    a = np.maximum(kbar.spectrum.eigenvalues * 2.0, 0.0)\n"
+        "    b = kbar.spectrum.eigenvalues.clip(0.0)\n"
+        "    return a, b, np.clip(evals, 0.0, None), np.maximum(kbar.n, 1)\n"
+    )
+    assert call_sites(tree, CLAMPS, reads_eigenvalues) == [
+        ("NormalizedGram.spectrum", 4), ("f", 6), ("f", 7)]
 
 
 VARIED_FIELDS = {"lam", "iters", "threshold"}

@@ -369,7 +369,7 @@ class TestTsvdWeights:
     def test_threshold_below_spectrum_recovers_uniform(self):
         rows = np.array([[0.0], [60.0], [120.0]])
         kbar = normalize_gram(gram_matrix(rows, GaussianRBF(1.0)))
-        gamma_min = np.clip(kbar.spectrum.eigenvalues, 0, None).min()
+        gamma_min = kbar.spectrum.eigenvalues.min()
         beta = tsvd_weights(kbar, gamma_min * 0.5).weights
         np.testing.assert_allclose(beta, 1.0 / 3.0, atol=1e-10)
 
@@ -438,7 +438,7 @@ class TestStructuralInvariants:
         perm = rng.permutation(14)
         kbar = normalize_gram(gram_matrix(rows, GaussianRBF(sigma_sq)))
         kbar_p = normalize_gram(gram_matrix(rows[perm], GaussianRBF(sigma_sq)))
-        gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
+        gammas = kbar.spectrum.eigenvalues
         safe_threshold = float((gammas[2] + gammas[3]) / 2)  # between eigenvalues
         for fit in (
             lambda kb: spectral_weights(kb, Tikhonov(0.1)).weights,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
+from kmse import filters
 from kmse.errors import InputError, require_positive
 from kmse.filters import (
     SHRINKAGE_FIELD,
@@ -15,6 +16,7 @@ from kmse.filters import (
     Tikhonov,
     check_admissibility,
     default_lambda_grid,
+    effective_shrinkage,
     filter_values,
     nu_method_coefficients,
     qualification,
@@ -391,6 +393,22 @@ class TestAdmissibilityReport:
     def test_landweber_fixed_step_bound(self):
         report = check_admissibility(Landweber(20, 1.0), 1000, [1.0], kappa_sq=1.0)
         assert report.sup_gamma_g <= 1.0
+
+    @pytest.mark.parametrize("spec", [NuMethod(40), TSVD(0.3), SKMSE(0.5), Tikhonov(0.1)])
+    def test_one_retention_row_per_report(self, spec, monkeypatch):
+        # sup_gamma_g and the residual come from one retention row
+        calls = []
+        monkeypatch.setattr(filters, "two_term_iterates",
+                            lambda *args: calls.append(args) or two_term_iterates(*args))
+        report = check_admissibility(spec, 1000, [1.0, 2.0])
+        assert len(calls) == isinstance(spec, NuMethod)
+        lam = effective_shrinkage(spec)
+        grid = np.append(np.linspace(0.0, 1.0, 1000), lam)
+        res = np.abs(residual_values(spec, grid))
+        assert report.sup_residual == float(np.max(res))
+        assert report.sup_gamma_g == float(np.max(np.abs(retention_values(spec, grid))))
+        assert report.residual_eta_bounds == [
+            (eta, float(np.max(res * grid**eta)) / lam**eta) for eta in (1.0, 2.0)]
 
     def test_grid_size_minimum(self):
         with pytest.raises(InputError):

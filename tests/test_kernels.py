@@ -12,7 +12,7 @@ from kmse.kernels import (
     median_heuristic_bandwidth,
     normalize_gram,
 )
-from kmse.linalg import SymMatrix
+from kmse.linalg import SymMatrix, sym_eigendecompose
 
 
 class TestKernelEval:
@@ -142,7 +142,18 @@ class TestNormalizeGram:
                 gram_matrix(rows, GaussianRBF(median_heuristic_bandwidth(rows)))
             )
             assert kbar.spectrum.eigenvalues.max() <= kbar.kappa_sq + 1e-10
-            assert kbar.spectrum.eigenvalues.min() >= -1e-10
+            assert kbar.spectrum.eigenvalues.min() >= 0.0
+
+    def test_spectrum_is_clamped_at_zero(self):
+        # 30 points in the plane: rank 2, and eigh rounds about half the
+        # null eigenvalues of K/n below zero
+        rows = np.random.default_rng(0).standard_normal((30, 2))
+        kbar = normalize_gram(gram_matrix(rows, Linear()))
+        raw = sym_eigendecompose(kbar.matrix)
+        assert raw.eigenvalues.min() < 0.0
+        assert np.array_equal(kbar.spectrum.eigenvalues, np.clip(raw.eigenvalues, 0.0, None))
+        assert np.array_equal(kbar.spectrum.eigenvectors, raw.eigenvectors)
+        assert not kbar.spectrum.eigenvalues.flags.writeable
 
     def test_spectrum_is_cached(self):
         rows = np.random.default_rng(9).standard_normal((8, 2))

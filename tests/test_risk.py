@@ -567,7 +567,7 @@ def reference_fit(config, X, kspec, kbar, truth):
         return spectral_weights(kbar, TSVD(config.lam))
     if rule == "gcv":
         return spectral_weights(kbar, gcv_select_tsvd(kbar, tsvd_ladder(kbar)).chosen)
-    gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
+    gammas = kbar.spectrum.eigenvalues
     thresholds = dict.fromkeys(float(g) for g in gammas if g > 0)
     return oracle_argmin([spectral_weights(kbar, TSVD(g)) for g in thresholds])
 

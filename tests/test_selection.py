@@ -620,47 +620,39 @@ class TestGcvTsvd:
         gram = gram_matrix(np.array([[1.0], [1.0]]), GaussianRBF(1.0))
         kbar = normalize_gram(gram)
         result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
-        assert result.score_path[0][0] == 1.0  # m = 1 evaluated
-        assert result.score_path[0][1] <= 1e-20  # residual exactly captured
-        np.testing.assert_allclose(result.chosen.threshold, 1.0, atol=1e-12)
+        [(threshold, score)] = result.score_path  # keeps 1 component of 2
+        assert score <= 1e-20  # residual exactly captured
+        assert threshold == result.chosen.threshold
+        np.testing.assert_allclose(threshold, 1.0, atol=1e-12)
 
-    def test_two_distinct_points_select_m1(self):
+    def test_two_distinct_points_select_the_first_entry(self):
         gram = gram_matrix(np.array([[0.0], [1.0]]), GaussianRBF(1.0))
         kbar = normalize_gram(gram)
-        result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
-        assert [m for m, _ in result.score_path] == [1.0]
+        ladder = tsvd_ladder(kbar)
+        result = gcv_select_tsvd(kbar, ladder)
+        assert [t for t, _ in result.score_path] == [s.threshold for s in ladder]
+        assert np.isfinite(result.score_path[0][1]) and result.score_path[1][1] == np.inf
+        assert result.chosen == ladder[0]
 
     @staticmethod
-    def brute_force_scores(kbar):
-        # direct ||Kbar beta_m - Kbar 1_n||^2 / (1 - m/n)^2 with beta_m the
-        # top-m truncated solve, built from dense projector matrices
+    def brute_force_scores(kbar, ladder):
+        # direct ||Kbar beta - Kbar 1_n||^2 / (1 - m/n)^2 with beta the solve
+        # truncated to the m components an entry keeps, built from dense
+        # projector matrices; +inf where it keeps all n
         n = kbar.n
         eig = kbar.spectrum
-        gammas = np.clip(eig.eigenvalues, 0.0, None)
         ones = np.full(n, 1.0 / n)
         kv = kbar.matrix.values
         scores = []
-        for m in range(1, n):
-            if gammas[m - 1] <= 0.0:
-                break
+        for spec in ladder:
+            m = int(np.sum(eig.eigenvalues >= spec.threshold))
+            if m == n:
+                scores.append(np.inf)
+                continue
             u = eig.eigenvectors[:, :m]
-            beta = u @ np.diag(1.0 / gammas[:m]) @ u.T @ (kv @ ones)
-            scores.append(
-                np.linalg.norm(kv @ beta - kv @ ones) ** 2 / (1 - m / n) ** 2
-            )
+            beta = u @ np.diag(1.0 / eig.eigenvalues[:m]) @ u.T @ (kv @ ones)
+            scores.append(np.linalg.norm(kv @ beta - kv @ ones) ** 2 / (1 - m / n) ** 2)
         return scores
-
-    def test_scaled_identity_matches_brute_force(self):
-        c = 0.17
-        n = 6
-        kbar = NormalizedGram(SymMatrix(c * np.eye(n)), kappa_sq=1.0)
-        result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
-        brute = self.brute_force_scores(kbar)
-        fast = [s for _, s in result.score_path]
-        np.testing.assert_allclose(fast, brute, atol=1e-12)
-        # numerator c^2 (n-m)/n^2 over (1 - m/n)^2 gives c^2/(n-m): increasing
-        assert result.score_path[int(np.argmin(fast))][0] == 1.0
-        assert 1 + int(np.argmin(brute)) == 1
 
     def test_fast_path_equals_brute_force_random(self):
         rng = np.random.default_rng(8)
@@ -669,38 +661,42 @@ class TestGcvTsvd:
             kbar = normalize_gram(
                 gram_matrix(rows, GaussianRBF(median_heuristic_bandwidth(rows)))
             )
-            result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
-            brute = self.brute_force_scores(kbar)
+            ladder = tsvd_ladder(kbar)
+            result = gcv_select_tsvd(kbar, ladder)
+            brute = self.brute_force_scores(kbar, ladder)
             fast = [s for _, s in result.score_path]
-            assert len(fast) == len(brute)
+            assert len(fast) == len(ladder)
             for fast_score, direct in zip(fast, brute):
-                assert abs(fast_score - direct) <= 1e-10 * max(1.0, direct)
+                assert fast_score == direct or abs(fast_score - direct) <= 1e-10 * max(1.0, direct)
 
     @staticmethod
     def per_level_scores(kbar):
-        """GCV level by level, stopping at the first zero eigenvalue."""
+        """GCV level by level, m = 1..n-1, stopping at the first zero eigenvalue."""
         n = kbar.n
         eig = kbar.spectrum
-        gammas = np.clip(eig.eigenvalues, 0.0, None)
         sq = (eig.eigenvectors.T @ kbar.matrix.values.mean(axis=1)) ** 2
         tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
         levels, scores = [], []
         for m in range(1, n):
-            if gammas[m - 1] <= 0.0:
+            if eig.eigenvalues[m - 1] <= 0.0:
                 break
-            levels.append(float(m))
+            levels.append(m)
             scores.append(tail[m] / (1.0 - m / n) ** 2)
         return levels, scores
 
     def assert_equals_per_level(self, kbar):
+        """On distinct eigenvalues, entry j keeps j + 1 components: its finite
+        score is level j + 1's, and the choice is the least level's threshold."""
+        gammas = kbar.spectrum.eigenvalues
+        positive = gammas[gammas > 0]
+        assert len(np.unique(positive)) == len(positive)
         result = gcv_select_tsvd(kbar, tsvd_ladder(kbar))
         levels, scores = self.per_level_scores(kbar)
-        assert [m for m, _ in result.score_path] == levels
-        assert np.array_equal([s for _, s in result.score_path], scores)
-        m_star = int(levels[int(np.argmin(scores))])
-        gammas = np.clip(kbar.spectrum.eigenvalues, 0.0, None)
+        path = [s for _, s in result.score_path]
+        assert np.array_equal([s for s in path if np.isfinite(s)], scores)
+        assert path[len(scores):] == [np.inf] * (len(path) - len(scores))
+        m_star = levels[int(np.argmin(scores))]
         assert result.chosen.threshold == float(gammas[m_star - 1])
-        return levels
 
     @pytest.mark.parametrize("n,samples", [(50, 20), (200, 8), (700, 2)])
     def test_scores_equal_the_per_level_loop(self, n, samples):
@@ -709,23 +705,44 @@ class TestGcvTsvd:
             rows = rng.standard_normal((n, int(rng.integers(1, 6))))
             self.assert_equals_per_level(kbar_of(rows))
 
-    def test_levels_stop_at_the_numerical_rank(self):
-        gammas = [0.5, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0]
-        kbar = NormalizedGram(SymMatrix(np.diag(gammas)), kappa_sq=1.0)
-        assert self.assert_equals_per_level(kbar) == [1.0, 2.0, 3.0, 4.0]
-        rows = np.random.default_rng(3).standard_normal((40, 4))  # linear kernel: rank 4
+    def test_low_rank_linear_kernel_equals_the_per_level_loop(self):
+        rows = np.random.default_rng(3).standard_normal((40, 4))  # rank 4
         self.assert_equals_per_level(kbar_of(rows, Linear()))
 
-    @pytest.mark.parametrize("gammas", [[0.0, 0.0, 0.0, 0.0], [0.5]])
-    def test_no_positive_eigenvalue_or_single_point_rejected(self, gammas):
-        kbar = NormalizedGram(SymMatrix(np.diag(gammas)), kappa_sq=1.0)
-        with pytest.raises(InputError, match="at least two points and a positive eigenvalue"):
-            gcv_select_tsvd(kbar, (TSVD(0.1),))
+    def test_tied_eigenvalues_score_the_components_their_threshold_keeps(self):
+        # the per-level loop scored level 2, a fit no threshold makes
+        n = 7
+        kbar = NormalizedGram(SymMatrix(np.diag([0.5, 0.3, 0.3, 0.1, 0.0, 0.0, 0.0])), 1.0)
+        ladder = tsvd_ladder(kbar)
+        result = gcv_select_tsvd(kbar, ladder)
+        assert [t for t, _ in result.score_path] == [0.5, 0.3, 0.1]
+        sq = (kbar.spectrum.eigenvectors.T @ kbar.matrix.values.mean(axis=1)) ** 2
+        kept = np.array([1, 3, 4])
+        tail = np.array([sq[m:].sum() for m in kept])
+        np.testing.assert_allclose([s for _, s in result.score_path],
+                                   tail / (1.0 - kept / n) ** 2, rtol=1e-14)
+        assert result.chosen == ladder[int(np.argmin(tail / (1.0 - kept / n) ** 2))]
 
-    def test_ladder_without_the_chosen_threshold_rejected(self):
+    def test_thresholds_off_the_spectrum_are_scored_as_given(self):
         kbar = NormalizedGram(SymMatrix(np.diag([0.5, 0.2, 0.0, 0.0])), kappa_sq=1.0)
-        with pytest.raises(InputError, match="GCV level 2's threshold 0.2"):
-            gcv_select_tsvd(kbar, (TSVD(0.1),))
+        ladder = (TSVD(0.6), TSVD(0.3), TSVD(0.1))  # keep 0, 1 and 2 components
+        result = gcv_select_tsvd(kbar, ladder)
+        # Kbar 1_n = (0.125, 0.05, 0, 0): tail 0.0181, 0.0025, 0 over (1 - m/4)^2
+        np.testing.assert_allclose([s for _, s in result.score_path],
+                                   [0.018125, 0.0025 / 0.5625, 0.0], atol=1e-17)
+        assert result.chosen == TSVD(0.1)
+
+    def test_all_zero_spectrum_keeps_nothing(self):
+        kbar = NormalizedGram(SymMatrix(np.zeros((4, 4))), kappa_sq=1.0)
+        result = gcv_select_tsvd(kbar, (TSVD(0.1),))
+        assert result.score_path == [(0.1, 0.0)] and result.chosen == TSVD(0.1)
+
+    @pytest.mark.parametrize("kbar", [NormalizedGram(SymMatrix(np.diag([0.5])), 1.0),
+                                      NormalizedGram(SymMatrix(0.17 * np.eye(6)), 1.0)],
+                             ids=["single-point", "scaled-identity"])
+    def test_every_entry_keeping_all_n_rejected(self, kbar):
+        with pytest.raises(InputError, match="keeps fewer than all n components"):
+            gcv_select_tsvd(kbar, tsvd_ladder(kbar))
 
     def test_chosen_threshold_is_positive(self):
         rows = sample_rows(9, n=15)
