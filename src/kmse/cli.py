@@ -118,19 +118,15 @@ def _parse_bandwidth(text: str) -> float | None:
     return GaussianRBF(value).bandwidth_sq
 
 
-def _resolve_kernel(args, rows):
-    if args.kernel == "linear":
-        return Linear(), None
-    sigma_sq = _parse_bandwidth(args.bandwidth)
-    if sigma_sq is None:
-        sigma_sq = median_heuristic_bandwidth(rows)
-    return GaussianRBF(sigma_sq), sigma_sq
-
-
 def _cmd_estimate(args) -> int:
     config = _estimator_config(args, args.select)
+    if args.kernel == "linear" and args.bandwidth != "median":
+        raise InputError(f"--bandwidth applies to --kernel rbf only, got {args.bandwidth!r}")
+    sigma_sq = _parse_bandwidth(args.bandwidth)
     rows = load_csv(args.input).rows
-    kspec, sigma_sq = _resolve_kernel(args, rows)
+    if args.kernel == "rbf" and sigma_sq is None:
+        sigma_sq = median_heuristic_bandwidth(rows)
+    kspec = Linear() if args.kernel == "linear" else GaussianRBF(sigma_sq)
     wv = risk.fit_weights(config, rows, kspec)
     payload = {
         "estimator_id": wv.estimator_id,

@@ -202,11 +202,11 @@ def two_term_path(kbar_values: np.ndarray, coefficients) -> np.ndarray:
     Kbar 1_n, one per (omega, kappa) pair, shape (T, n). The divergence
     guard checks the T norms once the path is filled, so a diverging run
     overflows to inf or NaN before it fails."""
-    n, steps = kbar_values.shape[0], len(coefficients)
-    path = np.empty((steps, n))
+    n = kbar_values.shape[0]
+    path = np.empty((len(coefficients), n))
     iterates = two_term_iterates(coefficients, _target(kbar_values), kbar_values.__matmul__)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, beta in zip(range(steps), iterates):  # range first: K/n never sees beta^T
+        for step, beta in enumerate(iterates):
             path[step] = beta
         _guard_norms(np.einsum("ij,ij->i", path, path), n)
     return path

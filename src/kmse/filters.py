@@ -181,17 +181,14 @@ def two_term_iterates(coefficients, target: np.ndarray, apply):
         x_t = x_{t-1} + omega_t (x_{t-1} - x_{t-2}) + kappa_t (b - A x_{t-1}),
 
     run from x_0 = x_{-1} = 0, one step per (omega_t, kappa_t) pair.
-    ``target`` is b and ``apply(x)`` returns A x. An iterate is applied when
-    the generator resumes after yielding it, the last one included, so a
-    consumer that stops after the last one without resuming never applies A
-    to it.
+    ``target`` is b and ``apply(x)`` returns A x, called only to form the next
+    iterate: T steps make T - 1 calls.
     """
     prev = curr = np.zeros_like(target)
-    residual = target  # b - A x_0
-    for omega, kappa in coefficients:
+    for step, (omega, kappa) in enumerate(coefficients):
+        residual = target - apply(curr) if step else target  # b - A x_0 = b
         prev, curr = curr, curr + omega * (curr - prev) + kappa * residual
         yield curr
-        residual = target - apply(curr)
 
 
 def _check_gammas(gammas: np.ndarray) -> np.ndarray:

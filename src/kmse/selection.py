@@ -43,8 +43,9 @@ family has one scorer:
   per grid point).
 * The nu-method (``_iteration_scores``) runs the shared two-term iteration
   (``filters.two_term_iterates``) with the fold operator on all columns of X
-  at once; each application of the operator also scores the iterate and
-  takes its column norms, which the divergence guard checks once per run.
+  at once. Applying the operator to an iterate also scores it, and the last
+  iterate, which is never applied, is scored on its own; every iterate's
+  column norms are checked by the divergence guard once per run.
 * S-KMSE's fold fit is the uniform vector scaled by 1/(1+lam), so its score
   needs only the column sums of K.
 
@@ -158,12 +159,6 @@ class _FoldBasis:
         score = np.sum(self.m * (quad - 2.0 * held_out) + self.k_diag, axis=-1)
         return gx, held_out, score
 
-    def apply(self, X: np.ndarray) -> tuple[np.ndarray, float]:
-        """Every fold's operator applied to its column of X, and the summed
-        fold scores of X: (U^T P_i A beta_i for each i, sum_i score_i)."""
-        gx, held_out, score = self._score_parts(X)
-        return gx - self.ut * held_out, float(score)
-
     def scores(self, X: np.ndarray) -> np.ndarray:
         """The summed fold scores of X, or of each matrix in a stack of them."""
         return self._score_parts(X)[2]
@@ -185,16 +180,18 @@ def _iteration_scores(kbar: NormalizedGram, steps) -> np.ndarray:
     """Mean held-out squared RKHS distance after each step of ``steps``; every
     step's fold norms are checked once at the end, so a diverging run overflows first."""
     basis = _fold_basis(kbar)
-    scores = []
+    scores, norms = [], []
 
-    def apply(X):  # every iterate is applied once; its score comes along
-        applied, score = basis.apply(X)
+    def apply(X):  # U^T P_i A beta_i for each fold i; X's score comes along
+        gx, held_out, score = basis._score_parts(X)
         scores.append(score)
-        return applied
+        return gx - basis.ut * held_out
 
     with np.errstate(over="ignore", invalid="ignore"):
-        iterates = two_term_iterates(steps, basis.targets, apply)
-        _guard_norms(np.array([np.einsum("ij,ij->j", X, X) for X in iterates]), basis.m)
+        for X in two_term_iterates(steps, basis.targets, apply):
+            norms.append(np.einsum("ij,ij->j", X, X))
+        scores.append(basis.scores(X))  # the last iterate is never applied
+        _guard_norms(np.array(norms), basis.m)
     return np.array(scores) / kbar.n
 
 

@@ -216,6 +216,19 @@ class TestEstimateCommand:
         assert "bandwidth_sq must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "--bandwidth must be 'median' or a number, got 'abc'"),
+        ("-1", "bandwidth_sq must be positive and finite, got -1.0"),
+    ], ids=["abc", "-1"])
+    def test_bad_bandwidth_refused_before_reading_input(self, tmp_path, capsys, monkeypatch,
+                                                        value, message):
+        from kmse import cli
+
+        monkeypatch.setattr(cli, "load_csv", never_reached)
+        argv = ["estimate", "--input", str(tmp_path / "data.csv"), "--bandwidth", value]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("nu", ["-0.25", "-1"])
     def test_bad_nu_under_loocv_exits_one(self, tmp_path, capsys, nu):
         data = tmp_path / "data.csv"
@@ -308,6 +321,19 @@ class TestEstimateLinearKernel:
                      "--filter", name, "--output", str(out)]) == 0
         K = rows @ rows.T
         assert json.loads(out.read_text())["shrinkage"][field] == 1.0 / K.diagonal().max()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "5"])
+    def test_bandwidth_refused_before_reading_input(self, tmp_path, capsys, monkeypatch, value):
+        from kmse import cli
+
+        monkeypatch.setattr(cli, "load_csv", never_reached)
+        out = tmp_path / "fit.json"
+        argv = ["estimate", "--input", str(tmp_path / "data.csv"), "--kernel", "linear",
+                "--bandwidth", value, "--output", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: --bandwidth applies to --kernel rbf only, got {value!r}\n")
+        assert not out.exists()
 
 
 class TestBenchmarkCommand:
@@ -636,7 +662,7 @@ def test_unwritable_output_exits_one_naming_it(tmp_path, capsys, command, flag, 
 
 
 def never_reached(*args, **kwargs):
-    raise AssertionError("the run started before its output path was checked")
+    raise AssertionError("the run started before its arguments were checked")
 
 
 @pytest.mark.parametrize("command,flag", [("estimate", "--output"), ("benchmark", "--out"),

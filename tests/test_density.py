@@ -6,7 +6,9 @@ from kmse.density import (
     KmmFitConfig,
     MixtureModel,
     _beta_quad,
+    _lloyd,
     _pack,
+    _unpack,
     _value_and_grad,
     kmeans_init,
     kmm_fit,
@@ -72,6 +74,16 @@ class TestKmeansInit:
     def test_needs_enough_rows(self):
         with pytest.raises(InputError):
             kmeans_init(np.zeros((2, 2)), 3, 1, RngStream(0, 0))
+
+    def test_coincident_centers_reseed_the_empty_cluster(self):
+        # both centers start at 0, so every row goes to the first and the
+        # second is re-seeded to the farthest row, 6
+        rows = np.array([[0.0], [0.0], [1.0], [5.0], [6.0]])
+        centers, assign, _ = _lloyd(rows, rows[[0, 1]])
+        assert set(assign) == {0, 1}
+        np.testing.assert_allclose(centers[:, 0], [1.0 / 3.0, 5.5], rtol=1e-15)
+        again, _, _ = _lloyd(rows, rows[[0, 1]])
+        assert np.array_equal(again, centers)
 
 
 class TestKmmObjective:
@@ -159,6 +171,26 @@ class TestKmmObjective:
                 fd[i] = (up - dn) / (2 * h)
             denom = max(np.linalg.norm(grad), 1e-10)
             assert np.linalg.norm(grad - fd) / denom <= 1e-5
+
+    def test_public_gradient_matches_differences_of_the_objective(self):
+        rng = np.random.default_rng(11)
+        rows = rng.standard_normal((5, 2))
+        beta = np.full(5, 0.2)
+        model = MixtureModel(
+            weights=np.array([0.3, 0.7]),
+            means=rng.standard_normal((2, 2)),
+            variances=np.array([0.5, 1.5]),
+        )
+        grad = kmm_objective_grad(model, beta, rows, 1.3)
+        vec, h = _pack(model), 1e-6
+        fd = np.empty_like(vec)
+        for i in range(vec.size):
+            e = np.zeros_like(vec)
+            e[i] = h
+            up = kmm_objective(_unpack(vec + e, 2, 2), beta, rows, 1.3)
+            dn = kmm_objective(_unpack(vec - e, 2, 2), beta, rows, 1.3)
+            fd[i] = (up - dn) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
 class TestKmmInputs:

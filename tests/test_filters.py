@@ -175,6 +175,22 @@ class TestTwoTermSteps:
         want = [nu_method_coefficients(t, 1.5, 0.5) for t in range(1, 5)]
         assert two_term_steps(spec) == want
 
+    @pytest.mark.parametrize("iters", [1, 2, 10])
+    @pytest.mark.parametrize("family", [Landweber, NuMethod], ids=["landweber", "nu"])
+    def test_operator_applied_only_to_form_the_next_iterate(self, family, iters):
+        gammas = np.linspace(0.0, 1.0, 5)
+        applied = []
+
+        def apply(x):
+            applied.append(x.copy())
+            return gammas * x
+
+        steps = two_term_steps(family(iters, 1.0))  # eta = 1, or nu = 1
+        iterates = list(two_term_iterates(steps, np.ones_like(gammas), apply))
+        assert len(iterates) == iters
+        assert len(applied) == iters - 1
+        assert all(np.array_equal(a, x) for a, x in zip(applied, iterates))
+
 
 class TestResidual:
     def test_tikhonov_closed_form(self):

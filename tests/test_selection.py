@@ -488,9 +488,13 @@ class TestLoocvMatchesPerFoldRefit:
             assert_scores_match(fast, brute, gram_matrix(rows, spec).values)
             assert np.argmin(fast) == np.argmin(brute)
 
-    @pytest.mark.parametrize("family", ["tikhonov", "landweber"])
+    @pytest.mark.parametrize(
+        "family,itik_iters",
+        [("tikhonov", 1), ("landweber", 1), ("itik", 1), ("itik", 3), ("itik", 50)],
+        ids=["tikhonov", "landweber", "itik-1", "itik-3", "itik-50"],
+    )
     @pytest.mark.parametrize("n", [3, 20, 60])
-    def test_cancellation_region(self, family, n):
+    def test_cancellation_region(self, family, itik_iters, n):
         # gamma / lam spans up to 21 decades: K near the identity (narrow RBF),
         # near rank one (wide RBF) or of rank d (linear), with repeated rows.
         # At n = 3 with the narrow RBF the Landweber scores reach 1.0 by t = 26
@@ -500,8 +504,8 @@ class TestLoocvMatchesPerFoldRefit:
         grid = np.geomspace(1e-9, 1e3, 40)
         median = median_heuristic_bandwidth(rows)
         for spec in (GaussianRBF(1e-3 * median), GaussianRBF(1e4 * median), Linear()):
-            fast = loocv_scores(kbar_of(rows, spec), family, grid, 1, 50)
-            brute = brute_force_scores(rows, spec, family, grid, 1, 50)
+            fast = loocv_scores(kbar_of(rows, spec), family, grid, itik_iters, 50)
+            brute = brute_force_scores(rows, spec, family, grid, itik_iters, 50)
             K = gram_matrix(rows, spec).values
             assert_scores_match(fast, brute, K)
             assert_same_choice(fast, brute, K)
