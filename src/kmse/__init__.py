@@ -29,6 +29,7 @@ from .errors import (
     ReplicationError,
 )
 from .estimators import (
+    EstimatorConfig,
     WeightVector,
     empirical_kme_weights,
     evaluate_estimate,
@@ -66,7 +67,6 @@ from .kernels import (
 )
 from .linalg import EigenDecomposition, SymMatrix, sym_eigendecompose
 from .risk import (
-    EstimatorConfig,
     RiskReport,
     improvement_percent,
     kernel_mean_inner,

@@ -23,7 +23,7 @@ import numpy as np
 from . import density, risk, theory
 from .data import load_csv, split_train_test, standardize, standardize_like
 from .errors import InputError, KmseError, ReplicationError
-from .estimators import ESTIMATORS
+from .estimators import ESTIMATORS, EstimatorConfig, fit_weights
 from .filters import FilterSpec, check_admissibility
 from .kernels import (
     GaussianRBF,
@@ -93,9 +93,9 @@ def _spec_payload(spec: FilterSpec) -> dict:
     return out
 
 
-def _estimator_config(args, selection: str) -> risk.EstimatorConfig:
+def _estimator_config(args, selection: str) -> EstimatorConfig:
     """The config of ``--filter`` with ``--lambda``, ``--iters`` and ``--nu``."""
-    return risk.EstimatorConfig(
+    return EstimatorConfig(
         name=args.filter,
         selection=selection,
         lam=args.lam,
@@ -104,6 +104,13 @@ def _estimator_config(args, selection: str) -> risk.EstimatorConfig:
         t_max=args.iters,
         nu=args.nu,
     )
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as numpy's seeding requires."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_bandwidth(text: str) -> float | None:
@@ -127,7 +134,7 @@ def _cmd_estimate(args) -> int:
     if args.kernel == "rbf" and sigma_sq is None:
         sigma_sq = median_heuristic_bandwidth(rows)
     kspec = Linear() if args.kernel == "linear" else GaussianRBF(sigma_sq)
-    wv = risk.fit_weights(config, rows, kspec)
+    wv = fit_weights(config, rows, kspec)
     payload = {
         "estimator_id": wv.estimator_id,
         "weights": [float(w) for w in wv.weights],
@@ -148,7 +155,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     names = tuple(ESTIMATORS) if args.filters == "all" else tuple(args.filters.split(","))
-    configs = [risk.EstimatorConfig(name=name, selection=args.select) for name in names]
+    configs = [EstimatorConfig(name=name, selection=args.select) for name in names]
     bandwidth = _parse_bandwidth(args.bandwidth)
     reports = risk.risk_estimate(
         configs,
@@ -226,9 +233,7 @@ def _cmd_rates(args) -> int:
 
 def _cmd_admissibility(args) -> int:
     spec = ESTIMATORS[args.filter].fixed(_estimator_config(args, "none"), 1.0)
-    report = check_admissibility(
-        spec, args.grid_size, [1.0, 2.0, 4.0], kappa_sq=1.0
-    )
+    report = check_admissibility(spec, args.grid_size, [1.0, 2.0, 4.0])
     payload = {
         "filter": _spec_payload(spec),
         "grid_size": report.grid_size,
@@ -243,14 +248,14 @@ def _cmd_admissibility(args) -> int:
 
 
 def _cmd_density_fit(args) -> int:
-    config = risk.EstimatorConfig(name=args.target, t_max=args.iters, nu=args.nu)
+    config = EstimatorConfig(args.target, t_max=args.iters, itik_iters=args.iters, nu=args.nu)
     dataset = load_csv(args.input)
     rng = RngStream(args.seed, 0).generator()
     train_raw, test_raw = split_train_test(dataset, args.test_frac, rng)
     train = standardize(train_raw)
     test = standardize_like(test_raw, train)
     sigma_sq = median_heuristic_bandwidth(train.rows)
-    wv = risk.fit_weights(config, train.rows, GaussianRBF(sigma_sq))
+    wv = fit_weights(config, train.rows, GaussianRBF(sigma_sq))
     model = density.kmm_fit(
         train.rows,
         wv,
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n", type=int, default=50)
     bench.add_argument("--d", type=int, default=20)
     bench.add_argument("--reps", type=int, default=200)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--filters", default="all")
     bench.add_argument("--bandwidth", default="median")
     bench.add_argument("--select", choices=("default", "loocv", "gcv", "none", "oracle"),
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--reps", type=int, default=100)
     rates.add_argument("--kernel", choices=("linear", "rbf"), default="linear")
     rates.add_argument("--d", type=int, default=3)
-    rates.add_argument("--seed", type=int, default=0)
+    rates.add_argument("--seed", type=_seed, default=0)
     rates.add_argument("--out", default=None, help="CSV output path")
     rates.add_argument("--json", default=None, help="JSON output path (default stdout)")
     rates.set_defaults(func=_cmd_rates)
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--test-frac", type=float, default=0.25)
     dens.add_argument("--iters", type=int, default=50)
     dens.add_argument("--nu", type=float, default=1.0)
-    dens.add_argument("--seed", type=int, default=0)
+    dens.add_argument("--seed", type=_seed, default=0)
     dens.add_argument("--output", default=None)
     dens.set_defaults(func=_cmd_density_fit)
 
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                      required=True)
     ver.add_argument("--c", type=float, default=1.0)
     ver.add_argument("--beta", type=float, default=2.0)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--output", default=None)
     ver.set_defaults(func=_cmd_verify)
     return parser

@@ -25,6 +25,8 @@ from .synthetic import RngStream, as_generator
 
 VARIANCE_FLOOR = 1e-6
 WEIGHT_FLOOR = 1e-3
+#: ``kmm_fit`` stops once a step lowers the objective by less than this share.
+REL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +248,6 @@ def kmm_objective_grad(
 @dataclass(frozen=True)
 class KmmFitConfig:
     max_iters: int = 2000
-    rel_tol: float = 1e-8
     restarts: int = 50
     seed: int = 0
 
@@ -298,7 +299,7 @@ def kmm_fit(
         if value < best_value:
             best_vec, best_value = vec, value
         step = min(t * 2.0, 1e3)
-        if 0 <= rel_decrease < config.rel_tol:
+        if 0 <= rel_decrease < REL_TOL:
             break
     return _unpack(best_vec, r, rows.shape[1])
 

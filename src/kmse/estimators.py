@@ -12,30 +12,31 @@ target is the zero function throughout, i.e. all iterations start at
 beta = 0.
 
 ``ESTIMATORS`` registers every estimator with its selection rules, its fixed
-spec and its candidate ladder; ``fit_spec`` turns any spec into weights.
+spec and its candidate ladder; ``fit_weights`` fits an ``EstimatorConfig``
+through it, the one path from an estimator and its selection rule to
+weights, and ``fit_spec`` turns any spec into weights.
 
 An iterated Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is t
 Cholesky solves on one factor of Kbar + lam I; below that floor the solves
 lose digits to the conditioning of Kbar + lam I, so it goes through the
 spectrum. The floor alone picks the path, whatever the selection rule.
-``fit_fixed`` fits a spec chosen without selection: above the floor a
-Tikhonov spec is one such solve, so no eigendecomposition is made; it agrees
-with the spectral path to about 1e-12 relative. A selected spec is fitted by
-``fit_spec``: a selected Tikhonov or TSVD spec is applied to the spectrum its
-selector has already built, and Landweber and nu specs run their iterations
-on Kbar.
+Under selection "none" a Tikhonov spec above the floor is one such solve, so
+no eigendecomposition is made; it agrees with the spectral path to about
+1e-12 relative. A selected spec is fitted by ``fit_spec``: a selected
+Tikhonov or TSVD spec is applied to the spectrum its selector has already
+built, and Landweber and nu specs run their iterations on Kbar.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, as_rows
-from .errors import ConfigurationError, InputError
+from .errors import InputError
 from .filters import (
     FilterSpec,
     Landweber,
@@ -44,16 +45,17 @@ from .filters import (
     SKMSE,
     TSVD,
     Tikhonov,
+    _guard_norms,
+    _validate_step,
+    default_lambda_grid,
     retention_values,
     two_term_iterates,
     two_term_steps,
 )
-from .kernels import KernelSpec, NormalizedGram, cross_kernel
+from .kernels import KernelSpec, NormalizedGram, _target, cross_kernel, gram_matrix, normalize_gram
 from .linalg import spd_factor
+from .selection import select
 
-STEP_SIZE_SLACK = 1e-12
-#: A path with a weight norm above DIVERGENCE_FACTOR / sqrt(n) fails ``_guard_norms``.
-DIVERGENCE_FACTOR = 1e6
 #: Smallest lam / kappa^2 at which iterated Tikhonov and fixed Tikhonov fits
 #: go through Cholesky solves; below it their error grows like 1/lam
 #: (TestFitFixed in tests/test_estimators.py measures it).
@@ -62,10 +64,10 @@ RESOLVENT_MIN_LAMBDA = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Length-n coefficients defining an estimate Sum_i beta_i k(x_i, .)."""
+    """Length-n coefficients defining an estimate Sum_i beta_i k(x_i, .), and
+    the spec that shrank them (None for the empirical mean)."""
 
     weights: np.ndarray
-    estimator_id: str
     shrinkage: FilterSpec | None = None
 
     def __post_init__(self):
@@ -78,13 +80,18 @@ class WeightVector:
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
+    @property
+    def estimator_id(self) -> str:
+        """The ``ESTIMATORS`` name of the spec's family; "kme" without a spec."""
+        return "kme" if self.shrinkage is None else _FILTER_IDS[type(self.shrinkage)]
+
 
 class EstimatorKind(NamedTuple):
     """The filter family an estimator fits (None for the empirical mean), the
     selection rules it accepts (the first is its default), the spec it fits
     under selection "none", ``fixed(config, kappa_sq)``, and the ordered
     candidates the other rules choose from, ``ladder(config, kbar)``, where
-    ``config`` is a ``risk.EstimatorConfig``. Each row builds its own specs;
+    ``config`` is an ``EstimatorConfig``. Each row builds its own specs;
     LOOCV and the oracle rule (fitting none) score that ladder; GCV picks from it."""
 
     spec_type: type | None
@@ -143,11 +150,51 @@ ESTIMATORS: dict[str, EstimatorKind] = {
 _FILTER_IDS = {kind.spec_type: name for name, kind in ESTIMATORS.items()}
 
 
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """One estimator plus how its shrinkage parameter is chosen.
+
+    ``selection``: "none" (fit the fixed parameters below), "loocv", "gcv",
+    "oracle" (minimize the true analytic loss over the candidates; only
+    available inside the synthetic harness), or "default", which construction
+    replaces by the estimator's default rule. ``ESTIMATORS`` lists the rules
+    each estimator accepts, its default first (loocv for lambda and iteration
+    methods, gcv for tsvd, none for kme); any other pair raises.
+
+    Under "none", ``lam`` is the lambda of skmse, tikhonov and itik and the
+    threshold of tsvd, and ``iters`` is the iteration count of landweber and
+    nu. The other rules choose lambda from ``lambda_grid`` and the iteration
+    count from 1..``t_max``. Every rule fits itik with ``itik_iters`` solves
+    and the nu-method with qualification ``nu``.
+    """
+
+    name: str
+    selection: str = "default"
+    lam: float = 0.1
+    iters: int = 10
+    nu: float = 1.0
+    itik_iters: int = 3
+    t_max: int = 50
+    lambda_grid: tuple[float, ...] = field(default_factory=lambda: tuple(default_lambda_grid()))
+
+    def __post_init__(self):
+        if self.name not in ESTIMATORS:
+            raise InputError(f"unknown estimator {self.name!r}")
+        rules = ESTIMATORS[self.name].selections
+        if self.selection not in rules + ("default",):
+            raise InputError(
+                f"selection {self.selection!r} is not available for {self.name}; "
+                f"choose one of {', '.join(rules)}"
+            )
+        if self.selection == "default":
+            object.__setattr__(self, "selection", rules[0])
+
+
 def empirical_kme_weights(n: int) -> WeightVector:
     """Uniform weights 1/n of the empirical kernel mean."""
     if n < 1:
         raise InputError("n must be at least 1")
-    return WeightVector(np.full(n, 1.0 / n), "kme", None)
+    return WeightVector(np.full(n, 1.0 / n))
 
 
 def skmse_weights(n: int, lam: float) -> WeightVector:
@@ -155,18 +202,7 @@ def skmse_weights(n: int, lam: float) -> WeightVector:
     spec = SKMSE(lam)
     if n < 1:
         raise InputError("n must be at least 1")
-    return WeightVector(np.full(n, 1.0 / (n * (1.0 + lam))), "skmse", spec)
-
-
-def _validate_step(spec: FilterSpec, kappa_sq: float) -> None:
-    if isinstance(spec, Landweber) and spec.eta * kappa_sq > 1.0 + STEP_SIZE_SLACK:
-        raise ConfigurationError(
-            f"Landweber step size {spec.eta} exceeds 1/kappa^2 = {1.0 / kappa_sq}"
-        )
-    if isinstance(spec, NuMethod) and spec.eta_bar * kappa_sq > 1.0 + STEP_SIZE_SLACK:
-        raise ConfigurationError(
-            f"accelerated step scale {spec.eta_bar} exceeds 1/kappa^2 = {1.0 / kappa_sq}"
-        )
+    return WeightVector(np.full(n, 1.0 / (n * (1.0 + lam))), spec)
 
 
 def spectral_weights(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
@@ -180,21 +216,7 @@ def spectral_weights(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     kept = retention_values(spec, eig.eigenvalues)
     ones = np.full(kbar.n, 1.0 / kbar.n)
     beta = eig.eigenvectors @ (kept * (eig.eigenvectors.T @ ones))
-    return WeightVector(beta, _FILTER_IDS[type(spec)], spec)
-
-
-def _target(kbar_values: np.ndarray) -> np.ndarray:
-    # Kbar 1_n with 1_n = [1/n, ..., 1/n]
-    return kbar_values.mean(axis=1)
-
-
-def _guard_norms(sq_norms: np.ndarray, n: int) -> None:
-    """Refuse squared weight norms above DIVERGENCE_FACTOR^2 / n, and NaN and inf:
-    a path's norms come all at once, after a diverging run has overflowed."""
-    if not np.all(sq_norms <= DIVERGENCE_FACTOR**2 / n):
-        raise ConfigurationError(
-            "iteration diverged (weights exceeded guard); step size too large"
-        )
+    return WeightVector(beta, spec)
 
 
 def two_term_path(kbar_values: np.ndarray, coefficients) -> np.ndarray:
@@ -226,11 +248,9 @@ def nu_method_path(
     return two_term_path(kbar_values, two_term_steps(NuMethod(t_max, nu, eta_bar)))
 
 
-def landweber_weights(
-    kbar: NormalizedGram, t: int, eta: float | None = None
-) -> WeightVector:
-    """Run t gradient steps from beta = 0; eta defaults to 1/kappa^2."""
-    return fit_spec(kbar, Landweber(iters=t, eta=1.0 / kbar.kappa_sq if eta is None else eta))
+def landweber_weights(kbar: NormalizedGram, t: int) -> WeightVector:
+    """Run t gradient steps of size 1/kappa^2 from beta = 0."""
+    return fit_spec(kbar, Landweber(iters=t, eta=1.0 / kbar.kappa_sq))
 
 
 def nu_method_weights(kbar: NormalizedGram, t: int, nu: float = 1.0) -> WeightVector:
@@ -247,7 +267,7 @@ def iterated_tikhonov_weights(kbar: NormalizedGram, t: int, lam: float) -> Weigh
     beta = np.zeros(kbar.n)
     for _ in range(t):
         beta = factor.solve(target + lam * beta)
-    return WeightVector(beta, "itik", spec)
+    return WeightVector(beta, spec)
 
 
 def tsvd_weights(kbar: NormalizedGram, threshold: float) -> WeightVector:
@@ -273,22 +293,42 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
             path = landweber_path(kbar.matrix.values, spec.iters, spec.eta)
         else:
             path = nu_method_path(kbar.matrix.values, spec.iters, spec.nu, spec.eta_bar)
-        return WeightVector(path[-1], _FILTER_IDS[type(spec)], spec)
+        return WeightVector(path[-1], spec)
     if isinstance(spec, IteratedTikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
         return iterated_tikhonov_weights(kbar, spec.iters, spec.lam)
     return spectral_weights(kbar, spec)
 
 
-def fit_fixed(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
-    """Weights of a spec fitted without parameter selection.
+def fit_weights(
+    config: EstimatorConfig,
+    X: np.ndarray,
+    kspec: KernelSpec,
+    kbar: NormalizedGram | None = None,
+    truth: tuple[np.ndarray, float] | None = None,
+) -> WeightVector:
+    """Fit one estimator on a sample, running its parameter selection.
 
-    A Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is iterated
-    Tikhonov with one solve, on a Cholesky factor of Kbar + lam I, with no
-    eigendecomposition; every other spec goes to ``fit_spec``. The path
-    depends on the spec alone, never on whether the spectrum is cached.
+    "none" fits the estimator's ``fixed`` spec; a Tikhonov spec with lam >=
+    RESOLVENT_MIN_LAMBDA * kappa^2 is one iterated Tikhonov solve on a
+    Cholesky factor instead of an eigendecomposition, and any other spec goes
+    to ``fit_spec``. Any other rule has ``selection.select`` pick an entry of
+    its ``ladder`` (the "oracle" rule against ``truth`` = (z, ||mu_P||^2)) and
+    ``fit_spec`` fits it. The path depends on the rule and the spec alone, so
+    a fit's bits never depend on what another estimator cached on ``kbar``.
+    ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given
+    (kme's uniform weights need neither).
     """
+    kind = ESTIMATORS[config.name]
+    if kind.spec_type is None:
+        return empirical_kme_weights(as_rows(X).shape[0])
+    if kbar is None:
+        kbar = normalize_gram(gram_matrix(X, kspec))
+    if config.selection != "none":
+        chosen = select(config.selection, kbar, kind.ladder(config, kbar), truth).chosen
+        return fit_spec(kbar, chosen)
+    spec = kind.fixed(config, kbar.kappa_sq)
     if isinstance(spec, Tikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
-        return WeightVector(iterated_tikhonov_weights(kbar, 1, spec.lam).weights, "tikhonov", spec)
+        return WeightVector(iterated_tikhonov_weights(kbar, 1, spec.lam).weights, spec)
     return fit_spec(kbar, spec)
 
 

@@ -27,7 +27,9 @@ ladder, in ``retention_matrix``. ``filter_values`` divides them by gamma and
 takes each family's limit at gamma = 0. ``residual_values`` forms r in
 closed form where 1 - retention would cancel near retention 1.
 ``two_term_steps`` is the one (omega_t, kappa_t) schedule of a Landweber or
-nu-method spec; the filter polynomials, weight paths and LOOCV all run it.
+nu-method spec; the filter polynomials, weight paths and LOOCV all run it,
+after ``_validate_step`` has checked its step against 1/kappa^2, and
+``_guard_norms`` refuses the weight norms of a diverging run.
 """
 
 from __future__ import annotations
@@ -37,13 +39,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, require_positive
+from .errors import ConfigurationError, InputError, require_positive
 
 #: Default shrinkage-parameter grid for model selection: logarithmic over
 #: [1e-6, 1e2], 30 points.
 LAMBDA_GRID_MIN = 1e-6
 LAMBDA_GRID_MAX = 1e2
 LAMBDA_GRID_POINTS = 30
+STEP_SIZE_SLACK = 1e-12
+#: A path with a weight norm above DIVERGENCE_FACTOR / sqrt(n) fails ``_guard_norms``.
+DIVERGENCE_FACTOR = 1e6
 
 
 def default_lambda_grid(num: int = LAMBDA_GRID_POINTS) -> np.ndarray:
@@ -175,6 +180,25 @@ def two_term_steps(spec: Landweber | NuMethod) -> list[tuple[float, float]]:
     return [nu_method_coefficients(t, spec.nu, spec.eta_bar) for t in range(1, spec.iters + 1)]
 
 
+def _validate_step(spec: FilterSpec, kappa_sq: float) -> None:
+    """Refuse a Landweber or nu-method step above 1/kappa^2 (and the slack)."""
+    if isinstance(spec, (Landweber, NuMethod)):
+        landweber = isinstance(spec, Landweber)
+        step = spec.eta if landweber else spec.eta_bar
+        if step * kappa_sq > 1.0 + STEP_SIZE_SLACK:
+            name = "Landweber step size" if landweber else "accelerated step scale"
+            raise ConfigurationError(f"{name} {step} exceeds 1/kappa^2 = {1.0 / kappa_sq}")
+
+
+def _guard_norms(sq_norms: np.ndarray, n: int) -> None:
+    """Refuse squared weight norms above DIVERGENCE_FACTOR^2 / n, and NaN and inf:
+    a path's norms come all at once, after a diverging run has overflowed."""
+    if not np.all(sq_norms <= DIVERGENCE_FACTOR**2 / n):
+        raise ConfigurationError(
+            "iteration diverged (weights exceeded guard); step size too large"
+        )
+
+
 def two_term_iterates(coefficients, target: np.ndarray, apply):
     """Yield x_1, x_2, ... of the two-term recursion
 
@@ -207,12 +231,18 @@ _CLOSED_RESIDUALS = {
 }
 
 
+def _residual_of(spec: FilterSpec, g: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """r(gamma) at ``g`` from its retention ``kept`` there: 1 - kept, or the
+    closed form where that would cancel (``_CLOSED_RESIDUALS``)."""
+    closed = _CLOSED_RESIDUALS.get(type(spec))
+    return 1.0 - kept if closed is None else closed(spec, g)
+
+
 def residual_values(spec: FilterSpec, gammas: np.ndarray) -> np.ndarray:
     """r(gamma) = 1 - gamma * g(gamma), in closed form where 1 - retention
-    would cancel (``_CLOSED_RESIDUALS``)."""
+    would cancel."""
     g = _check_gammas(gammas)
-    closed = _CLOSED_RESIDUALS.get(type(spec))
-    return 1.0 - retention_values(spec, g) if closed is None else closed(spec, g)
+    return _residual_of(spec, g, retention_values(spec, g))
 
 
 def retention_matrix(spec: FilterSpec, params, gammas: np.ndarray) -> np.ndarray:
@@ -294,15 +324,12 @@ class AdmissibilityReport:
 
 
 def check_admissibility(
-    spec: FilterSpec,
-    grid_size: int,
-    eta_list: list[float],
-    kappa_sq: float = 1.0,
+    spec: FilterSpec, grid_size: int, eta_list: list[float]
 ) -> AdmissibilityReport:
     """Evaluate the three admissibility suprema on a uniform grid.
 
-    The grid covers [0, kappa^2] and always includes the point
-    gamma = effective lambda, where TSVD-style residuals switch; that
+    The grid covers [0, kappa^2] with kappa^2 = 1 and always includes the
+    point gamma = effective lambda, where TSVD-style residuals switch; that
     lambda must be positive.
     """
     if grid_size < 100:
@@ -310,12 +337,11 @@ def check_admissibility(
     lam = effective_shrinkage(spec)
     if not lam > 0:  # the D bounds divide by lam^eta
         raise InputError(f"admissibility needs a positive shrinkage parameter, got {lam}")
-    grid = np.linspace(0.0, kappa_sq, grid_size)
-    if 0.0 <= lam <= kappa_sq:
+    grid = np.linspace(0.0, 1.0, grid_size)
+    if 0.0 <= lam <= 1.0:
         grid = np.append(grid, lam)
     kept = retention_values(spec, grid)  # one nu recursion serves both suprema
-    closed = _CLOSED_RESIDUALS.get(type(spec))
-    res = 1.0 - kept if closed is None else closed(spec, grid)
+    res = _residual_of(spec, grid, kept)
     bounds = []
     for eta in eta_list:
         try:  # lam**eta underflows to 0 or overflows for extreme lambda

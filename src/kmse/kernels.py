@@ -86,6 +86,11 @@ class NormalizedGram:
         return self._spectrum
 
 
+def _target(kbar_values: np.ndarray) -> np.ndarray:
+    """Kbar 1_n with 1_n = [1/n, ..., 1/n], the right-hand side every filter fits."""
+    return kbar_values.mean(axis=1)
+
+
 def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> SymMatrix:
     """Pairwise kernel matrix K over a dataset, as a ``SymMatrix``.
 

@@ -28,25 +28,20 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_rows
 from .errors import InputError, KmseError, ReplicationError, require_positive
-from .estimators import ESTIMATORS, WeightVector, _rows_and_weights, empirical_kme_weights
-from .estimators import fit_fixed, fit_spec
-from .filters import default_lambda_grid
+from .estimators import EstimatorConfig, WeightVector, _rows_and_weights, fit_weights
 from .kernels import (
     GaussianRBF,
     KernelSpec,
-    NormalizedGram,
     gram_matrix,
     median_heuristic_bandwidth,
     normalize_gram,
 )
 from .linalg import _ONE_BLAS_THREAD
-from .selection import select
 from .synthetic import (
     MixtureParams,
     RngStream,
@@ -145,51 +140,6 @@ def loss(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """One estimator plus how its shrinkage parameter is chosen.
-
-    ``selection``: "none" (fit the fixed parameters below), "loocv", "gcv",
-    "oracle" (minimize the true analytic loss over the candidates; only
-    available inside the synthetic harness), or "default".
-    ``estimators.ESTIMATORS`` lists the rules each estimator accepts, its
-    default first (loocv for lambda and iteration methods, gcv for tsvd, none
-    for kme); any other pair raises.
-
-    Under "none", ``lam`` is the lambda of skmse, tikhonov and itik and the
-    threshold of tsvd, and ``iters`` is the iteration count of landweber and
-    nu. The other rules choose lambda from ``lambda_grid`` and the iteration
-    count from 1..``t_max``. Every rule fits itik with ``itik_iters`` solves
-    and the nu-method with qualification ``nu``.
-    """
-
-    name: str
-    selection: str = "default"
-    lam: float = 0.1
-    iters: int = 10
-    nu: float = 1.0
-    itik_iters: int = 3
-    t_max: int = 50
-    lambda_grid: tuple[float, ...] = field(
-        default_factory=lambda: tuple(default_lambda_grid())
-    )
-
-    def __post_init__(self):
-        if self.name not in ESTIMATORS:
-            raise InputError(f"unknown estimator {self.name!r}")
-        rules = ESTIMATORS[self.name].selections
-        if self.selection not in rules + ("default",):
-            raise InputError(
-                f"selection {self.selection!r} is not available for {self.name}; "
-                f"choose one of {', '.join(rules)}"
-            )
-
-    def resolved_selection(self) -> str:
-        if self.selection == "default":
-            return ESTIMATORS[self.name].selections[0]
-        return self.selection
-
-
 @dataclass(frozen=True, eq=False)
 class RiskReport:
     """Monte-Carlo risk of one estimator: mean loss and its standard error."""
@@ -202,37 +152,6 @@ class RiskReport:
 def improvement_percent(risk_base: float, risk_est: float) -> float:
     """100 (R - R_lambda) / R: positive when the estimator beats the baseline."""
     return 100.0 * (risk_base - risk_est) / risk_base
-
-
-def fit_weights(
-    config: EstimatorConfig,
-    X: np.ndarray,
-    kspec: KernelSpec,
-    kbar: NormalizedGram | None = None,
-    truth: tuple[np.ndarray, float] | None = None,
-) -> WeightVector:
-    """Fit one estimator on a sample, running its parameter selection.
-
-    "none" fits the estimator's ``fixed`` spec with ``estimators.fit_fixed``,
-    which solves a Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 on
-    one Cholesky factor instead of an eigendecomposition. Any other rule has
-    ``selection.select`` pick an entry of its ``ladder`` (the "oracle" rule
-    against ``truth`` = (z, ||mu_P||^2)) and ``estimators.fit_spec`` fits it;
-    that floor alone sends an iterated Tikhonov spec to Cholesky or the spectrum.
-    The path depends on the rule and the spec alone, so a fit's bits never
-    depend on what another estimator cached on ``kbar``.
-    ``kbar`` is K/n of ``X`` under ``kspec``; it is built when not given
-    (kme's uniform weights need neither).
-    """
-    kind = ESTIMATORS[config.name]
-    if kind.spec_type is None:
-        return empirical_kme_weights(as_rows(X).shape[0])
-    if kbar is None:
-        kbar = normalize_gram(gram_matrix(X, kspec))
-    selection = config.resolved_selection()
-    if selection == "none":
-        return fit_fixed(kbar, kind.fixed(config, kbar.kappa_sq))
-    return fit_spec(kbar, select(selection, kbar, kind.ladder(config, kbar), truth).chosen)
 
 
 def _worker_count() -> int:

@@ -70,10 +70,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .estimators import _guard_norms, _target, _validate_step
 from .filters import SHRINKAGE_FIELD, SKMSE, TSVD, FilterSpec, IteratedTikhonov, Landweber
-from .filters import NuMethod, Tikhonov, retention_matrix, two_term_iterates, two_term_steps
-from .kernels import NormalizedGram
+from .filters import NuMethod, Tikhonov, _guard_norms, _validate_step, retention_matrix
+from .filters import two_term_iterates, two_term_steps
+from .kernels import NormalizedGram, _target
 
 #: Doubles the resolvent scorer stacks per chunk of grid points, g n (n + t):
 #: stacking the whole grid raised peak memory and ran slower at n = 50.
@@ -387,9 +387,10 @@ def gcv_select_tsvd(kbar: NormalizedGram, ladder) -> SelectionResult:
 
 def oracle_select(kbar: NormalizedGram, ladder, truth) -> SelectionResult:
     """Pick the ladder entry of least true loss against ``truth`` = (z,
-    ||mu_P||^2), z_i = <k(x_i, .), mu_P>, fitting none; the path holds (index,
-    loss) per entry. With K/n = U Gamma U^T and c = U^T 1_n, retention rho has
-    loss n sum gamma rho^2 c^2 - 2 sum rho c U^T z + ||mu_P||^2."""
+    ||mu_P||^2), z_i = <k(x_i, .), mu_P>, fitting none; the path holds
+    (parameter, loss) per entry. With K/n = U Gamma U^T and c = U^T 1_n,
+    retention rho has loss n sum gamma rho^2 c^2 - 2 sum rho c U^T z +
+    ||mu_P||^2."""
     if truth is None:
         raise InputError("oracle selection needs the ground truth (z, ||mu_P||^2)")
     last, params = _check_ladder(ladder, "oracle", SHRINKAGE_FIELD)
@@ -399,7 +400,7 @@ def oracle_select(kbar: NormalizedGram, ladder, truth) -> SelectionResult:
     kept = retention_matrix(last, params, eig.eigenvalues)
     losses = (kept * kept) @ (kbar.n * eig.eigenvalues * coeff**2) + truth[1]
     losses -= 2.0 * kept @ (coeff * (eig.eigenvectors.T @ truth[0]))
-    return _result(ladder, range(len(ladder)), losses, "oracle")
+    return _result(ladder, params, losses, "oracle")
 
 
 def select(rule: str, kbar: NormalizedGram, ladder, truth=None) -> SelectionResult:

@@ -31,6 +31,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise InputError(f"seed and stream id must be non-negative integers, "
+                             f"got ({self.seed}, {self.stream_id})")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))

@@ -17,11 +17,11 @@ import numpy as np
 
 from .data import as_rows
 from .errors import InputError, require_positive
-from .estimators import iterated_tikhonov_weights, landweber_weights
+from .estimators import EstimatorConfig, iterated_tikhonov_weights, landweber_weights
 from .estimators import nu_method_weights, spectral_weights
 from .filters import Tikhonov
 from .kernels import Linear, NormalizedGram, gram_matrix, normalize_gram
-from .risk import EstimatorConfig, risk_estimate
+from .risk import risk_estimate
 from .synthetic import MixtureParams, effective_components
 
 
@@ -127,22 +127,17 @@ def component_shrinkage_upper(delta: float, f_star: float, mu: float) -> float:
     return 2.0 * delta / (delta + gap * gap)
 
 
-def verify_spectral_equivalence(
-    kbar: NormalizedGram,
-    algo: str,
-    t: int,
-    lam: float = 0.1,
-    nu: float = 1.0,
-) -> float:
-    """Max-abs difference between the iterative and spectral coefficient paths;
-    iterated Tikhonov is solved by Cholesky at every lam, even below the floor
-    where ``fit_spec`` would take the spectrum and compare it with itself."""
+def verify_spectral_equivalence(kbar: NormalizedGram, algo: str, t: int, lam: float = 0.1) -> float:
+    """Max-abs difference between the iterative and spectral coefficient paths
+    (the nu-method at nu = 1); iterated Tikhonov is solved by Cholesky at every
+    lam, even below the floor where ``fit_spec`` would take the spectrum and
+    compare it with itself."""
     if t == 0:
         return 0.0  # both paths are identically zero before the first step
     if algo == "landweber":
         iterative = landweber_weights(kbar, t)
     elif algo == "nu":
-        iterative = nu_method_weights(kbar, t, nu)
+        iterative = nu_method_weights(kbar, t)
     elif algo == "itik":
         iterative = iterated_tikhonov_weights(kbar, t, lam)
     else:
@@ -206,6 +201,8 @@ class RateExperimentConfig:
             raise InputError("n_grid must be strictly increasing")
         if grid[0] < 1:
             raise InputError(f"sample sizes must be at least 1, got {grid[0]}")
+        if self.d < 1:
+            raise InputError(f"the dimension d must be at least 1, got {self.d}")
         if self.kernel not in ("linear", "rbf"):
             raise InputError("kernel must be 'linear' or 'rbf'")
         object.__setattr__(self, "n_grid", grid)

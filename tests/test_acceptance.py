@@ -113,13 +113,13 @@ def test_criterion_03_admissibility_constants():
     lambdas = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
     worst_b = worst_c = worst_d = 0.0
     for lam in lambdas:
-        rep = check_admissibility(Tikhonov(lam), 10_000, [1.0], kappa_sq=1.0)
+        rep = check_admissibility(Tikhonov(lam), 10_000, [1.0])
         worst_b = max(worst_b, rep.sup_gamma_g)
         worst_c = max(worst_c, rep.sup_residual)
         worst_d = max(worst_d, rep.residual_eta_bounds[0][1])
     worst_tsvd = 0.0
     for lam in lambdas:
-        rep = check_admissibility(TSVD(lam), 10_000, [1.0, 2.0, 4.0], kappa_sq=1.0)
+        rep = check_admissibility(TSVD(lam), 10_000, [1.0, 2.0, 4.0])
         worst_tsvd = max(worst_tsvd, max(b for _, b in rep.residual_eta_bounds))
     elapsed = time.perf_counter() - start
     tol = 1.0 + 1e-12

@@ -135,7 +135,7 @@ class TestEstimateCommand:
         assert f"selection {rule!r} is not available for {name}" in capsys.readouterr().err
 
     def test_kme_builds_no_gram_matrix(self, tmp_path, monkeypatch):
-        from kmse import kernels, risk
+        from kmse import estimators, kernels
 
         calls = []
 
@@ -143,7 +143,7 @@ class TestEstimateCommand:
             calls.append(args)
             return kernels.gram_matrix(*args, **kwargs)
 
-        monkeypatch.setattr(risk, "gram_matrix", counting)
+        monkeypatch.setattr(estimators, "gram_matrix", counting)
         data = tmp_path / "data.csv"
         out = tmp_path / "weights.json"
         write_sample_csv(data)
@@ -490,6 +490,15 @@ class TestRatesCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"got {value}" in err
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_dimension_below_one_exits_one(self, tmp_path, capsys, kernel, d):
+        out = tmp_path / "rates.json"
+        argv = ["rates", "--kernel", kernel, "--d", d, "--n-grid", "10,20", "--json", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: the dimension d must be at least 1, got {d}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag,message", [("--c", "c must"), ("--beta", "the decay exponent b must")]
     )
@@ -587,6 +596,16 @@ class TestDensityFitCommand:
         assert np.isfinite(payload["nll_train"]) and np.isfinite(payload["nll_test"])
 
 
+    def test_iters_sets_the_itik_solve_count(self, tmp_path):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "fit.json"
+        write_sample_csv(data, seed=4, n=40, d=2)
+        code = main(["density-fit", "--input", str(data), "--target", "itik", "--components",
+                     "2", "--iters", "7", "--output", str(out)])
+        assert code == 0
+        shrinkage = json.loads(out.read_text())["shrinkage"]
+        assert (shrinkage["kind"], shrinkage["iters"]) == ("IteratedTikhonov", 7)
+
     @pytest.mark.parametrize("nu", ["-0.25", "-1"])
     def test_bad_nu_target_exits_one(self, tmp_path, capsys, nu):
         data = tmp_path / "data.csv"
@@ -642,6 +661,22 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ["benchmark", "--n", "10", "--d", "2", "--reps", "2", "--json"],
+    ["rates", "--kernel", "rbf", "--n-grid", "10,20", "--json"],
+    ["density-fit", "--input", "data.csv", "--output"],
+    ["verify", "--check", "prop2", "--output"],
+], ids=lambda argv: argv[0])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, monkeypatch, argv, seed):
+    monkeypatch.chdir(tmp_path)
+    write_sample_csv(tmp_path / "data.csv")
+    assert main([*argv, "out.json", "--seed", seed]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"error: argument --seed: must be a non-negative integer, got {seed!r}"]
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("where,reason", [("missing/out", "No such file or directory"),
                                           ("", "Is a directory")])  # "" names tmp_path
 @pytest.mark.parametrize("command,flag", [("estimate", "--output"), ("benchmark", "--out"),
@@ -669,7 +704,7 @@ def test_unwritable_output_refused_before_the_run(tmp_path, capsys, monkeypatch,
                                                   where, reason):
     from kmse import cli, risk
 
-    monkeypatch.setattr(risk, "fit_weights", never_reached)
+    monkeypatch.setattr(cli, "fit_weights", never_reached)
     monkeypatch.setattr(risk, "risk_estimate", never_reached)
     (tmp_path / "locked").mkdir()
     access = os.access  # root may write anywhere, so "locked" is made unwritable here
@@ -689,7 +724,7 @@ def test_unwritable_output_refused_before_the_run(tmp_path, capsys, monkeypatch,
 def test_empty_output_path_refused_before_the_run(tmp_path, capsys, monkeypatch, command, flag):
     from kmse import cli, risk
 
-    for module, name in ((cli, "load_csv"), (risk, "fit_weights"), (risk, "risk_estimate")):
+    for module, name in ((cli, "load_csv"), (cli, "fit_weights"), (risk, "risk_estimate")):
         monkeypatch.setattr(module, name, never_reached)
     args = (["--input", str(tmp_path / "data.csv")] if command == "estimate" else
             ["--n", "10", "--d", "2", "--reps", "2", "--filters", "kme"])

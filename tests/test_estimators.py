@@ -6,13 +6,13 @@ import pytest
 from kmse import estimators
 from kmse.errors import ConfigurationError, InputError
 from kmse.estimators import (
-    DIVERGENCE_FACTOR,
+    ESTIMATORS,
     RESOLVENT_MIN_LAMBDA,
-    _guard_norms,
+    EstimatorConfig,
     empirical_kme_weights,
     evaluate_estimate,
-    fit_fixed,
     fit_spec,
+    fit_weights,
     iterated_tikhonov_weights,
     landweber_weights,
     nu_method_weights,
@@ -22,12 +22,14 @@ from kmse.estimators import (
     two_term_path,
 )
 from kmse.filters import (
+    DIVERGENCE_FACTOR,
     IteratedTikhonov,
     Landweber,
     NuMethod,
     SKMSE,
     TSVD,
     Tikhonov,
+    _guard_norms,
     two_term_iterates,
     two_term_steps,
 )
@@ -237,6 +239,15 @@ def kbar_with_duplicates(kernel, n, seed=0):
     return normalize_gram(gram_matrix(rows, spec))
 
 
+def fit_none(kbar, name, **fields):
+    """``fit_weights`` of ``name`` under selection "none" on ``kbar``, which
+    fits its fixed spec with no sample needed."""
+    config = EstimatorConfig(name, selection="none", **fields)
+    got = fit_weights(config, None, None, kbar)
+    assert got.shrinkage == ESTIMATORS[name].fixed(config, kbar.kappa_sq)
+    return got
+
+
 class TestFitFixed:
     """A fixed Tikhonov fit above the floor is one Cholesky solve of
     (K/n + lam I) beta = (K/n) 1_n and equals the spectral path to 1e-10.
@@ -266,7 +277,7 @@ class TestFitFixed:
     def test_resolvent_equals_spectral(self, kernel, n, ratio):
         kbar = kbar_with_duplicates(kernel, n)
         spec = Tikhonov(ratio * kbar.kappa_sq)
-        got = fit_fixed(kbar, spec)
+        got = fit_none(kbar, "tikhonov", lam=spec.lam)
         assert kbar._spectrum is None  # no eigendecomposition was made
         want = spectral_weights(kbar, spec)
         error = np.linalg.norm(got.weights - want.weights) / np.linalg.norm(want.weights)
@@ -278,12 +289,14 @@ class TestFitFixed:
     def test_below_the_floor_stays_spectral(self, kernel, ratio):
         kbar = kbar_with_duplicates(kernel, 50)
         spec = Tikhonov(ratio * kbar.kappa_sq)
-        got = fit_fixed(kbar, spec)
+        got = fit_none(kbar, "tikhonov", lam=spec.lam)
         want = fit_spec(kbar, spec)
         assert np.array_equal(got.weights, want.weights)
         assert (got.estimator_id, got.shrinkage) == (want.estimator_id, want.shrinkage)
 
-    @pytest.mark.parametrize("fit", [fit_fixed, fit_spec])
+    @pytest.mark.parametrize("fit", [
+        lambda kbar, spec: fit_none(kbar, "itik", itik_iters=spec.iters, lam=spec.lam), fit_spec,
+    ], ids=["fit_fixed", "fit_spec"])
     @pytest.mark.parametrize("kernel", ["rbf", "linear"])
     @pytest.mark.parametrize("t", [1, 3])
     @pytest.mark.parametrize("ratio", [RESOLVENT_MIN_LAMBDA * 0.999, 1e-6, 1e-12])
@@ -303,9 +316,15 @@ class TestFitFixed:
     def test_other_specs_equal_fit_spec(self, kernel):
         kbar = kbar_with_duplicates(kernel, 50)
         eta = 1.0 / kbar.kappa_sq
-        for spec in (SKMSE(0.3), Landweber(7, eta), NuMethod(5, 1.5, eta),
-                     IteratedTikhonov(3, 0.2 * kbar.kappa_sq), TSVD(0.01 * kbar.kappa_sq)):
-            got = fit_fixed(kbar, spec)
+        for spec, name, fields in (
+            (SKMSE(0.3), "skmse", dict(lam=0.3)),
+            (Landweber(7, eta), "landweber", dict(iters=7)),
+            (NuMethod(5, 1.5, eta), "nu", dict(iters=5, nu=1.5)),
+            (IteratedTikhonov(3, 0.2 * kbar.kappa_sq), "itik",
+             dict(itik_iters=3, lam=0.2 * kbar.kappa_sq)),
+            (TSVD(0.01 * kbar.kappa_sq), "tsvd", dict(lam=0.01 * kbar.kappa_sq)),
+        ):
+            got = fit_none(kbar, name, **fields)
             want = fit_spec(kbar, spec)
             assert np.array_equal(got.weights, want.weights), spec
             assert (got.estimator_id, got.shrinkage) == (want.estimator_id, want.shrinkage)
@@ -314,9 +333,9 @@ class TestFitFixed:
         # the same lam is above the floor at kappa^2 = 1 and below it at 1e4
         kbar = kbar_with_duplicates("rbf", 20)
         wide = NormalizedGram(kbar.matrix, kappa_sq=1e4)
-        fit_fixed(kbar, Tikhonov(2.0 * RESOLVENT_MIN_LAMBDA))
+        fit_none(kbar, "tikhonov", lam=2.0 * RESOLVENT_MIN_LAMBDA)
         assert kbar._spectrum is None
-        fit_fixed(wide, Tikhonov(2.0 * RESOLVENT_MIN_LAMBDA))
+        fit_none(wide, "tikhonov", lam=2.0 * RESOLVENT_MIN_LAMBDA)
         assert wide._spectrum is not None
 
 

@@ -393,21 +393,21 @@ class TestBoundsAndLimits:
 
 class TestAdmissibilityReport:
     def test_tikhonov_constants(self):
-        report = check_admissibility(Tikhonov(0.1), 10_000, [1.0], kappa_sq=1.0)
+        report = check_admissibility(Tikhonov(0.1), 10_000, [1.0])
         assert report.sup_gamma_g <= 1.0
         assert report.sup_residual <= 1.0
         eta, bound = report.residual_eta_bounds[0]
         assert eta == 1.0 and bound <= 1.0 + 1e-12
 
     def test_tsvd_indicator_structure(self):
-        report = check_admissibility(TSVD(0.5), 1000, [1.0, 2.0], kappa_sq=1.0)
+        report = check_admissibility(TSVD(0.5), 1000, [1.0, 2.0])
         assert report.sup_gamma_g == 1.0
         assert report.sup_residual == 1.0
         for _, bound in report.residual_eta_bounds:
             assert bound <= 1.0 + 1e-12
 
     def test_landweber_fixed_step_bound(self):
-        report = check_admissibility(Landweber(20, 1.0), 1000, [1.0], kappa_sq=1.0)
+        report = check_admissibility(Landweber(20, 1.0), 1000, [1.0])
         assert report.sup_gamma_g <= 1.0
 
     @pytest.mark.parametrize("spec", [NuMethod(40), TSVD(0.3), SKMSE(0.5), Tikhonov(0.1)])

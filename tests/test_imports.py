@@ -104,3 +104,37 @@ def test_detects_an_unread_private_name():
     read = read_names(tree) | read_names(other)
     assert {name for name in private_definitions(tree) if name not in read} == {
         "_dead", "_other", "_TABLE"}
+
+
+def package_imports() -> dict[str, set[str]]:
+    """Module -> the package modules it imports, for every module but ``__init__``."""
+    names = {path.stem for path in MODULES}
+    graph = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        edges = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = edges & names
+    return graph
+
+
+def test_import_graph_has_no_cycle():
+    graph = package_imports()
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError(f"import cycle: {' -> '.join(cycle)}")
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph[module]):
+                visit(target)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+    assert "estimators" not in graph["selection"] and "selection" in graph["estimators"]

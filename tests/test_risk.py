@@ -6,9 +6,11 @@ from kmse.errors import InputError
 from kmse.estimators import (
     ESTIMATORS,
     RESOLVENT_MIN_LAMBDA,
+    EstimatorConfig,
     WeightVector,
     empirical_kme_weights,
     evaluate_estimate,
+    fit_weights,
     iterated_tikhonov_weights,
     landweber_path,
     landweber_weights,
@@ -28,10 +30,8 @@ from kmse.kernels import (
 )
 from kmse.linalg import SymMatrix
 from kmse.risk import (
-    EstimatorConfig,
     _rkhs_loss,
     component_mean_inners,
-    fit_weights,
     improvement_percent,
     kernel_mean_inner,
     loss,
@@ -492,9 +492,9 @@ class TestEstimatorConfig:
     @pytest.mark.parametrize("name", ["kme", *LAMBDA_AND_ITERATION, "tsvd"])
     def test_only_valid_pairs_construct(self, name, rule):
         if rule == "default":
-            assert EstimatorConfig(name).resolved_selection() == DEFAULT_RULE[name]
+            assert EstimatorConfig(name).selection == DEFAULT_RULE[name]
         elif (name, rule) in VALID_PAIRS:
-            assert EstimatorConfig(name, selection=rule).resolved_selection() == rule
+            assert EstimatorConfig(name, selection=rule).selection == rule
         else:
             with pytest.raises(InputError, match=name):
                 EstimatorConfig(name, selection=rule)
@@ -507,7 +507,7 @@ class TestEstimatorConfig:
 def reference_fit(config, X, kspec, kbar, truth):
     """fit_weights written out from the public primitives, rule by rule; the
     oracle fits every candidate and scores its weights against ``truth``."""
-    name, rule, n = config.name, config.resolved_selection(), kbar.n
+    name, rule, n = config.name, config.selection, kbar.n
     K = gram_matrix(X, kspec).values
 
     def oracle_argmin(candidates):
@@ -536,7 +536,7 @@ def reference_fit(config, X, kspec, kbar, truth):
                 # above the floor a fixed Tikhonov fit is one resolvent solve:
                 # iterated Tikhonov with a single step
                 beta = iterated_tikhonov_weights(kbar, 1, config.lam).weights
-                return WeightVector(beta, "tikhonov", Tikhonov(config.lam))
+                return WeightVector(beta, Tikhonov(config.lam))
             return lambda_fit[name](config.lam)
         if rule == "loocv":
             ladder = tuple(lambda_spec[name](float(lam)) for lam in config.lambda_grid)
@@ -558,7 +558,7 @@ def reference_fit(config, X, kspec, kbar, truth):
                 path = landweber_path(values, config.t_max, eta)
             else:
                 path = nu_method_path(values, config.t_max, config.nu, eta)
-            return oracle_argmin([WeightVector(row, name, spec) for row, spec in zip(path, specs)])
+            return oracle_argmin([WeightVector(row, spec) for row, spec in zip(path, specs)])
         if name == "landweber":
             return landweber_weights(kbar, t)
         return nu_method_weights(kbar, t, config.nu)

@@ -14,6 +14,7 @@ from kmse.errors import ConfigurationError, InputError
 from kmse.estimators import RESOLVENT_MIN_LAMBDA, fit_spec, landweber_path, nu_method_path
 from kmse.estimators import tsvd_ladder
 from kmse.filters import (
+    SHRINKAGE_FIELD,
     SKMSE,
     IteratedTikhonov,
     Landweber,
@@ -124,16 +125,16 @@ class TestLoocvIterations:
         monkeypatch.setattr(selection, "loocv_select_iterations", no_selection)
         rows = sample_rows()
         with pytest.raises(InputError):
-            config = risk.EstimatorConfig(algo, selection="loocv", t_max=t_max)
-            risk.fit_weights(config, rows, rbf_spec(rows))
+            config = estimators.EstimatorConfig(algo, selection="loocv", t_max=t_max)
+            estimators.fit_weights(config, rows, rbf_spec(rows))
 
     @pytest.mark.parametrize("nu", [-0.25, -1.0, 0.0])
     def test_non_positive_nu_rejected(self, nu, monkeypatch):
         monkeypatch.setattr(selection, "loocv_select_iterations", no_selection)
         rows = sample_rows()
-        config = risk.EstimatorConfig("nu", selection="loocv", t_max=5, nu=nu)
+        config = estimators.EstimatorConfig("nu", selection="loocv", t_max=5, nu=nu)
         with pytest.raises(InputError, match="nu must be positive"):
-            risk.fit_weights(config, rows, rbf_spec(rows))
+            estimators.fit_weights(config, rows, rbf_spec(rows))
 
 
 class TestLoocvLambda:
@@ -169,9 +170,9 @@ class TestLoocvLambda:
         # -0.5 scores worse than 0.5 here; it must be rejected all the same
         monkeypatch.setattr(selection, "loocv_select_lambda", no_selection)
         rows = sample_rows(8, n=10)
-        config = risk.EstimatorConfig(family, selection="loocv", lambda_grid=(-0.5, 0.5, 2.0))
+        config = estimators.EstimatorConfig(family, selection="loocv", lambda_grid=(-0.5, 0.5, 2.0))
         with pytest.raises(InputError, match=self.MESSAGES[family]):
-            risk.fit_weights(config, rows, rbf_spec(rows))
+            estimators.fit_weights(config, rows, rbf_spec(rows))
 
     def test_skmse_family_selects(self):
         rows = sample_rows(6)
@@ -340,7 +341,8 @@ class TestOracle:
         ladder = self.ladder(family, kbar)
         result = selection.select("oracle", kbar, ladder, truth)
         want = [risk._rkhs_loss(fit_spec(kbar, spec).weights, K, *truth) for spec in ladder]
-        assert [i for i, _ in result.score_path] == list(range(len(ladder)))
+        assert [p for p, _ in result.score_path] == [
+            getattr(spec, SHRINKAGE_FIELD[type(spec)]) for spec in ladder]
         np.testing.assert_allclose(path_scores(result), want, rtol=1e-10)
         assert result.chosen == ladder[int(np.argmin(want))]
         assert result.score_kind == "oracle"
@@ -543,11 +545,11 @@ class TestLoocvMatchesPerFoldRefit:
         # fit_weights builds K/n when it is not given; LOOCV then picks the same
         rows = sample_rows(12, n=18)
         spec = rbf_spec(rows)
-        config = risk.EstimatorConfig(
+        config = estimators.EstimatorConfig(
             family, selection="loocv", t_max=20, lambda_grid=tuple(np.geomspace(1e-4, 10.0, 7))
         )
-        built = risk.fit_weights(config, rows, spec)
-        given = risk.fit_weights(config, rows, spec, kbar_of(rows, spec))
+        built = estimators.fit_weights(config, rows, spec)
+        given = estimators.fit_weights(config, rows, spec, kbar_of(rows, spec))
         np.testing.assert_array_equal(built.weights, given.weights)
         assert built.shrinkage == given.shrinkage
 
@@ -570,7 +572,7 @@ class TestLoocvMatchesPerFoldRefit:
         build, builds = selection._FoldBasis.of, []
         monkeypatch.setattr(selection._FoldBasis, "of",
                             staticmethod(lambda kbar: builds.append(kbar) or build(kbar)))
-        risk.replication_losses([risk.EstimatorConfig(f) for f in FAMILIES], 15, 2, 3, seed=5)
+        risk.replication_losses([estimators.EstimatorConfig(f) for f in FAMILIES], 15, 2, 3, seed=5)
         assert len({id(kbar) for kbar in builds}) == len(builds) == 3
         refs = [weakref.ref(kbar) for kbar in builds]
         del builds[:]

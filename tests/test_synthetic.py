@@ -25,6 +25,11 @@ class TestRngStream:
         b = RngStream(123, 1).generator().standard_normal(5)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_stream_refused(self, seed, stream_id):
+        with pytest.raises(InputError, match="must be non-negative"):
+            RngStream(seed, stream_id)
+
 
 class TestWishart:
     def test_one_dim_is_scaled_chi_square(self):
