@@ -32,6 +32,7 @@ from .kernels import (
     median_heuristic_bandwidth,
     normalize_gram,
 )
+from .selection import MIN_SAMPLE_SIZE
 from .synthetic import RngStream
 
 
@@ -113,6 +114,17 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """An ``--iters`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_bandwidth(text: str) -> float | None:
     """The squared bandwidth given on the command line, checked as the RBF
     kernel checks it; None for 'median'."""
@@ -157,6 +169,15 @@ def _cmd_benchmark(args) -> int:
     names = tuple(ESTIMATORS) if args.filters == "all" else tuple(args.filters.split(","))
     configs = [EstimatorConfig(name=name, selection=args.select) for name in names]
     bandwidth = _parse_bandwidth(args.bandwidth)
+    # the least n of the median heuristic and of every estimator's rule
+    needs = [(1, "a sample")]
+    if bandwidth is None:
+        needs.append((2, "the median bandwidth"))
+    needs += [(MIN_SAMPLE_SIZE[c.selection], f"{c.selection} selection ({c.name})")
+              for c in configs]
+    least, reason = max(needs, key=lambda need: need[0])
+    if args.n < least:
+        raise InputError(f"--n must be at least {least} for {reason}, got {args.n}")
     reports = risk.risk_estimate(
         configs,
         n=args.n,
@@ -358,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--bandwidth", default="median")
     est.add_argument("--filter", choices=tuple(ESTIMATORS), default="tikhonov")
     est.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    est.add_argument("--iters", type=int, default=10)
+    est.add_argument("--iters", type=_count, default=10)
     est.add_argument("--nu", type=float, default=1.0)
     est.add_argument("--select", choices=("loocv", "gcv", "none"), default="none")
     est.set_defaults(func=_cmd_estimate)
@@ -396,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="tikhonov",
     )
     adm.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    adm.add_argument("--iters", type=int, default=10)
+    adm.add_argument("--iters", type=_count, default=10)
     adm.add_argument("--nu", type=float, default=1.0)
     adm.add_argument("--grid-size", type=int, default=10000)
     adm.add_argument("--output", default=None)
@@ -407,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--target", choices=tuple(ESTIMATORS), default="tikhonov")
     dens.add_argument("--components", type=int, default=5)
     dens.add_argument("--test-frac", type=float, default=0.25)
-    dens.add_argument("--iters", type=int, default=50)
+    dens.add_argument("--iters", type=_count, default=50)
     dens.add_argument("--nu", type=float, default=1.0)
     dens.add_argument("--seed", type=_seed, default=0)
     dens.add_argument("--output", default=None)

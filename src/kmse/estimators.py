@@ -14,7 +14,10 @@ beta = 0.
 ``ESTIMATORS`` registers every estimator with its selection rules, its fixed
 spec and its candidate ladder; ``fit_weights`` fits an ``EstimatorConfig``
 through it, the one path from an estimator and its selection rule to
-weights, and ``fit_spec`` turns any spec into weights.
+weights, and ``fit_spec`` turns any spec into weights. ``fit_chunk`` is
+``fit_weights`` of a Landweber or nu-method estimator over a chunk of
+Monte-Carlo replications, stacked: one LOOCV over the chunk and one path to
+the longest chosen t (``two_term_path``). A single fit is a stack of one.
 
 An iterated Tikhonov spec with lam >= RESOLVENT_MIN_LAMBDA * kappa^2 is t
 Cholesky solves on one factor of Kbar + lam I; below that floor the solves
@@ -54,7 +57,7 @@ from .filters import (
 )
 from .kernels import KernelSpec, NormalizedGram, _target, cross_kernel, gram_matrix, normalize_gram
 from .linalg import spd_factor
-from .selection import select
+from .selection import _stack, loocv_select_stacked, select
 
 #: Smallest lam / kappa^2 at which iterated Tikhonov and fixed Tikhonov fits
 #: go through Cholesky solves; below it their error grows like 1/lam
@@ -219,33 +222,54 @@ def spectral_weights(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     return WeightVector(beta, spec)
 
 
-def two_term_path(kbar_values: np.ndarray, coefficients) -> np.ndarray:
-    """Iterates beta^1..beta^T of the two-term recursion on K/n toward
-    Kbar 1_n, one per (omega, kappa) pair, shape (T, n). The divergence
-    guard checks the T norms once the path is filled, so a diverging run
-    overflows to inf or NaN before it fails."""
-    n = kbar_values.shape[0]
-    path = np.empty((len(coefficients), n))
-    iterates = two_term_iterates(coefficients, _target(kbar_values), kbar_values.__matmul__)
+def two_term_path(kbar_values: np.ndarray, coefficients, stops) -> np.ndarray:
+    """Iterate beta^(stops[r]) of the two-term recursion on each K/n of an
+    (R, n, n) stack toward its Kbar 1_n, shape (R, n): one stacked run of the
+    (omega, kappa) pairs up to the longest stop. Replication r's divergence
+    guard checks its norms up to its own stop once the run is done, so a
+    diverging run overflows to inf or NaN before it fails."""
+    stops = list(stops)
+    n = kbar_values.shape[-1]
+    at_step = {}
+    for r, t in enumerate(stops):
+        at_step.setdefault(t, []).append(r)
+    out = np.empty((len(stops), n))
+    norms = np.empty((max(stops), len(stops)))
+    target = _target(kbar_values)[..., None]  # (R, n, 1), so A x is one stacked matmul
+    iterates = two_term_iterates(coefficients[:max(stops)], target, kbar_values.__matmul__)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, beta in enumerate(iterates):
-            path[step] = beta
-        _guard_norms(np.einsum("ij,ij->i", path, path), n)
-    return path
+        for step, beta in enumerate(iterates, 1):
+            np.einsum("rij,rij->r", beta, beta, out=norms[step - 1])
+            if step in at_step:
+                out[at_step[step]] = beta[at_step[step], :, 0]
+        for r, t in enumerate(stops):
+            _guard_norms(norms[:t, r], n)
+    return out
 
 
-def landweber_path(
-    kbar_values: np.ndarray, t_max: int, eta: float
-) -> np.ndarray:
-    """Gradient-descent iterates beta^1..beta^t_max, shape (t_max, n)."""
-    return two_term_path(kbar_values, two_term_steps(Landweber(t_max, eta)))
+def landweber_path(kbar_values: np.ndarray, stops, eta: float) -> np.ndarray:
+    """Gradient-descent iterate beta^(stops[r]) on each K/n of an (R, n, n) stack."""
+    return two_term_path(kbar_values, two_term_steps(Landweber(max(stops), eta)), stops)
 
 
-def nu_method_path(
-    kbar_values: np.ndarray, t_max: int, nu: float, eta_bar: float
-) -> np.ndarray:
-    """Accelerated two-term iterates beta^1..beta^t_max, shape (t_max, n)."""
-    return two_term_path(kbar_values, two_term_steps(NuMethod(t_max, nu, eta_bar)))
+def nu_method_path(kbar_values: np.ndarray, stops, nu: float, eta_bar: float) -> np.ndarray:
+    """Accelerated two-term iterate beta^(stops[r]) on each K/n of an (R, n, n) stack."""
+    return two_term_path(kbar_values, two_term_steps(NuMethod(max(stops), nu, eta_bar)), stops)
+
+
+def _two_term_fits(kbars, specs) -> list[WeightVector]:
+    """``fit_spec`` of each Landweber or nu-method spec on its K/n, one run
+    over the stack; the specs differ in ``iters`` alone, and the K/n share n."""
+    for kbar, spec in zip(kbars, specs):
+        _validate_step(spec, kbar.kappa_sq)
+    values = _stack([kbar.matrix.values for kbar in kbars])
+    stops = [spec.iters for spec in specs]
+    last = specs[0]
+    if isinstance(last, Landweber):
+        betas = landweber_path(values, stops, last.eta)
+    else:
+        betas = nu_method_path(values, stops, last.nu, last.eta_bar)
+    return [WeightVector(beta, spec) for beta, spec in zip(betas, specs)]
 
 
 def landweber_weights(kbar: NormalizedGram, t: int) -> WeightVector:
@@ -288,12 +312,7 @@ def fit_spec(kbar: NormalizedGram, spec: FilterSpec) -> WeightVector:
     if isinstance(spec, SKMSE):
         return skmse_weights(kbar.n, spec.lam)
     if isinstance(spec, (Landweber, NuMethod)):
-        _validate_step(spec, kbar.kappa_sq)
-        if isinstance(spec, Landweber):
-            path = landweber_path(kbar.matrix.values, spec.iters, spec.eta)
-        else:
-            path = nu_method_path(kbar.matrix.values, spec.iters, spec.nu, spec.eta_bar)
-        return WeightVector(path[-1], spec)
+        return _two_term_fits([kbar], [spec])[0]
     if isinstance(spec, IteratedTikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
         return iterated_tikhonov_weights(kbar, spec.iters, spec.lam)
     return spectral_weights(kbar, spec)
@@ -330,6 +349,40 @@ def fit_weights(
     if isinstance(spec, Tikhonov) and spec.lam >= RESOLVENT_MIN_LAMBDA * kbar.kappa_sq:
         return WeightVector(iterated_tikhonov_weights(kbar, 1, spec.lam).weights, spec)
     return fit_spec(kbar, spec)
+
+
+#: The families whose fits ``fit_chunk`` stacks over a chunk of replications.
+STACKED = (Landweber, NuMethod)
+
+
+def fit_chunk(config: EstimatorConfig, kbars, truths) -> list[WeightVector]:
+    """``fit_weights`` of a Landweber or nu-method ``config`` on each K/n of a
+    chunk of replications, which share n, against each one's ``truths`` entry
+    (None outside the oracle rule), with the fits stacked.
+
+    LOOCV scores the chunk at once (``loocv_select_stacked``), the oracle
+    picks per replication, and one ``two_term_path`` runs to the longest
+    chosen t. A chunk whose kappa^2 values differ splits where they change,
+    since kappa^2 sets the ladder's step.
+    """
+    kind = ESTIMATORS[config.name]
+    if kind.spec_type not in STACKED:
+        raise InputError(f"fit_chunk stacks Landweber and nu-method fits, not {config.name}")
+    kappa_sq = kbars[0].kappa_sq
+    split = next((r for r, kbar in enumerate(kbars) if kbar.kappa_sq != kappa_sq), len(kbars))
+    if split < len(kbars):
+        return (fit_chunk(config, kbars[:split], truths[:split])
+                + fit_chunk(config, kbars[split:], truths[split:]))
+    if config.selection == "none":
+        specs = [kind.fixed(config, kappa_sq)] * len(kbars)
+    else:
+        ladder = kind.ladder(config, kbars[0])
+        if config.selection == "loocv":
+            specs = [result.chosen for result in loocv_select_stacked(kbars, ladder)]
+        else:
+            specs = [select(config.selection, kbar, ladder, truth).chosen
+                     for kbar, truth in zip(kbars, truths)]
+    return _two_term_fits(kbars, specs)
 
 
 def _rows_and_weights(

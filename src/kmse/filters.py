@@ -202,17 +202,28 @@ def _guard_norms(sq_norms: np.ndarray, n: int) -> None:
 def two_term_iterates(coefficients, target: np.ndarray, apply):
     """Yield x_1, x_2, ... of the two-term recursion
 
-        x_t = x_{t-1} + omega_t (x_{t-1} - x_{t-2}) + kappa_t (b - A x_{t-1}),
+        x_t = (x_{t-1} + omega_t (x_{t-1} - x_{t-2})) + kappa_t (b - A x_{t-1}),
 
-    run from x_0 = x_{-1} = 0, one step per (omega_t, kappa_t) pair.
-    ``target`` is b and ``apply(x)`` returns A x, called only to form the next
-    iterate: T steps make T - 1 calls.
+    run from x_0 = x_{-1} = 0, one step per (omega_t, kappa_t) pair, over any
+    leading stack axes of ``target`` (b). ``apply(x)`` returns A x as a new
+    array, which the step overwrites with kappa_t (b - A x); it is called only
+    to form the next iterate: T steps make T - 1 calls. Each step allocates
+    only the iterate it yields, in the order of operations written above.
     """
     prev = curr = np.zeros_like(target)
     for step, (omega, kappa) in enumerate(coefficients):
-        residual = target - apply(curr) if step else target  # b - A x_0 = b
-        prev, curr = curr, curr + omega * (curr - prev) + kappa * residual
-        yield curr
+        nxt = np.subtract(curr, prev)
+        nxt *= omega
+        nxt += curr
+        if step:
+            residual = apply(curr)
+            np.subtract(target, residual, out=residual)
+            residual *= kappa
+        else:
+            residual = kappa * target  # b - A x_0 = b
+        nxt += residual
+        prev, curr = curr, nxt
+        yield nxt
 
 
 def _check_gammas(gammas: np.ndarray) -> np.ndarray:

@@ -87,8 +87,9 @@ class NormalizedGram:
 
 
 def _target(kbar_values: np.ndarray) -> np.ndarray:
-    """Kbar 1_n with 1_n = [1/n, ..., 1/n], the right-hand side every filter fits."""
-    return kbar_values.mean(axis=1)
+    """Kbar 1_n with 1_n = [1/n, ..., 1/n], the right-hand side every filter
+    fits, for one K/n or each of a stack."""
+    return kbar_values.mean(axis=-1)
 
 
 def gram_matrix(points: Dataset | np.ndarray, spec: KernelSpec) -> SymMatrix:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, KmseError, ReplicationError, require_positive
-from .estimators import EstimatorConfig, WeightVector, _rows_and_weights, fit_weights
+from .estimators import ESTIMATORS, STACKED, EstimatorConfig, WeightVector, _rows_and_weights
+from .estimators import fit_chunk, fit_weights
 from .kernels import (
     GaussianRBF,
     KernelSpec,
@@ -154,6 +155,11 @@ def improvement_percent(risk_base: float, risk_est: float) -> float:
     return 100.0 * (risk_base - risk_est) / risk_base
 
 
+#: Doubles of K/n stacked per chunk of replications, n^2 each: a chunk holds
+#: _CHUNK_DOUBLES // n^2 replications, and one once n^2 fills the budget.
+_CHUNK_DOUBLES = 2**15
+
+
 def _worker_count() -> int:
     raw = os.environ.get("KMSE_THREADS", "1")
     try:
@@ -181,10 +187,18 @@ def replication_losses(
     come from stream (seed, 0) once, or are redrawn per replication when
     ``redraw_params`` is set. Within a replication every estimator is fitted
     on the same sample, Gram matrix and K/n (so on one cached spectrum) and
-    scored against the same ground truth, each built once. Results are
-    independent of execution order and of which other configs are fitted,
-    and, with BLAS held at one thread (``linalg._ONE_BLAS_THREAD``), of
-    OPENBLAS_NUM_THREADS and KMSE_THREADS.
+    scored against the same ground truth, each built once.
+
+    Replications run in chunks of consecutive indices, sized by
+    ``_CHUNK_DOUBLES``. Landweber and nu-method estimators are fitted on a
+    whole chunk at once (``estimators.fit_chunk``), every other estimator per
+    replication by ``fit_weights``. ``KMSE_THREADS`` workers take chunks. A
+    failing chunk is run again one replication at a time, so the
+    ``ReplicationError`` names the first replication, and its estimator, that
+    fails in replication order. Results are independent of execution order, of
+    the chunk size and of which other configs are fitted, and, with BLAS held
+    at one thread (``linalg._ONE_BLAS_THREAD``), of OPENBLAS_NUM_THREADS and
+    KMSE_THREADS.
     """
     configs = tuple(configs)
     if m < 1:
@@ -195,40 +209,63 @@ def replication_losses(
         base_params = draw_mixture_params(d, RngStream(seed, 0))
         base_folded = effective_components(base_params)
 
-    def one(r: int) -> list[float]:
+    def draw(r: int):
+        """The sample, kernel, K, K/n and ground truth (z, ||mu_P||^2) of
+        replication r."""
+        gen = RngStream(seed, r).generator()
+        if redraw_params:
+            params = draw_mixture_params(d, gen)
+            folded = effective_components(params)
+        else:
+            params, folded = base_params, base_folded
+        X = sample_mixture(params, n, gen).rows
+        sigma_sq = bandwidth if bandwidth is not None else median_heuristic_bandwidth(X)
+        kspec = GaussianRBF(sigma_sq)
+        gram = gram_matrix(X, kspec)
+        kbar = normalize_gram(gram)
+        truth = (mixture_mean_inners(X, folded, sigma_sq), mixture_mean_sq_norm(folded, sigma_sq))
+        return X, kspec, gram.values, kbar, truth
+
+    def chunk_losses(reps: range) -> np.ndarray:
         estimator = None  # names the fit that fails; None in the shared steps
         try:
-            gen = RngStream(seed, r).generator()
-            if redraw_params:
-                params = draw_mixture_params(d, gen)
-                folded = effective_components(params)
-            else:
-                params, folded = base_params, base_folded
-            X = sample_mixture(params, n, gen).rows
-            sigma_sq = bandwidth if bandwidth is not None else median_heuristic_bandwidth(X)
-            kspec = GaussianRBF(sigma_sq)
-            gram = gram_matrix(X, kspec)
-            kbar = normalize_gram(gram)
-            K = gram.values
-            truth = (mixture_mean_inners(X, folded, sigma_sq),
-                     mixture_mean_sq_norm(folded, sigma_sq))
-            losses = []
-            for config in configs:
+            samples, kspecs, grams, kbars, truths = zip(*(draw(r) for r in reps))
+            out = np.empty((len(reps), len(configs)))
+            for j, config in enumerate(configs):
                 estimator = config.name
-                wv = fit_weights(config, X, kspec, kbar, truth=truth)
-                losses.append(_rkhs_loss(wv.weights, K, *truth))
-            return losses
+                if ESTIMATORS[config.name].spec_type in STACKED:
+                    fits = fit_chunk(config, kbars, truths)
+                else:
+                    fits = [fit_weights(config, *replication, truth=truth)
+                            for *replication, truth in zip(samples, kspecs, kbars, truths)]
+                out[:, j] = [_rkhs_loss(wv.weights, K, *truth)
+                             for wv, K, truth in zip(fits, grams, truths)]
+            return out
         except KmseError as exc:
-            raise ReplicationError(r, exc, estimator) from exc
+            raise ReplicationError(reps[0], exc, estimator) from exc
 
+    def run_chunk(reps: range) -> np.ndarray:
+        # a failing chunk runs again one replication at a time, so the error
+        # names the first failure; a separate closure, since chunk_losses
+        # calling itself would be a reference cycle holding the mixture's
+        # arrays until a full garbage collection
+        try:
+            return chunk_losses(reps)
+        except ReplicationError:
+            if len(reps) == 1:
+                raise
+            return np.concatenate([chunk_losses(range(r, r + 1)) for r in reps])
+
+    size = max(1, _CHUNK_DOUBLES // max(1, n * n))
+    chunks = [range(start, min(start + size, m + 1)) for start in range(1, m + 1, size)]
     # replications are the unit of parallelism, so BLAS gets one thread; the
     # count is per process, so one pin covers every worker and is restored
-    # once, after the last replication
+    # once, after the last chunk
     with _ONE_BLAS_THREAD:
         if workers == 1:
-            return np.asarray([one(r) for r in range(1, m + 1)])
+            return np.concatenate([run_chunk(chunk) for chunk in chunks])
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.asarray(list(pool.map(one, range(1, m + 1))))
+            return np.concatenate(list(pool.map(run_chunk, chunks)))
 
 
 def risk_estimate(

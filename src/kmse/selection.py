@@ -43,8 +43,10 @@ family has one scorer:
   per grid point).
 * The nu-method (``_iteration_scores``) runs the shared two-term iteration
   (``filters.two_term_iterates``) with the fold operator on all columns of X
-  at once. Applying the operator to an iterate also scores it, and the last
-  iterate, which is never applied, is scored on its own; every iterate's
+  at once, over a stack of K/n sharing n (``loocv_select_stacked``; one K/n
+  is a stack of one). Applying the operator to an iterate also writes its
+  held-out and quadratic terms, the last iterate, which is never applied,
+  gets its own, and every step is scored after the loop; every iterate's
   column norms are checked by the divergence guard once per run.
 * S-KMSE's fold fit is the uniform vector scaled by 1/(1+lam), so its score
   needs only the column sums of K.
@@ -54,12 +56,14 @@ ladder (Tikhonov, Landweber), per grid point (iterated Tikhonov, times t)
 or per iteration (nu). GCV scores each entry of a TSVD ladder by the
 projection residual of the components its threshold keeps; an entry that
 keeps all n scores +inf. The oracle rule keeps the candidate of least true
-loss, scored from the spectrum of K/n and the ground truth. Exact ties break
-toward the smaller parameter; scores equal only in exact arithmetic, as on a
-converged Landweber plateau, differ in their last bits and rounding picks.
-Every selector takes K/n and a ladder, one family varying one field (``lam``,
-``iters`` = 1..T or ``threshold``), as ``(kbar, ladder)``, checks it with
-``_check_ladder``, scores each entry and picks through ``_result``.
+loss, scored from the spectrum of K/n and the ground truth. Ties are decided
+by the rule, not by rounding: ``_result`` takes the first ladder entry whose
+score is within TIE_TOLERANCE * |min| of the minimum, so scores equal only in
+exact arithmetic, as on a converged Landweber plateau, go to the smaller
+parameter. Every selector takes K/n and a ladder, one family varying one
+field (``lam``, ``iters`` = 1..T or ``threshold``), as ``(kbar, ladder)``,
+checks it with ``_check_ladder``, scores each entry and picks through
+``_result``.
 """
 
 from __future__ import annotations
@@ -91,6 +95,11 @@ class SelectionResult:
 
 _ITERATIONS = (Landweber, NuMethod)
 
+#: The least sample size of each selection rule ("none" fits a fixed spec):
+#: LOOCV holds one of at least three points out, and GCV must keep fewer than
+#: all n components.
+MIN_SAMPLE_SIZE = {"none": 1, "oracle": 1, "gcv": 2, "loocv": 3}
+
 
 def _check_ladder(ladder, rule: str, families) -> tuple[FilterSpec, np.ndarray]:
     """The last entry of ``ladder`` and its varied-field values, after refusing an
@@ -113,20 +122,29 @@ def _check_ladder(ladder, rule: str, families) -> tuple[FilterSpec, np.ndarray]:
 
 
 def _check_loocv(kbar: NormalizedGram, ladder, families) -> tuple[FilterSpec, np.ndarray]:
-    if kbar.n < 3:
+    if kbar.n < MIN_SAMPLE_SIZE["loocv"]:
         raise InputError("LOOCV needs at least three points")
     return _check_ladder(ladder, "loocv", families)
 
 
+#: Scores within TIE_TOLERANCE * |min| of the minimum tie with it (``_result``).
+TIE_TOLERANCE = 1e-12
+
+
 def _result(ladder, params, scores: np.ndarray, kind: str) -> SelectionResult:
+    """The first entry of ``ladder`` whose score ties the minimum within
+    TIE_TOLERANCE, with the (parameter, score) path."""
     path = [(float(p), float(s)) for p, s in zip(params, scores)]
-    # np.argmin's first occurrence: the smaller parameter of an exact tie only
-    return SelectionResult(chosen=ladder[int(np.argmin(scores))], score_path=path, score_kind=kind)
+    best = np.min(scores)
+    chosen = int(np.argmax(scores <= best + TIE_TOLERANCE * abs(best)))
+    return SelectionResult(chosen=ladder[chosen], score_path=path, score_kind=kind)
 
 
 @dataclass(frozen=True, eq=False)
 class _FoldBasis:
-    """The eigenbasis of A = K/(n-1) shared by all n leave-one-out folds.
+    """The eigenbasis of A = K/(n-1) shared by all n leave-one-out folds, or
+    (``stack``) the bases of several K/n of one n, each array with a leading
+    stack axis.
 
     Column i of ``ut`` is u_i and column i of ``targets`` is fold i's target
     U^T b_i. ``_fold_basis`` builds one per K/n for all its LOOCV selectors.
@@ -152,16 +170,27 @@ class _FoldBasis:
         targets = (spread - ut * (a_rows - a_diag)) / m
         return cls(m, gammas, ut, targets, m * a_diag)
 
-    def _score_parts(self, X: np.ndarray):
-        gx = self.gammas[:, None] * X
-        held_out = np.einsum("ki,...ki->...i", self.ut, gx)  # (A beta_i)_i
-        quad = np.einsum("...ki,...ki->...i", gx, X)  # beta_i^T A beta_i
-        score = np.sum(self.m * (quad - 2.0 * held_out) + self.k_diag, axis=-1)
-        return gx, held_out, score
+    @classmethod
+    def stack(cls, bases) -> "_FoldBasis":
+        """One basis over the K/n of ``bases``, which share n."""
+        fields = ("gammas", "ut", "targets", "k_diag")
+        return cls(bases[0].m, *(_stack([getattr(b, f) for b in bases]) for f in fields))
+
+    def terms(self, X: np.ndarray, held_out=None, quad=None):
+        """Gamma X and the fold terms of X, a matrix of fold fits or a stack of
+        them: (A beta_i)_i and beta_i^T A beta_i, written to the given arrays."""
+        gx = self.gammas[..., None] * X
+        held_out = np.einsum("...ki,...ki->...i", self.ut, gx, out=held_out)
+        quad = np.einsum("...ki,...ki->...i", gx, X, out=quad)
+        return gx, held_out, quad
+
+    def score(self, held_out: np.ndarray, quad: np.ndarray) -> np.ndarray:
+        """The summed fold scores of fold terms from ``terms``."""
+        return np.sum(self.m * (quad - 2.0 * held_out) + self.k_diag, axis=-1)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """The summed fold scores of X, or of each matrix in a stack of them."""
-        return self._score_parts(X)[2]
+        return self.score(*self.terms(X)[1:])
 
 
 #: The fold basis of each live K/n; an entry goes when its K/n is collected.
@@ -176,35 +205,52 @@ def _fold_basis(kbar: NormalizedGram) -> _FoldBasis:
     return basis
 
 
-def _iteration_scores(kbar: NormalizedGram, steps) -> np.ndarray:
-    """Mean held-out squared RKHS distance after each step of ``steps``; every
-    step's fold norms are checked once at the end, so a diverging run overflows first."""
-    basis = _fold_basis(kbar)
-    scores, norms = [], []
+def _stack(arrays) -> np.ndarray:
+    """``arrays`` stacked on a new leading axis; one array is a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    def apply(X):  # U^T P_i A beta_i for each fold i; X's score comes along
-        gx, held_out, score = basis._score_parts(X)
-        scores.append(score)
-        return gx - basis.ut * held_out
+
+def _iteration_scores(kbars, steps) -> np.ndarray:
+    """Mean held-out squared RKHS distance after each step of ``steps`` on each
+    K/n of ``kbars``, which share n: shape (len(kbars), len(steps)). The folds
+    of every K/n iterate as one stack. Every step's fold norms are checked once
+    at the end, so a diverging run overflows first."""
+    basis = _FoldBasis.stack([_fold_basis(kbar) for kbar in kbars])
+    held, quad, norms = np.empty((3, len(steps)) + basis.k_diag.shape)  # (step, stack, fold)
+    work = np.empty_like(basis.ut)
+    t = 0
+
+    def apply(X):  # U^T P_i A beta_i for each fold i; X's terms, iterate t, come along
+        gx = basis.terms(X, held[t], quad[t])[0]
+        gx -= np.multiply(basis.ut, held[t][..., None, :], out=work)
+        return gx
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for X in two_term_iterates(steps, basis.targets, apply):
-            norms.append(np.einsum("ij,ij->j", X, X))
-        scores.append(basis.scores(X))  # the last iterate is never applied
-        _guard_norms(np.array(norms), basis.m)
-    return np.array(scores) / kbar.n
+        for t, X in enumerate(two_term_iterates(steps, basis.targets, apply)):
+            np.einsum("...ij,...ij->...j", X, X, out=norms[t])
+        basis.terms(X, held[t], quad[t])  # the last iterate is never applied
+        for r in range(len(kbars)):
+            _guard_norms(norms[:, r], basis.m)
+    return basis.score(held, quad).T / kbars[0].n
 
 
 def loocv_select_iterations(kbar: NormalizedGram, ladder) -> SelectionResult:
     """Pick the iteration count of a Landweber or nu-method ladder, which holds
-    t = 1, 2, ... in order, by LOOCV on K/n ``kbar``."""
-    last, iters = _check_loocv(kbar, ladder, _ITERATIONS)
-    _validate_step(last, kbar.kappa_sq)
+    t = 1, 2, ... in order, by LOOCV on K/n ``kbar``: a stack of one."""
+    return loocv_select_stacked([kbar], ladder)[0]
+
+
+def loocv_select_stacked(kbars, ladder) -> list[SelectionResult]:
+    """``loocv_select_iterations`` of one ladder on each K/n of ``kbars``, which
+    share n; the nu-method's fold iterations run over the whole stack."""
+    last, iters = _check_loocv(kbars[0], ladder, _ITERATIONS)
+    for kbar in kbars:
+        _validate_step(last, kbar.kappa_sq)
     if isinstance(last, Landweber):
-        scores = _landweber_scores(kbar, last.eta, len(iters))
+        scores = [_landweber_scores(kbar, last.eta, len(iters)) for kbar in kbars]
     else:
-        scores = _iteration_scores(kbar, two_term_steps(last))
-    return _result(ladder, iters, scores, "LOOCV")
+        scores = _iteration_scores(kbars, two_term_steps(last))
+    return [_result(ladder, iters, row, "LOOCV") for row in scores]
 
 
 def _skmse_scores(kbar: NormalizedGram, lams: np.ndarray) -> np.ndarray:

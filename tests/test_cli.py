@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kmse.cli import main
+from kmse.errors import DegenerateBandwidthError
 from kmse.estimators import ESTIMATORS
 
 
@@ -334,12 +335,14 @@ class TestEstimateLinearKernel:
 class TestBenchmarkCommand:
     def test_csv_independent_of_thread_counts(self, tmp_path):
         # BLAS threads and harness workers must not change a single byte; at
-        # n = 150 a threaded BLAS inside the replications did
+        # n = 150 a threaded BLAS inside the replications did. The workers take
+        # chunks of replications: at n = 30, 40 replications make two chunks,
+        # and at n = 150 each replication is a chunk
         src = Path(__file__).resolve().parent.parent / "src"
-        for n, d, reps in (("30", "3", "6"), ("150", "5", "3")):
+        for n, d, reps in (("30", "3", "40"), ("150", "5", "3")):
             digests = {}
             for blas in ("1", "2"):
-                for workers in ("1", "4"):
+                for workers in ("1", "2", "4"):
                     out = tmp_path / f"risk_{n}_{blas}_{workers}.csv"
                     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, KMSE_THREADS=workers)
                     env["PYTHONPATH"] = os.pathsep.join(
@@ -394,15 +397,21 @@ class TestBenchmarkCommand:
         assert code == 1
         assert not (tmp_path / "x.json").exists()
 
-    def test_usage_error_inside_replication_exits_one(self, tmp_path, capsys):
-        # n = 2 passes the harness but LOOCV needs three points
+    def test_usage_error_inside_replication_exits_one(self, tmp_path, capsys, monkeypatch):
+        # coincident points make the median bandwidth zero inside replication 1
+        from kmse import risk
+
+        def degenerate(points):
+            raise DegenerateBandwidthError("median pairwise squared distance is zero")
+
+        monkeypatch.setattr(risk, "median_heuristic_bandwidth", degenerate)
         code = main(
-            ["benchmark", "--n", "2", "--d", "2", "--reps", "2", "--filters", "tikhonov",
+            ["benchmark", "--n", "5", "--d", "2", "--reps", "2", "--filters", "tikhonov",
              "--json", str(tmp_path / "x.json")]
         )
-        err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: replication 1 failed (tikhonov):")
+        assert capsys.readouterr().err == (
+            "error: replication 1 failed: median pairwise squared distance is zero\n")
 
     def test_infinite_bandwidth_exits_one_naming_it(self, tmp_path, capsys):
         argv = ["benchmark", "--n", "20", "--d", "2", "--reps", "2",
@@ -412,14 +421,30 @@ class TestBenchmarkCommand:
         assert "bandwidth_sq must be positive and finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
-    def test_failing_estimator_named_after_others_fit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("n,flags,message", [
+        ("0", ["--filters", "kme", "--bandwidth", "2"], "at least 1 for a sample, got 0"),
+        ("1", ["--filters", "kme"], "at least 2 for the median bandwidth, got 1"),
+        ("1", ["--filters", "tsvd", "--bandwidth", "2"], "at least 2 for gcv selection (tsvd), got 1"),
         # kme fits on two points; nu is the first estimator that cannot
-        code = main(
-            ["benchmark", "--n", "2", "--d", "2", "--reps", "2", "--filters", "kme,nu,tikhonov",
-             "--json", str(tmp_path / "x.json")]
-        )
+        ("2", ["--filters", "kme,nu,tikhonov"], "at least 3 for loocv selection (nu), got 2"),
+        ("0", [], "at least 3 for loocv selection (skmse), got 0"),
+    ])
+    def test_sample_size_refused_before_any_work(self, tmp_path, capsys, monkeypatch, n,
+                                                 flags, message):
+        from kmse import risk
+
+        monkeypatch.setattr(risk, "draw_mixture_params", never_reached)
+        code = main(["benchmark", "--n", n, "--d", "2", "--reps", "2", *flags,
+                     "--json", str(tmp_path / "x.json")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: replication 1 failed (nu):")
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"error: --n must be {message}"]
+        assert not (tmp_path / "x.json").exists()
+
+    def test_least_sample_size_runs(self, tmp_path):
+        argv = ["benchmark", "--n", "3", "--d", "2", "--reps", "2", "--filters", "all",
+                "--json", str(tmp_path / "x.json")]
+        assert main(argv) == 0
 
     @pytest.mark.parametrize("raw", ["abc", "0"])
     def test_bad_thread_count_exits_one(self, tmp_path, capsys, monkeypatch, raw):
@@ -674,6 +699,23 @@ def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, monkeypatch, argv
     assert main([*argv, "out.json", "--seed", seed]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert errors == [f"error: argument --seed: must be a non-negative integer, got {seed!r}"]
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "data.csv", "--filter", "tikhonov", "--select", "loocv", "--output"],
+    ["density-fit", "--input", "data.csv", "--output"],
+    ["admissibility", "--filter", "landweber", "--output"],
+], ids=lambda argv: argv[0])
+def test_iters_below_one_refused_at_parse_time(tmp_path, capsys, monkeypatch, argv, value):
+    from kmse import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_csv", never_reached)
+    assert main([*argv, "out.json", "--iters", value]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"error: argument --iters: must be an integer >= 1, got {value!r}"]
     assert not (tmp_path / "out.json").exists()
 
 

@@ -11,6 +11,7 @@ from kmse.estimators import (
     EstimatorConfig,
     empirical_kme_weights,
     evaluate_estimate,
+    fit_chunk,
     fit_spec,
     fit_weights,
     iterated_tikhonov_weights,
@@ -165,8 +166,10 @@ class TestIterativePaths:
             kbar, _ = random_kbar(rng, n=15)
             kv = kbar.matrix.values
             target = kv @ np.full(kbar.n, 1.0 / kbar.n)
-            res_lw = np.linalg.norm(landweber_path(kv, 30, 1.0) @ kv - target, axis=1)
-            res_nu = np.linalg.norm(nu_method_path(kv, 30, 1.0, 1.0) @ kv - target, axis=1)
+            # a stack of 30 copies of K/n, copy t stopped at t: beta^1..beta^30
+            stack, stops = np.broadcast_to(kv, (30,) + kv.shape), range(1, 31)
+            res_lw = np.linalg.norm(landweber_path(stack, stops, 1.0) @ kv - target, axis=1)
+            res_nu = np.linalg.norm(nu_method_path(stack, stops, 1.0, 1.0) @ kv - target, axis=1)
             best_nu = np.minimum.accumulate(res_nu)
             assert best_nu[14] <= res_lw[14] + 1e-15
             assert best_nu[29] <= 0.75 * res_lw[29]
@@ -174,26 +177,52 @@ class TestIterativePaths:
     @pytest.mark.parametrize("spec", [Landweber(10, 1.0), NuMethod(10, 1.0, 1.0)])
     def test_two_term_path_applies_kbar_once_per_step_but_the_last(self, spec):
         # beta^T is the last weight vector; K/n beta^T would only feed a step
-        # the path does not take
-        kbar, _ = random_kbar(np.random.default_rng(16))
-        kv = kbar.matrix.values
+        # the path does not take. Each step is one product over the stack, and
+        # each member keeps the iterate at its own stop
+        kbars = [random_kbar(np.random.default_rng(seed))[0] for seed in (16, 17, 18)]
+        values = np.stack([kbar.matrix.values for kbar in kbars])
 
         class CountingKbar:
-            shape = kv.shape
+            shape = values.shape
             products = 0
 
             def mean(self, axis):
-                return kv.mean(axis=axis)
+                return values.mean(axis=axis)
 
             def __matmul__(self, x):
                 CountingKbar.products += 1
-                return kv @ x
+                return values @ x
 
         steps = two_term_steps(spec)
-        path = two_term_path(CountingKbar(), steps)
+        stops = [3, 10, 7]
+        path = two_term_path(CountingKbar(), steps, stops)
         assert CountingKbar.products == 9
-        every_iterate = list(two_term_iterates(steps, kv.mean(axis=1), kv.__matmul__))
-        assert np.array_equal(path, np.array(every_iterate))
+        for kbar, t, beta in zip(kbars, stops, path):
+            kv = kbar.matrix.values
+            every_iterate = list(two_term_iterates(steps, kv.mean(axis=1), kv.__matmul__))
+            assert np.array_equal(beta, every_iterate[t - 1])
+
+    @pytest.mark.parametrize(
+        "config",
+        [EstimatorConfig("nu", t_max=25), EstimatorConfig("landweber", t_max=25),
+         EstimatorConfig("nu", selection="none", iters=7)],
+        ids=["nu-loocv", "landweber-loocv", "nu-none"],
+    )
+    def test_fit_chunk_equals_one_fit_per_replication(self, config):
+        # kappa^2 sets the ladder's step, so the chunk splits where it changes
+        kbars = [random_kbar(np.random.default_rng(seed))[0] for seed in range(5)]
+        kbars = [NormalizedGram(kbar.matrix, kappa_sq=bound)
+                 for kbar, bound in zip(kbars, (1.0, 1.0, 2.0, 2.0, 1.0))]
+        fits = fit_chunk(config, kbars, [None] * len(kbars))
+        for kbar, got in zip(kbars, fits, strict=True):
+            want = fit_weights(config, None, None, kbar)
+            assert got.shrinkage == want.shrinkage
+            assert np.array_equal(got.weights, want.weights)
+
+    def test_fit_chunk_refuses_families_it_does_not_stack(self):
+        kbar, _ = random_kbar(np.random.default_rng(3))
+        with pytest.raises(InputError, match="tikhonov"):
+            fit_chunk(EstimatorConfig("tikhonov"), [kbar], [None])
 
     def test_fit_spec_runs_nu_at_its_step(self):
         kbar, _ = random_kbar(np.random.default_rng(14))
@@ -372,14 +401,14 @@ class TestDivergenceGuard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match="diverged"):
-                two_term_path(kv, steps)
+                two_term_path(kv[None], steps, [200])
 
     def test_one_check_per_path(self, monkeypatch):
         calls = []
         monkeypatch.setattr(estimators, "_guard_norms", lambda *args: calls.append(args))
         kbar, _ = random_kbar(np.random.default_rng(18))
         for spec in (Landweber(30, 1.0 / kbar.kappa_sq), NuMethod(30, 1.0, 1.0 / kbar.kappa_sq)):
-            two_term_path(kbar.matrix.values, two_term_steps(spec))
+            two_term_path(kbar.matrix.values[None], two_term_steps(spec), [30])
             fit_spec(kbar, spec)
         assert [norms.shape for norms, _ in calls] == [(30,)] * 4
 

@@ -175,6 +175,33 @@ class TestTwoTermSteps:
         want = [nu_method_coefficients(t, 1.5, 0.5) for t in range(1, 5)]
         assert two_term_steps(spec) == want
 
+    @pytest.mark.parametrize("shape", [(30,), (30, 30), (4, 30, 30)],
+                             ids=["vector", "fold-block", "stack"])
+    @pytest.mark.parametrize("spec", [Landweber(40, 0.9), NuMethod(40, 1.0, 0.9)],
+                             ids=["landweber", "nu"])
+    def test_iterates_equal_the_plain_expression(self, spec, shape):
+        # the in-place step gives the bits of x + omega (x - x_prev) + kappa (b - A x)
+        rng = np.random.default_rng(21)
+        A = rng.standard_normal(shape[-1:] * 2)
+        A = A @ A.T / (2.0 * np.linalg.eigvalsh(A @ A.T)[-1])
+        if len(shape) == 3:  # a stack of operators, one per member
+            A = np.stack([A * scale for scale in (1.0, 0.5, 0.25, 0.125)])
+        target = rng.standard_normal(shape)
+        before = target.copy()
+
+        def plain(coefficients):
+            prev = curr = np.zeros_like(target)
+            for step, (omega, kappa) in enumerate(coefficients):
+                residual = target - A @ curr if step else target
+                prev, curr = curr, curr + omega * (curr - prev) + kappa * residual
+                yield curr
+
+        steps = two_term_steps(spec)
+        got = list(two_term_iterates(steps, target, A.__matmul__))
+        assert all(np.array_equal(a, b) for a, b in zip(got, plain(steps), strict=True))
+        assert len({id(x) for x in got}) == len(got)  # a fresh array per step
+        assert np.array_equal(target, before)
+
     @pytest.mark.parametrize("iters", [1, 2, 10])
     @pytest.mark.parametrize("family", [Landweber, NuMethod], ids=["landweber", "nu"])
     def test_operator_applied_only_to_form_the_next_iterate(self, family, iters):

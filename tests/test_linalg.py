@@ -194,15 +194,17 @@ REPLICATION_CONFIGS = [EstimatorConfig("tikhonov", selection="none", lam=0.5),
 @pytest.fixture
 def record_replication_blas_threads(monkeypatch):
     """(scipy, numpy) thread counts seen at the start of every fit inside
-    ``replication_losses``."""
+    ``replication_losses``: each ``fit_weights`` call, and each ``fit_chunk``
+    call, which fits a Landweber or nu-method estimator on a chunk."""
     seen = []
-    original = risk.fit_weights
+    for name in ("fit_weights", "fit_chunk"):
+        original = getattr(risk, name)
 
-    def recorded(*args, **kwargs):
-        seen.append(blas_threads())
-        return original(*args, **kwargs)
+        def recorded(*args, _original=original, **kwargs):
+            seen.append(blas_threads())
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(risk, "fit_weights", recorded)
+        monkeypatch.setattr(risk, name, recorded)
     return seen
 
 
@@ -297,7 +299,8 @@ class TestOneBlasThread:
     ):
         assert blas_threads() == (2, 2)
         replication_losses(REPLICATION_CONFIGS, 20, 2, 3, seed=12)
-        assert record_replication_blas_threads == [(1, 1)] * 6
+        # one chunk: three Tikhonov fits and one stacked Landweber fit
+        assert record_replication_blas_threads == [(1, 1)] * 4
         assert blas_threads() == (2, 2)
 
     @both_pinned
@@ -333,6 +336,7 @@ class TestOneBlasThread:
             recording(index, set_threads) for index, set_threads in enumerate(scope._setters)
         ))
         monkeypatch.setenv("KMSE_THREADS", "4")
+        monkeypatch.setattr(risk, "_CHUNK_DOUBLES", 20 * 20)  # one replication per chunk
         replication_losses(REPLICATION_CONFIGS, 20, 2, 8, seed=12)
         assert record_replication_blas_threads == [(1, 1)] * 16
         assert calls == [(0, 1), (1, 1), (0, 2), (1, 2)]

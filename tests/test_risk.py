@@ -1,8 +1,10 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from kmse.errors import InputError
+from kmse.errors import ConfigurationError, InputError, ReplicationError
 from kmse.estimators import (
     ESTIMATORS,
     RESOLVENT_MIN_LAMBDA,
@@ -40,6 +42,7 @@ from kmse.risk import (
     replication_losses,
     risk_estimate,
 )
+from kmse import risk
 from kmse.selection import gcv_select_tsvd, loocv_select_iterations, loocv_select_lambda
 from kmse.synthetic import (
     MixtureParams,
@@ -398,6 +401,67 @@ class TestRiskHarness:
         assert not np.allclose(fixed, redrawn)
 
 
+class TestChunks:
+    """Replications run in chunks of ``risk._CHUNK_DOUBLES``; the Landweber and
+    nu-method fits of a chunk are stacked. The chunk size moves no loss and no
+    error."""
+
+    @pytest.mark.parametrize("rule", ["default", "oracle", "none"])
+    def test_losses_independent_of_chunk_size(self, monkeypatch, rule):
+        configs = [EstimatorConfig(name, selection=rule) for name, kind in ESTIMATORS.items()
+                   if rule == "default" or rule in kind.selections]
+        n, m = 50, 11
+        losses = {}
+        for size in (1, 2, 8):
+            monkeypatch.setattr(risk, "_CHUNK_DOUBLES", size * n * n)
+            losses[size] = replication_losses(configs, n, 20, m, seed=53)
+        assert losses[1].shape == (m, len(configs))
+        for size in (2, 8):
+            np.testing.assert_array_equal(losses[size], losses[1], err_msg=f"chunk {size}")
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would hold the mixture's arrays until a full collection, so
+        # the peak memory of a long run would grow with its operation count
+        configs = [EstimatorConfig(name) for name in ESTIMATORS]
+        replication_losses(configs, 15, 3, 3, seed=1)
+        gc.collect()
+        gc.disable()
+        try:
+            replication_losses(configs, 15, 3, 3, seed=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("size", [1, 8])
+    def test_guard_failure_names_its_replication_and_estimator(self, monkeypatch, size):
+        # replication 2's K/n is scaled 1e4 times past kappa^2 = 1, so its
+        # Landweber and nu-method iterations diverge; kme and Tikhonov still fit
+        drawn = []
+        normalize = risk.normalize_gram
+
+        def stream(seed, index):
+            drawn.append(index)
+            return RngStream(seed, index)
+
+        def normalized(gram):
+            kbar = normalize(gram)
+            if drawn[-1] != 2:
+                return kbar
+            return NormalizedGram(SymMatrix(kbar.matrix.values * 1e4), kappa_sq=kbar.kappa_sq)
+
+        monkeypatch.setattr(risk, "RngStream", stream)
+        monkeypatch.setattr(risk, "normalize_gram", normalized)
+        monkeypatch.setattr(risk, "_CHUNK_DOUBLES", size * 20 * 20)
+        configs = [EstimatorConfig("kme"), EstimatorConfig("tikhonov"),
+                   EstimatorConfig("nu", t_max=20), EstimatorConfig("landweber", t_max=20)]
+        with pytest.raises(ReplicationError) as info:
+            replication_losses(configs, 20, 3, 4, seed=61)
+        assert info.value.index == 2
+        assert info.value.estimator == "nu"
+        assert isinstance(info.value.cause, ConfigurationError)
+        assert str(info.value).startswith("replication 2 failed (nu): iteration diverged")
+
+
 # every valid (estimator, selection) pair, oracle included
 ALL_PAIRS = [
     EstimatorConfig(name, selection=rule, t_max=20)
@@ -553,11 +617,12 @@ def reference_fit(config, X, kspec, kbar, truth):
         elif rule == "loocv":
             t = loocv_select_iterations(kbar, tuple(specs)).chosen.iters
         else:
-            values = kbar.matrix.values
+            # a stack of t_max copies of K/n, copy t stopped at t
+            values = np.broadcast_to(kbar.matrix.values, (config.t_max, n, n))
             if name == "landweber":
-                path = landweber_path(values, config.t_max, eta)
+                path = landweber_path(values, counts, eta)
             else:
-                path = nu_method_path(values, config.t_max, config.nu, eta)
+                path = nu_method_path(values, counts, config.nu, eta)
             return oracle_argmin([WeightVector(row, spec) for row, spec in zip(path, specs)])
         if name == "landweber":
             return landweber_weights(kbar, t)

@@ -34,9 +34,11 @@ from kmse.kernels import (
 )
 from kmse.linalg import SymMatrix, sym_eigendecompose
 from kmse.selection import (
+    TIE_TOLERANCE,
     gcv_select_tsvd,
     loocv_select_iterations,
     loocv_select_lambda,
+    loocv_select_stacked,
     oracle_select,
 )
 from kmse.synthetic import RngStream, draw_mixture_params, effective_components, sample_mixture
@@ -198,6 +200,54 @@ def zero_truth(n):
     """The ground truth (z, ||mu_P||^2) of the zero measure on n points; the
     tests that pass it expect an error before any candidate is scored."""
     return np.zeros(n), 0.0
+
+
+class TestTieRule:
+    """``_result`` takes the first entry within TIE_TOLERANCE * |min| of the
+    minimum, not the bitwise argmin."""
+
+    LADDER = tuple(Tikhonov(lam) for lam in (0.1, 0.2, 0.3, 0.4))
+
+    @pytest.mark.parametrize(
+        "scores,chosen",
+        [
+            ([3.0, 1.0 + 0.5e-12, 1.0, 1.0 + 2e-12], 1),  # near tie: the smaller parameter
+            ([3.0, 1.0 + 2e-12, 1.0, 1.0], 2),  # outside the tolerance; an exact tie
+            ([-2.0 + 1.5e-12, 5.0, -2.0, -2.0], 0),  # |min| scales the tolerance
+            ([0.0, 1e-300, 0.0, 1.0], 0),
+            ([np.inf, 2.0, np.inf, 2.0 * (1.0 + 1e-13)], 1),
+        ],
+    )
+    def test_first_entry_within_the_tolerance(self, scores, chosen):
+        result = selection._result(self.LADDER, [0.1, 0.2, 0.3, 0.4], np.array(scores), "LOOCV")
+        assert result.chosen == self.LADDER[chosen]
+        assert [s for _, s in result.score_path] == scores
+
+    def test_plateau_picks_the_smallest_t_by_both_paths(self):
+        # the Landweber scores of a 3-point sample under a narrow RBF converge
+        # to a plateau whose last bits the per-fold refit orders differently
+        rows = sample_rows(21, n=3, d=3)
+        rows[-2:] = rows[:2]
+        spec = GaussianRBF(1e-3 * median_heuristic_bandwidth(rows))
+        result = select_iterations(rows, "landweber", 50, spec)
+        fast = path_scores(result)
+        brute = brute_force_scores(rows, spec, "landweber", None, None, 50)
+        assert np.argmin(fast) != np.argmin(brute)
+        assert result.chosen.iters == tie_choice(brute) + 1 < np.argmin(fast) + 1
+
+
+class TestLoocvStacked:
+    """A stack of K/n gives each member the selection it gets alone."""
+
+    @pytest.mark.parametrize("family", ["landweber", "nu"])
+    def test_stack_equals_one_at_a_time(self, family):
+        kbars = [kbar_of(sample_rows(seed, n=15)) for seed in range(5)]
+        ladder = iteration_ladder(kbars[0], family, 30)
+        stacked = loocv_select_stacked(kbars, ladder)
+        for kbar, result in zip(kbars, stacked):
+            alone = loocv_select_iterations(kbar, ladder)
+            assert result.chosen == alone.chosen
+            assert result.score_path == alone.score_path
 
 
 class TestSelectorInputs:
@@ -368,10 +418,12 @@ def brute_force_iteration_scores(K, algo, t_max, eta, nu=1.0):
         keep = index != i
         Ksub = K[np.ix_(keep, keep)]
         kcol = K[keep, i]
+        # a stack of t_max copies of the fold's K/(n-1), copy t stopped at t
+        stack = np.broadcast_to(Ksub / (n - 1), (t_max, n - 1, n - 1))
         if algo == "landweber":
-            path = landweber_path(Ksub / (n - 1), t_max, eta)
+            path = landweber_path(stack, range(1, t_max + 1), eta)
         else:
-            path = nu_method_path(Ksub / (n - 1), t_max, nu, eta)
+            path = nu_method_path(stack, range(1, t_max + 1), nu, eta)
         quad = np.einsum("ti,ti->t", path @ Ksub, path)
         cross = path @ kcol
         scores += quad - 2.0 * cross + K[i, i]
@@ -421,12 +473,16 @@ def assert_scores_match(fast, brute, K):
     )
 
 
-def assert_same_choice(fast, brute, K):
-    # the brute-force argmin, or a candidate whose brute-force score ties the
-    # minimum within the tolerance of assert_scores_match
-    chosen, best = np.argmin(fast), np.argmin(brute)
-    scale = max(abs(brute[best]), np.mean(np.diag(K)))
-    assert chosen == best or brute[chosen] - brute[best] <= 1e-12 * scale, (chosen, best)
+def tie_choice(scores):
+    """The entry the tie rule of ``selection._result`` takes: the first score
+    within TIE_TOLERANCE * |min| of the minimum."""
+    best = np.min(scores)
+    return int(np.argmax(scores <= best + TIE_TOLERANCE * abs(best)))
+
+
+def assert_same_choice(fast, brute):
+    # the tie rule picks one entry from both paths, on a plateau too
+    assert tie_choice(fast) == tie_choice(brute), (tie_choice(fast), tie_choice(brute))
 
 
 FAMILIES = ("skmse", "tikhonov", "itik", "landweber", "nu")
@@ -499,8 +555,9 @@ class TestLoocvMatchesPerFoldRefit:
     def test_cancellation_region(self, family, itik_iters, n):
         # gamma / lam spans up to 21 decades: K near the identity (narrow RBF),
         # near rank one (wide RBF) or of rank d (linear), with repeated rows.
-        # At n = 3 with the narrow RBF the Landweber scores reach 1.0 by t = 26
-        # and then differ in the last bit, so there the argmin is a tie.
+        # At n = 3 with the narrow RBF the Landweber scores converge to 1.0 and
+        # then differ in their last bits, so the two paths' argmins differ (t =
+        # 33 and 26); the tie rule takes t = 20 from both.
         rows = sample_rows(18 + n, n=n, d=3)
         rows[-2:] = rows[:2]
         grid = np.geomspace(1e-9, 1e3, 40)
@@ -510,7 +567,7 @@ class TestLoocvMatchesPerFoldRefit:
             brute = brute_force_scores(rows, spec, family, grid, itik_iters, 50)
             K = gram_matrix(rows, spec).values
             assert_scores_match(fast, brute, K)
-            assert_same_choice(fast, brute, K)
+            assert_same_choice(fast, brute)
 
     def test_itik_with_more_solves_than_points(self):
         # the solve recursion runs past the dimension of the folds
